@@ -35,6 +35,7 @@ from .errors import (
     DuplicateTimestamp,
     EmptyCohort,
     ExpmInaccuracy,
+    ImpossibleTrajectory,
     InvariantViolation,
     NegativeOffDiagonal,
     NoHeldOutObservations,

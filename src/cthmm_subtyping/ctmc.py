@@ -71,6 +71,8 @@ class GeneratorMatrix:
             raise InvariantViolation("generator rates must be square")
         if mask.shape != rates.shape:
             raise InvariantViolation("structure mask shape differs from rates")
+        if not np.all(np.isfinite(rates)):
+            raise InvariantViolation("generator rates must be finite")
         mask = mask & ~np.eye(rates.shape[0], dtype=bool)
         off = rates[~np.eye(rates.shape[0], dtype=bool)]
         if np.any(off < 0):
@@ -150,6 +152,8 @@ def validate_generator(
     ------
     NonSquareInput
         if ``raw`` is not a square matrix.
+    InvariantViolation
+        if any off-diagonal entry is NaN or infinite.
     NegativeOffDiagonal
         if any off-diagonal entry is negative; rejected rather than fixed
         so that sign errors in upstream code surface immediately.
@@ -163,6 +167,8 @@ def validate_generator(
         raise NonSquareInput("mask shape differs from rate matrix shape")
     mask = mask & ~np.eye(n, dtype=bool)
     off_diag = ~np.eye(n, dtype=bool)
+    if not np.all(np.isfinite(raw[off_diag])):
+        raise InvariantViolation("off-diagonal rates must be finite")
     if np.any(raw[off_diag] < 0):
         raise NegativeOffDiagonal("off-diagonal rates must be nonnegative")
 
@@ -175,19 +181,16 @@ def validate_generator(
     return GeneratorMatrix(rates=rates, mask=mask)
 
 
-# Transition matrices and end-conditioned statistics are memoised per
-# (generator, interval) key: an EM sweep asks for the same handful of
-# intervals once per trajectory pair.  Fills are pure, so concurrent
-# fills of one key under the GIL always store equal values.
+# Transition matrices are memoised per (generator, interval) key: an EM
+# sweep asks for the same handful of intervals once per trajectory pair.
+# Fills are pure, so concurrent fills of one key under the GIL always
+# store equal values.
 _TRANSITION_CACHE: dict[tuple[bytes, float], TransitionMatrix] = {}
-_STATS_CACHE: dict[tuple[bytes, float], EndConditionedStats] = {}
 _TRANSITION_CACHE_MAX = 200_000
-_STATS_CACHE_MAX = 50_000
 
 
 def clear_caches() -> None:
     _TRANSITION_CACHE.clear()
-    _STATS_CACHE.clear()
 
 
 def _trim(cache: dict, limit: int) -> None:
@@ -203,8 +206,8 @@ def transition_matrix(generator: GeneratorMatrix, interval: float) -> Transition
     since it signals an ill-conditioned ``interval * Q`` product.
     """
     interval = float(interval)
-    if interval < 0:
-        raise NonPositiveInterval(f"interval must be >= 0, got {interval}")
+    if not 0 <= interval < np.inf:
+        raise NonPositiveInterval(f"interval must be finite and >= 0, got {interval}")
     key = (generator.fingerprint, interval)
     hit = _TRANSITION_CACHE.get(key)
     if hit is not None:
@@ -218,7 +221,7 @@ def transition_matrix(generator: GeneratorMatrix, interval: float) -> Transition
 
     probs = expm(generator.rates * interval)
     drift = np.abs(probs.sum(axis=1) - 1.0).max()
-    if drift > _ROW_SUM_MAX or probs.min() < -_ROW_SUM_MAX:
+    if not drift <= _ROW_SUM_MAX or probs.min() < -_ROW_SUM_MAX:
         raise ExpmInaccuracy(
             f"matrix exponential row sums drifted by {drift:.3e} for interval {interval}"
         )
@@ -231,19 +234,28 @@ def transition_matrix(generator: GeneratorMatrix, interval: float) -> Transition
     return result
 
 
-def _interval_integral(rates: np.ndarray, block: np.ndarray, interval: float) -> np.ndarray:
-    """integral over s in (0, interval) of expm(s Q) B expm((interval - s) Q).
+def _interval_integral(
+    rates: np.ndarray, blocks: np.ndarray, intervals: np.ndarray
+) -> np.ndarray:
+    """integral over s in (0, delta_i) of expm(s Q) B_i expm((delta_i - s) Q).
 
-    Computed as the upper-right block of the exponential of the augmented
-    matrix [[Q, B], [0, Q]], which avoids any diagonalisability assumption
-    on Q.
+    ``blocks`` has shape (B, n, n) and ``intervals`` shape (B,).  Each
+    integral is the upper-right block of the exponential of the augmented
+    matrix [[Q, B_i], [0, Q]] * delta_i, which avoids any
+    diagonalisability assumption on Q; all B exponentials are one stacked
+    ``expm`` call.
     """
+    # The integral is linear in B_i.  Scaling each block to unit size keeps
+    # a huge block from forcing extra squarings, which would cost the Q
+    # blocks their relative accuracy.
+    scale = np.abs(blocks).max(axis=(1, 2), initial=0.0)
+    scale = np.where(scale > 0, scale, 1.0)[:, None, None]
     n = rates.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = rates
-    aug[n:, n:] = rates
-    aug[:n, n:] = block
-    return expm(aug * interval)[:n, n:]
+    aug = np.zeros((blocks.shape[0], 2 * n, 2 * n))
+    aug[:, :n, :n] = rates
+    aug[:, n:, n:] = rates
+    aug[:, :n, n:] = blocks / scale
+    return expm(aug * intervals[:, None, None])[:, :n, n:] * scale
 
 
 def end_conditioned_stats(generator: GeneratorMatrix, interval: float) -> EndConditionedStats:
@@ -251,35 +263,28 @@ def end_conditioned_stats(generator: GeneratorMatrix, interval: float) -> EndCon
 
     For every endpoint pair (a, b) with P_ab(interval) >= P_FLOOR this
     divides the joint expectations (one augmented-matrix exponential per
-    integrand) by the endpoint probability; pairs below the floor are
-    reported as zero rather than dividing by a vanishing number.
+    unit block, all in one stacked call) by the endpoint probability;
+    pairs below the floor are reported as zero rather than dividing by a
+    vanishing number.  This is the per-endpoint-pair reference; the EM
+    generator update aggregates the same quantities over all gaps without
+    forming these tensors.
     """
     interval = float(interval)
-    if interval <= 0:
-        raise NonPositiveInterval(f"interval must be > 0, got {interval}")
-    key = (generator.fingerprint, interval)
-    hit = _STATS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if not 0 < interval < np.inf:
+        raise NonPositiveInterval(f"interval must be finite and > 0, got {interval}")
 
     n = generator.size
     rates = generator.rates
     probs = transition_matrix(generator, interval).probs
 
-    joint_sojourn = np.zeros((n, n, n))
-    for c in range(n):
-        block = np.zeros((n, n))
-        block[c, c] = 1.0
-        joint_sojourn[:, :, c] = _interval_integral(rates, block, interval)
-
-    joint_transitions = np.zeros((n, n, n, n))
-    for c in range(n):
-        for d in range(n):
-            if c == d or rates[c, d] == 0.0:
-                continue
-            block = np.zeros((n, n))
-            block[c, d] = rates[c, d]
-            joint_transitions[:, :, c, d] = _interval_integral(rates, block, interval)
+    # joint[a, b, c, d] integrates P_ac(s) P_db(interval - s): one unit
+    # block E_cd per (c, d).  Its c == d slices are the sojourn integrands,
+    # and scaled by q_cd the others are the jump integrands.
+    units = np.eye(n * n).reshape(n * n, n, n)
+    joint = _interval_integral(rates, units, np.full(n * n, interval))
+    joint = joint.reshape(n, n, n, n).transpose(2, 3, 0, 1)
+    joint_sojourn = np.einsum("abcc->abc", joint)
+    joint_transitions = joint * np.where(np.eye(n, dtype=bool), 0.0, rates)
 
     reachable = probs >= P_FLOOR
     denom = np.where(reachable, probs, 1.0)
@@ -290,14 +295,11 @@ def end_conditioned_stats(generator: GeneratorMatrix, interval: float) -> EndCon
         0.0,
     )
     # The integrands are nonnegative, so clip away sub-epsilon noise.
-    result = EndConditionedStats(
+    return EndConditionedStats(
         interval=interval,
         expected_transitions=np.clip(transitions, 0.0, None),
         expected_sojourn=np.clip(sojourn, 0.0, None),
     )
-    _STATS_CACHE[key] = result
-    _trim(_STATS_CACHE, _STATS_CACHE_MAX)
-    return result
 
 
 def sojourn_expectation(generator: GeneratorMatrix) -> np.ndarray:

@@ -71,3 +71,7 @@ class VersionMismatch(SubtypingError):
 
 class InvariantViolation(SubtypingError):
     pass
+
+
+class ImpossibleTrajectory(SubtypingError):
+    pass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, sojourn_expectation, transition_matrix
+from .ctmc import GeneratorMatrix, left_to_right_mask, sojourn_expectation, transition_matrix
 from .emissions import (
     MISSING,
     BinningScheme,
@@ -251,12 +251,8 @@ def progression_trajectory(
     ``start_state`` onward is visited in order, holding for its expected
     sojourn time; the final absorbing state reports an infinite duration.
     """
-    mask = model.generator.mask
     n_states = model.n_states
-    expected = np.zeros_like(mask)
-    for k in range(n_states - 1):
-        expected[k, k + 1] = True
-    if np.any(mask != expected):
+    if np.any(model.generator.mask != left_to_right_mask(n_states)):
         raise StructureNotChain("progression reports need the left-to-right mask")
     if not 0 <= start_state < n_states:
         raise ValueError(f"start_state {start_state} out of range")

@@ -2,11 +2,11 @@
 
 The E-step runs forward-backward per trajectory and accumulates three
 sufficient statistics: posterior-weighted emission counts, initial-state
-posteriors, and pairwise hidden-state counts keyed by the time gap
+posteriors, and pairwise hidden-state counts per distinct time gap
 between consecutive observations.  The M-step has closed forms for all
 three parameter blocks; the generator update divides end-conditioned
 expected jump counts by end-conditioned expected sojourn times, both
-aggregated over the gap-keyed pair counts.
+aggregated over the per-gap pair counts.
 """
 
 from __future__ import annotations
@@ -16,16 +16,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctmc import (
+    P_FLOOR,
     RATE_MAX,
     RATE_MIN,
     GeneratorMatrix,
-    end_conditioned_stats,
+    _interval_integral,
     full_mask,
     left_to_right_mask,
+    transition_matrix,
     validate_generator,
 )
 from .emissions import MISSING, EmissionTable
-from .errors import DegenerateOccupancy, DimensionMismatch, InvariantViolation, SubtypingError
+from .errors import (
+    DegenerateOccupancy,
+    DimensionMismatch,
+    ImpossibleTrajectory,
+    InvariantViolation,
+    SubtypingError,
+)
 from .inference import SubtypeModel, Trajectory, forward_backward
 
 _OCCUPANCY_FLOOR = 1e-10
@@ -35,34 +43,17 @@ _OCCUPANCY_FLOOR = 1e-10
 class SufficientStats:
     """Accumulated E-step statistics for one model over a cohort.
 
-    ``pair_counts`` maps each distinct inter-observation gap to a K x K
-    matrix of posterior counts of (state before, state after) pairs at
-    that gap.  Statistics are additive over disjoint trajectory subsets,
-    which is what makes parallel accumulation possible.
+    ``gaps`` holds the sorted distinct inter-observation gaps (shape G) and
+    ``pair_counts[g]`` the K x K posterior counts of (state before, state
+    after) pairs at gap ``gaps[g]`` (shape G x K x K).
     """
 
-    pair_counts: dict[float, np.ndarray]
+    gaps: np.ndarray
+    pair_counts: np.ndarray
     gamma_initial: np.ndarray
     emission_counts: tuple[np.ndarray, ...]
     n_trajectories: int = 0
     n_timepoints: int = 0
-
-    def __add__(self, other: "SufficientStats") -> "SufficientStats":
-        merged = {k: v.copy() for k, v in self.pair_counts.items()}
-        for k, v in other.pair_counts.items():
-            if k in merged:
-                merged[k] = merged[k] + v
-            else:
-                merged[k] = v.copy()
-        return SufficientStats(
-            pair_counts=merged,
-            gamma_initial=self.gamma_initial + other.gamma_initial,
-            emission_counts=tuple(
-                a + b for a, b in zip(self.emission_counts, other.emission_counts)
-            ),
-            n_trajectories=self.n_trajectories + other.n_trajectories,
-            n_timepoints=self.n_timepoints + other.n_timepoints,
-        )
 
 
 @dataclass(frozen=True)
@@ -148,12 +139,18 @@ def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajector
 def e_step(
     model: SubtypeModel, trajectories: list[Trajectory]
 ) -> tuple[SufficientStats, float]:
-    """Accumulate sufficient statistics and the total log-likelihood."""
+    """Accumulate sufficient statistics and the total log-likelihood.
+
+    Raises :class:`ImpossibleTrajectory` for a trajectory with probability
+    zero under ``model``, whose posteriors are undefined.
+    """
     n_states = model.n_states
     bin_counts = model.emissions.bin_counts
-    pair_counts: dict[float, np.ndarray] = {}
     gamma_initial = np.zeros(n_states)
     emission_counts = tuple(np.zeros((n_states, j)) for j in bin_counts)
+    # Empty first entries keep the concatenations valid when no gap exists.
+    all_gaps = [np.empty(0)]
+    all_xi = [np.empty((0, n_states, n_states))]
     total = 0.0
     n_timepoints = 0
 
@@ -164,6 +161,11 @@ def e_step(
                 f"model expects {model.n_features}"
             )
         summary = forward_backward(model, traj)
+        if not np.isfinite(summary.log_likelihood):
+            raise ImpossibleTrajectory(
+                f"patient {traj.patient_id!r} has log-likelihood "
+                f"{summary.log_likelihood} under the current model"
+            )
         total += summary.log_likelihood
         gamma_initial += summary.gamma[0]
         n_timepoints += traj.length
@@ -174,16 +176,14 @@ def e_step(
             seen = idx != MISSING
             if np.any(seen):
                 np.add.at(emission_counts[d].T, idx[seen], summary.gamma[seen])
-        gaps = np.diff(traj.times)
-        for i, gap in enumerate(gaps):
-            key = float(gap)
-            slot = pair_counts.get(key)
-            if slot is None:
-                pair_counts[key] = summary.xi[i].copy()
-            else:
-                slot += summary.xi[i]
+        all_gaps.append(np.diff(traj.times))
+        all_xi.append(summary.xi)
 
+    gaps, slot = np.unique(np.concatenate(all_gaps), return_inverse=True)
+    pair_counts = np.zeros((gaps.size, n_states, n_states))
+    np.add.at(pair_counts, slot, np.concatenate(all_xi))
     stats = SufficientStats(
+        gaps=gaps,
         pair_counts=pair_counts,
         gamma_initial=gamma_initial,
         emission_counts=emission_counts,
@@ -228,24 +228,38 @@ def generator_update_terms(
     For each allowed transition (a, b) the numerator is the expected
     number of a -> b jumps and the denominator the expected time spent in
     ``a``, both end-conditioned under ``previous`` and aggregated over the
-    gap-keyed pair counts.
+    per-gap pair counts.  With A = counts / P(gap) (zero where P is below
+    ``P_FLOOR``), the upper-right block D of expm([[Q, A^T], [0, Q]] gap)
+    gives the sojourn times on its diagonal and the jumps as Q * D^T;
+    one stacked exponential covers every distinct gap.
     """
-    n_states = previous.size
-    numer = np.zeros((n_states, n_states))
-    denom = np.zeros(n_states)
-    for gap, counts in stats.pair_counts.items():
-        cond = end_conditioned_stats(previous, gap)
-        numer += np.einsum("cdab,cd->ab", cond.expected_transitions, counts)
-        denom += np.einsum("cda,cd->a", cond.expected_sojourn, counts)
+    n = previous.size
+    probs = np.array([transition_matrix(previous, gap).probs for gap in stats.gaps])
+    probs = probs.reshape(-1, n, n)
+    reachable = probs >= P_FLOOR
+    weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
+    integral = _interval_integral(
+        previous.rates, weights.transpose(0, 2, 1), stats.gaps
+    ).sum(axis=0)
+    numer = np.clip(previous.mask * previous.rates * integral.T, 0.0, None)
+    denom = np.clip(np.diag(integral), 0.0, None)
     return numer, denom
 
 
-def _finish_generator_update(
-    numer: np.ndarray,
-    denom: np.ndarray,
+def m_step_generator(
+    stats: SufficientStats,
     previous: GeneratorMatrix,
-    rate_bounds: tuple[float, float],
+    rate_bounds: tuple[float, float] = (RATE_MIN, RATE_MAX),
 ) -> tuple[GeneratorMatrix, tuple[int, ...]]:
+    """Closed-form generator update under the previous iteration's rates.
+
+    Allowed transitions get expected-jumps / expected-sojourn, clamped into
+    ``rate_bounds`` (so a transition that was never seen is pinned at the
+    lower bound instead of freezing at zero).  A state whose expected
+    occupancy is below 1e-10 would divide by nothing, so its previous row
+    is kept; such states are returned as the second element.
+    """
+    numer, denom = generator_update_terms(stats, previous)
     mask = previous.mask
     has_exit = mask.any(axis=1)
     degenerate = tuple(int(a) for a in np.nonzero(has_exit & (denom < _OCCUPANCY_FLOOR))[0])
@@ -259,30 +273,6 @@ def _finish_generator_update(
             continue
         rates[a] = np.clip(numer[a] / denom[a], lo, hi) * mask[a]
     return validate_generator(rates, mask, rate_bounds=rate_bounds), degenerate
-
-
-def m_step_generator(
-    stats: SufficientStats,
-    previous: GeneratorMatrix,
-    rate_bounds: tuple[float, float] = (RATE_MIN, RATE_MAX),
-    on_degenerate: str = "keep",
-) -> GeneratorMatrix:
-    """Closed-form generator update under the previous iteration's rates.
-
-    Allowed transitions get expected-jumps / expected-sojourn, clamped into
-    ``rate_bounds`` (so a transition that was never seen is pinned at the
-    lower bound instead of freezing at zero).  A state whose expected
-    occupancy is below 1e-10 would divide by nothing; with
-    ``on_degenerate="keep"`` its previous row is retained, with
-    ``"raise"`` the update aborts with :class:`DegenerateOccupancy`.
-    """
-    numer, denom = generator_update_terms(stats, previous)
-    updated, degenerate = _finish_generator_update(numer, denom, previous, rate_bounds)
-    if degenerate and on_degenerate == "raise":
-        raise DegenerateOccupancy(
-            f"states {list(degenerate)} have near-zero expected occupancy"
-        )
-    return updated
 
 
 def _empirical_bin_frequencies(
@@ -360,10 +350,7 @@ def _run_em(
                 emissions, config.terminal_intervention_feature, config.smoothing
             )
         pi = m_step_initial(stats)
-        numer, denom = generator_update_terms(stats, model.generator)
-        generator, degenerate = _finish_generator_update(
-            numer, denom, model.generator, config.rate_bounds
-        )
+        generator, degenerate = m_step_generator(stats, model.generator, config.rate_bounds)
         diag.degenerate_events += len(degenerate)
         model = SubtypeModel(initial=pi, generator=generator, emissions=emissions)
     else:

@@ -2,14 +2,15 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from cthmm_subtyping import load_model, save_model
-from cthmm_subtyping.cli import main
+from cthmm_subtyping.cli import _label_accuracy, main
 
-from conftest import separated_mixture, simple_scheme
+from conftest import best_permutation_accuracy, separated_mixture, simple_scheme
 
 
 @pytest.fixture()
@@ -207,6 +208,21 @@ class TestErrorSurface:
         )
         assert code == 1
         assert "error SubtypingError" in capsys.readouterr().err
+
+
+def test_label_accuracy_matches_permutation_search():
+    rng = np.random.default_rng(5)
+    for n_subtypes in (1, 2, 3, 4):
+        for _ in range(20):
+            assigned = rng.integers(0, n_subtypes, size=30)
+            # Some truth labels lie outside the fitted range and never match.
+            truth = rng.integers(0, n_subtypes + 1, size=30)
+            expected, _ = best_permutation_accuracy(assigned, truth, n_subtypes)
+            assert _label_accuracy(assigned, truth, n_subtypes) == pytest.approx(expected)
+    assigned = rng.integers(0, 9, size=500)
+    start = time.perf_counter()
+    assert _label_accuracy(assigned, (assigned + 4) % 9, 9) == 1.0
+    assert time.perf_counter() - start < 0.5
 
 
 def test_console_entry_point_runs():

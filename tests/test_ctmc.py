@@ -3,6 +3,8 @@ import pytest
 
 from cthmm_subtyping import (
     ExpmInaccuracy,
+    GeneratorMatrix,
+    InvariantViolation,
     NegativeOffDiagonal,
     NonPositiveInterval,
     NonSquareInput,
@@ -37,6 +39,14 @@ class TestValidateGenerator:
         raw[0, 2] = -0.1
         with pytest.raises(NegativeOffDiagonal):
             validate_generator(raw, full_mask(3))
+
+    def test_non_finite_rates_rejected(self):
+        for bad in (np.inf, np.nan):
+            raw = np.array([[0.0, bad], [0.5, 0.0]])
+            with pytest.raises(InvariantViolation):
+                validate_generator(raw, full_mask(2))
+            with pytest.raises(InvariantViolation):
+                GeneratorMatrix(rates=[[bad, bad], [0.5, -0.5]], mask=full_mask(2))
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareInput):
@@ -128,16 +138,20 @@ class TestTransitionMatrix:
 
     def test_negative_interval_rejected(self):
         q = validate_generator(np.zeros((2, 2)), full_mask(2))
-        with pytest.raises(NonPositiveInterval):
-            transition_matrix(q, -0.5)
+        for delta in (-0.5, np.inf, np.nan):
+            with pytest.raises(NonPositiveInterval):
+                transition_matrix(q, delta)
 
     def test_expm_drift_raises(self, monkeypatch):
         ctmc.clear_caches()
-        bad = np.array([[0.9, 0.2], [0.1, 0.7]])  # row sums far from 1
-        monkeypatch.setattr(ctmc, "expm", lambda a: bad)
         q = validate_generator(np.array([[0.0, 0.77], [0.0, 0.0]]), full_mask(2))
-        with pytest.raises(ExpmInaccuracy):
-            transition_matrix(q, 1.0)
+        for bad in (
+            np.array([[0.9, 0.2], [0.1, 0.7]]),  # row sums far from 1
+            np.full((2, 2), np.nan),  # e.g. an overflowed exponential
+        ):
+            monkeypatch.setattr(ctmc, "expm", lambda a: bad)
+            with pytest.raises(ExpmInaccuracy):
+                transition_matrix(q, 1.0)
         ctmc.clear_caches()
 
 
@@ -187,7 +201,7 @@ class TestEndConditionedStats:
 
     def test_non_positive_interval_rejected(self):
         q = validate_generator(np.zeros((2, 2)), full_mask(2))
-        for delta in (0.0, -1.0):
+        for delta in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(NonPositiveInterval):
                 end_conditioned_stats(q, delta)
 
@@ -227,12 +241,13 @@ class TestEndConditionedStats:
         mc_se = sample["counts"].std(axis=0, ddof=1) / np.sqrt(sample["counts"].shape[0])
         assert np.all(np.abs(marginal - mc_mean) <= 3.0 * mc_se + 1e-9)
 
-    def test_cached_results_reused(self):
+    def test_repeat_calls_bit_identical(self):
         rng = np.random.default_rng(23)
         q = random_generator(rng, 3)
         first = end_conditioned_stats(q, 0.9)
         second = end_conditioned_stats(q, 0.9)
-        assert first is second
+        assert np.array_equal(first.expected_transitions, second.expected_transitions)
+        assert np.array_equal(first.expected_sojourn, second.expected_sojourn)
 
 
 class TestSojournExpectation:

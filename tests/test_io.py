@@ -105,6 +105,7 @@ class TestModelRoundTrip:
             lambda p: p.pop("models"),
             lambda p: p["models"][0]["initial"].__setitem__(0, -0.2),
             lambda p: p["models"][0]["mask"][0].__setitem__(1, False),
+            lambda p: p["models"][0]["rates"][0].__setitem__(1, float("nan")),
         ],
     )
     def test_corrupted_files_raise_invariant_violation(self, tmp_path, corruption):

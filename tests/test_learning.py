@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from cthmm_subtyping import (
-    DegenerateOccupancy,
+    P_FLOOR,
     DimensionMismatch,
     EmConfig,
+    EmissionTable,
+    ImpossibleTrajectory,
     MixtureModel,
     SufficientStats,
+    SubtypeModel,
     Trajectory,
     e_step,
+    end_conditioned_stats,
     fit_disease_model,
     full_mask,
     left_to_right_mask,
@@ -17,9 +21,10 @@ from cthmm_subtyping import (
     m_step_initial,
     quantize_gaps,
     sample_cohort,
+    transition_matrix,
     validate_generator,
 )
-from cthmm_subtyping.learning import structure_mask
+from cthmm_subtyping.learning import generator_update_terms, structure_mask
 
 from conftest import (
     chain_model,
@@ -53,7 +58,7 @@ class TestEStep:
         stats, _ = e_step(model, trajectories)
         gaps = [g for t in trajectories for g in np.diff(t.times)]
         assert stats.n_trajectories == 4
-        total_pairs = sum(m.sum() for m in stats.pair_counts.values())
+        total_pairs = stats.pair_counts.sum()
         assert total_pairs == pytest.approx(len(gaps), abs=1e-10)
         raw = np.zeros(3)
         for t in trajectories:
@@ -68,8 +73,8 @@ class TestEStep:
             "p", np.array([0.0, 1.5]), np.array([[0], [1]])
         )
         stats, _ = e_step(model, [trajectory])
-        assert list(stats.pair_counts) == [1.5]
-        assert stats.pair_counts[1.5].sum() == pytest.approx(1.0, abs=1e-12)
+        assert stats.gaps.tolist() == [1.5]
+        assert stats.pair_counts[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_counts_match_enumeration(self):
         rng = np.random.default_rng(2)
@@ -98,9 +103,9 @@ class TestEStep:
                 expected.setdefault(float(gap), np.zeros((2, 2)))
                 expected[float(gap)] += xi[i]
         assert total == pytest.approx(expected_ll, abs=1e-10)
-        assert set(stats.pair_counts) == set(expected)
-        for gap, matrix in expected.items():
-            assert np.abs(stats.pair_counts[gap] - matrix).max() < 1e-10
+        assert stats.gaps.tolist() == sorted(expected)
+        for gap, matrix in zip(stats.gaps, stats.pair_counts):
+            assert np.abs(matrix - expected[gap]).max() < 1e-10
 
     def test_gap_totals_count_pairs(self):
         rng = np.random.default_rng(3)
@@ -110,24 +115,9 @@ class TestEStep:
         for t in trajectories:
             for gap in np.diff(t.times):
                 gap_census[float(gap)] = gap_census.get(float(gap), 0) + 1
-        for gap, count in gap_census.items():
-            assert stats.pair_counts[gap].sum() == pytest.approx(count, abs=1e-8)
-
-    def test_statistics_additive_over_subsets(self):
-        rng = np.random.default_rng(4)
-        model, trajectories = _cohort(rng, 8, 2, (3,))
-        combined, _ = e_step(model, trajectories)
-        first, _ = e_step(model, trajectories[:3])
-        second, _ = e_step(model, trajectories[3:])
-        merged = first + second
-        assert merged.n_trajectories == combined.n_trajectories
-        assert merged.n_timepoints == combined.n_timepoints
-        assert merged.gamma_initial == pytest.approx(combined.gamma_initial, rel=1e-12)
-        for a, b in zip(merged.emission_counts, combined.emission_counts):
-            assert np.abs(a - b).max() < 1e-10
-        assert set(merged.pair_counts) == set(combined.pair_counts)
-        for gap in merged.pair_counts:
-            assert np.abs(merged.pair_counts[gap] - combined.pair_counts[gap]).max() < 1e-10
+        assert stats.gaps.tolist() == sorted(gap_census)
+        for gap, matrix in zip(stats.gaps, stats.pair_counts):
+            assert matrix.sum() == pytest.approx(gap_census[gap], abs=1e-8)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
@@ -136,11 +126,26 @@ class TestEStep:
         with pytest.raises(DimensionMismatch):
             e_step(model, [bad])
 
+    def test_impossible_trajectory_names_patient(self):
+        # State 0 always emits bin 0 and can never leave, so [[0], [1]] has
+        # probability zero.
+        model = SubtypeModel(
+            initial=np.array([1.0, 0.0]),
+            generator=validate_generator(np.zeros((2, 2)), full_mask(2)),
+            emissions=EmissionTable(tables=(np.array([[1.0, 0.0], [0.0, 1.0]]),)),
+        )
+        impossible = Trajectory("ghost", np.array([0.0, 1.0]), np.array([[0], [1]]))
+        with pytest.raises(ImpossibleTrajectory, match="ghost"):
+            e_step(model, [impossible])
+        with pytest.raises(ImpossibleTrajectory, match="ghost"):
+            fit_disease_model([impossible], 2, EmConfig(), initial_model=model)
+
 
 class TestMStepEmissions:
     def _stats(self, counts):
         return SufficientStats(
-            pair_counts={},
+            gaps=np.empty(0),
+            pair_counts=np.empty((0, counts.shape[0], counts.shape[0])),
             gamma_initial=np.ones(counts.shape[0]),
             emission_counts=(counts,),
         )
@@ -165,8 +170,10 @@ class TestMStepEmissions:
 
 class TestMStepInitial:
     def _stats(self, gamma_initial):
+        k = len(gamma_initial)
         return SufficientStats(
-            pair_counts={},
+            gaps=np.empty(0),
+            pair_counts=np.empty((0, k, k)),
             gamma_initial=np.asarray(gamma_initial, dtype=float),
             emission_counts=(np.zeros((len(gamma_initial), 2)),),
         )
@@ -208,7 +215,7 @@ class TestMStepGenerator:
             seed=42,
         )
         stats, _ = e_step(truth, cohort.trajectories)
-        updated = m_step_generator(stats, truth.generator)
+        updated, _ = m_step_generator(stats, truth.generator)
         assert updated.rates[0, 1] == pytest.approx(0.5, rel=0.10)
 
     def test_zero_transitions_clamp_to_rate_floor(self):
@@ -216,21 +223,23 @@ class TestMStepGenerator:
             np.array([[0.0, 0.7], [0.0, 0.0]]), left_to_right_mask(2)
         )
         stats = SufficientStats(
-            pair_counts={1.0: np.array([[1.0, 0.0], [0.0, 0.0]])},
+            gaps=np.array([1.0]),
+            pair_counts=np.array([[[1.0, 0.0], [0.0, 0.0]]]),
             gamma_initial=np.array([1.0, 0.0]),
             emission_counts=(np.zeros((2, 2)),),
         )
-        updated = m_step_generator(stats, previous)
+        updated, _ = m_step_generator(stats, previous)
         assert updated.rates[0, 1] == 1e-6
 
     def test_single_state_stays_zero(self):
         previous = validate_generator(np.zeros((1, 1)), full_mask(1))
         stats = SufficientStats(
-            pair_counts={0.5: np.array([[3.0]])},
+            gaps=np.array([0.5]),
+            pair_counts=np.array([[[3.0]]]),
             gamma_initial=np.array([1.0]),
             emission_counts=(np.zeros((1, 2)),),
         )
-        updated = m_step_generator(stats, previous)
+        updated, _ = m_step_generator(stats, previous)
         assert updated.rates.tolist() == [[0.0]]
 
     def test_degenerate_occupancy_keeps_previous_row(self):
@@ -238,14 +247,42 @@ class TestMStepGenerator:
             np.array([[0.0, 0.7], [0.0, 0.0]]), left_to_right_mask(2)
         )
         stats = SufficientStats(
-            pair_counts={1.0: np.array([[0.0, 0.0], [0.0, 1.0]])},
+            gaps=np.array([1.0]),
+            pair_counts=np.array([[[0.0, 0.0], [0.0, 1.0]]]),
             gamma_initial=np.array([0.0, 1.0]),
             emission_counts=(np.zeros((2, 2)),),
         )
-        kept = m_step_generator(stats, previous)
+        kept, degenerate = m_step_generator(stats, previous)
         assert kept.rates[0, 1] == 0.7
-        with pytest.raises(DegenerateOccupancy):
-            m_step_generator(stats, previous, on_degenerate="raise")
+        assert degenerate == (0,)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("structure", ["full", "left-to-right"])
+    def test_update_terms_match_end_conditioned_reference(self, structure, n_states):
+        rng = np.random.default_rng(100 + n_states)
+        mask = structure_mask(structure, n_states)
+        previous = validate_generator(rng.uniform(0.05, 2.0, (n_states, n_states)) * mask, mask)
+        gaps = np.unique(np.geomspace(1e-3, 10.0, 40) * rng.uniform(0.9, 1.1, 40))
+        stats = SufficientStats(
+            gaps=gaps,
+            pair_counts=rng.uniform(0.0, 5.0, (gaps.size, n_states, n_states)),
+            gamma_initial=np.ones(n_states),
+            emission_counts=(np.zeros((n_states, 2)),),
+        )
+        numer = np.zeros((n_states, n_states))
+        denom = np.zeros(n_states)
+        for gap, counts in zip(gaps, stats.pair_counts):
+            cond = end_conditioned_stats(previous, gap)
+            numer += np.einsum("cdab,cd->ab", cond.expected_transitions, counts)
+            denom += np.einsum("cda,cd->a", cond.expected_sojourn, counts)
+        if structure == "left-to-right" and n_states > 1:
+            probs = np.array([transition_matrix(previous, gap).probs for gap in gaps])
+            assert np.any(probs < P_FLOOR)
+
+        batched_numer, batched_denom = generator_update_terms(stats, previous)
+        scale = max(np.abs(numer).max(), np.abs(denom).max())
+        assert np.abs(batched_numer - numer).max() <= 1e-10 * scale
+        assert np.abs(batched_denom - denom).max() <= 1e-10 * scale
 
 
 class TestFitDiseaseModel:
