@@ -17,6 +17,7 @@ from .ctmc import (
     full_mask,
     left_to_right_mask,
     sojourn_expectation,
+    transition_kernels,
     transition_matrix,
     validate_generator,
 )
@@ -60,11 +61,14 @@ from .evaluation import (
     split_cohort,
 )
 from .inference import (
+    CohortPosteriors,
     PosteriorSummary,
     ProgressionStage,
     SubtypeModel,
     Trajectory,
     forward_backward,
+    forward_backward_batch,
+    forward_filter,
     predictive_bin_distributions,
     progression_trajectory,
     trajectory_log_likelihood,
@@ -80,7 +84,13 @@ from .learning import (
     m_step_initial,
     quantize_gaps,
 )
-from .mixture import MixtureModel, assign_subtype, assignment_posteriors, fit_mixture
+from .mixture import (
+    MixtureModel,
+    assign_subtype,
+    assign_with_filter,
+    assignment_posteriors,
+    fit_mixture,
+)
 from .cohort_io import (
     RunConfig,
     load_cohort,

@@ -182,8 +182,8 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
                 raise ParseError(
                     f"{path}:{line_no}: time {row.get('time')!r} is not a number"
                 ) from None
-            if math.isnan(t):
-                raise ParseError(f"{path}:{line_no}: time is NaN")
+            if not math.isfinite(t):
+                raise ParseError(f"{path}:{line_no}: time {t} is not finite")
             bins = []
             for d, name in enumerate(scheme.names):
                 raw = (row.get(name) or "").strip()
@@ -206,7 +206,7 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
     for pid, records in rows.items():
         records.sort(key=lambda r: r[0])
         times = np.array([t for t, _ in records])
-        if np.any(np.diff(times) == 0):
+        if not np.all(np.diff(times) > 0):
             raise DuplicateTimestamp(f"{path}: duplicate timestamp for patient {pid!r}")
         obs = np.array([b for _, b in records], dtype=int)
         cohort.append(Trajectory(patient_id=pid, times=times, observations=obs))

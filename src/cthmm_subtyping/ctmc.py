@@ -9,7 +9,6 @@ learner consumes; everything here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -92,11 +91,6 @@ class GeneratorMatrix:
     @property
     def size(self) -> int:
         return self.rates.shape[0]
-
-    @cached_property
-    def fingerprint(self) -> bytes:
-        """Stable identity for cache keys; distinct values never collide."""
-        return self.rates.tobytes() + self.mask.tobytes()
 
 
 @dataclass(frozen=True)
@@ -181,57 +175,46 @@ def validate_generator(
     return GeneratorMatrix(rates=rates, mask=mask)
 
 
-# Transition matrices are memoised per (generator, interval) key: an EM
-# sweep asks for the same handful of intervals once per trajectory pair.
-# Fills are pure, so concurrent fills of one key under the GIL always
-# store equal values.
-_TRANSITION_CACHE: dict[tuple[bytes, float], TransitionMatrix] = {}
-_TRANSITION_CACHE_MAX = 200_000
+def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Interval transition probabilities ``expm(gap * Q)`` for every pair.
 
-
-def clear_caches() -> None:
-    _TRANSITION_CACHE.clear()
-
-
-def _trim(cache: dict, limit: int) -> None:
-    while len(cache) > limit:
-        cache.pop(next(iter(cache)))
+    ``rates`` holds M generator matrices, shape (M, K, K), and ``gaps``
+    G intervals; the result has shape (M, G, K, K) and comes from one
+    stacked exponential.  Rows are renormalised when a row sum drifts from
+    one by more than 1e-12 but less than 1e-8; larger drift (or NaN)
+    anywhere in the stack raises :class:`ExpmInaccuracy` since it signals
+    an ill-conditioned ``gap * Q`` product.
+    """
+    rates = np.asarray(rates, dtype=float)
+    gaps = np.asarray(gaps, dtype=float)
+    bad = ~((gaps >= 0) & (gaps < np.inf))
+    if np.any(bad):
+        raise NonPositiveInterval(f"interval must be finite and >= 0, got {gaps[bad][0]}")
+    probs = expm(rates[:, None] * gaps[:, None, None])
+    drift = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
+    broken = ~(drift <= _ROW_SUM_MAX) | (probs.min(axis=(-2, -1)) < -_ROW_SUM_MAX)
+    if np.any(broken):
+        m, g = np.argwhere(broken)[0]
+        raise ExpmInaccuracy(
+            f"matrix exponential row sums drifted by {drift[m, g]:.3e} "
+            f"for interval {gaps[g]}"
+        )
+    probs = np.clip(probs, 0.0, 1.0)
+    renormalise = drift > _ROW_SUM_TOL
+    if np.any(renormalise):
+        probs[renormalise] /= probs[renormalise].sum(axis=-1, keepdims=True)
+    return probs
 
 
 def transition_matrix(generator: GeneratorMatrix, interval: float) -> TransitionMatrix:
-    """Interval transition probabilities ``expm(interval * Q)``.
+    """Interval transition probabilities for one generator and one gap.
 
-    Rows are renormalised when the row sum drifts from one by more than
-    1e-12 but less than 1e-8; larger drift raises :class:`ExpmInaccuracy`
-    since it signals an ill-conditioned ``interval * Q`` product.
+    The single-matrix case of :func:`transition_kernels`, with the same
+    renormalisation and drift guard.
     """
     interval = float(interval)
-    if not 0 <= interval < np.inf:
-        raise NonPositiveInterval(f"interval must be finite and >= 0, got {interval}")
-    key = (generator.fingerprint, interval)
-    hit = _TRANSITION_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    n = generator.size
-    if interval == 0.0:
-        result = TransitionMatrix(probs=np.eye(n), interval=0.0)
-        _TRANSITION_CACHE[key] = result
-        return result
-
-    probs = expm(generator.rates * interval)
-    drift = np.abs(probs.sum(axis=1) - 1.0).max()
-    if not drift <= _ROW_SUM_MAX or probs.min() < -_ROW_SUM_MAX:
-        raise ExpmInaccuracy(
-            f"matrix exponential row sums drifted by {drift:.3e} for interval {interval}"
-        )
-    probs = np.clip(probs, 0.0, 1.0)
-    if drift > _ROW_SUM_TOL:
-        probs = probs / probs.sum(axis=1, keepdims=True)
-    result = TransitionMatrix(probs=probs, interval=interval)
-    _TRANSITION_CACHE[key] = result
-    _trim(_TRANSITION_CACHE, _TRANSITION_CACHE_MAX)
-    return result
+    probs = transition_kernels(generator.rates[None], np.array([interval]))[0, 0]
+    return TransitionMatrix(probs=probs, interval=interval)
 
 
 def _interval_integral(

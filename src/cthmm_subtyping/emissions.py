@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, UnknownFeature
+from .errors import DimensionMismatch, InvariantViolation, UnknownFeature
 
 #: Bin index marking a missing observation.
 MISSING = -1
@@ -158,6 +158,20 @@ class EmissionTable:
                 out.append(lt)
         return tuple(out)
 
+    @cached_property
+    def _log_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every feature's log table stacked bin-major, plus row offsets.
+
+        Row ``offsets[d] + j`` holds log P(bin j of feature d | state) for
+        all states; the final row is zero and stands for MISSING.
+        """
+        rows = np.concatenate([*self.log_tables, np.zeros((self.n_states, 1))], axis=1)
+        rows = np.ascontiguousarray(rows.T)
+        offsets = np.cumsum((0, *self.bin_counts[:-1]))
+        rows.flags.writeable = False
+        offsets.flags.writeable = False
+        return rows, offsets
+
 
 def emission_log_likelihood(table: EmissionTable, state: int, observation: np.ndarray) -> float:
     """Log-probability of one observation vector given a hidden state.
@@ -178,16 +192,21 @@ def log_emission_matrix(table: EmissionTable, observations: np.ndarray) -> np.nd
 
     ``observations`` is an (n, D) integer array with MISSING entries;
     returns an (n, K) array of summed per-feature log-probabilities.
+    Raises :class:`DimensionMismatch` for a bin index outside its
+    feature's range.
     """
+    rows, offsets = table._log_rows
     observations = np.asarray(observations)
-    n = observations.shape[0]
-    out = np.zeros((n, table.n_states))
-    for d in range(table.n_features):
-        idx = observations[:, d]
-        seen = idx != MISSING
-        if np.any(seen):
-            out[seen, :] += table.log_tables[d][:, idx[seen]].T
-    return out
+    out_of_range = np.any(
+        (observations >= np.array(table.bin_counts)) | (observations < MISSING), axis=0
+    )
+    if np.any(out_of_range):
+        d = int(np.argmax(out_of_range))
+        raise DimensionMismatch(
+            f"feature {d}: bin index out of range for {table.bin_counts[d]} bins"
+        )
+    index = np.where(observations == MISSING, rows.shape[0] - 1, observations + offsets)
+    return rows[index.T].sum(axis=0)
 
 
 def expected_feature_value(

@@ -14,9 +14,9 @@ import numpy as np
 
 from .emissions import MISSING
 from .errors import EmptyCohort, NoHeldOutObservations
-from .inference import Trajectory, predictive_bin_distributions
+from .inference import Trajectory, propagate_filter
 from .learning import EmConfig
-from .mixture import MixtureModel, assign_subtype, fit_mixture
+from .mixture import MixtureModel, assign_with_filter, fit_mixture
 
 
 def _ceil_share(fraction: float, count: int) -> int:
@@ -75,8 +75,10 @@ def forecast_cross_entropy(
         raise NoHeldOutObservations(
             f"patient {trajectory.patient_id!r} has no scorable held-out observations"
         )
-    subtype, _ = assign_subtype(mixture, prefix)
-    predicted = predictive_bin_distributions(mixture.models[subtype], prefix, held_times)
+    subtype, _, filtered = assign_with_filter(mixture, prefix)
+    predicted = propagate_filter(
+        mixture.models[subtype], filtered, held_times - prefix.times[-1]
+    )
     total = 0.0
     scored = 0
     for i in range(held_times.size):

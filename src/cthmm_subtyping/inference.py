@@ -1,11 +1,14 @@
-"""Exact posterior inference for one trajectory under one subtype model.
+"""Exact posterior inference for trajectories under subtype models.
 
 The hidden state evolves as a CTMC observed at irregular timestamps, so
 the transition kernel between consecutive observations is the matrix
-exponential of the gap times the generator.  The forward-backward pass is
-scaled (per-step normalisation) which keeps it stable for trajectories of
+exponential of the gap times the generator.  The recursions are scaled
+(per-step normalisation) which keeps them stable for trajectories of
 tens of thousands of points and yields the log-likelihood as the sum of
-log scaling constants.
+log scaling constants.  They run over batches packed time-major: one
+Python loop over time steps serves every trajectory (and, forward-only,
+every model) at once, with the kernels for all distinct gaps built in
+one stacked exponential.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, left_to_right_mask, sojourn_expectation, transition_matrix
+from .ctmc import GeneratorMatrix, left_to_right_mask, sojourn_expectation, transition_kernels
 from .emissions import (
     MISSING,
     BinningScheme,
@@ -48,7 +51,9 @@ class Trajectory:
         obs = np.asarray(self.observations, dtype=int)
         if times.ndim != 1 or times.size < 1:
             raise InvariantViolation("trajectory needs at least one timestamp")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.isfinite(times)):
+            raise InvariantViolation(f"patient {self.patient_id!r}: timestamps must be finite")
+        if not np.all(np.diff(times) > 0):
             raise InvariantViolation(
                 f"patient {self.patient_id!r}: timestamps must be strictly increasing"
             )
@@ -121,79 +126,251 @@ class PosteriorSummary:
     log_scale: np.ndarray
 
 
-def _interval_kernels(generator: GeneratorMatrix, times: np.ndarray) -> list[np.ndarray]:
-    return [transition_matrix(generator, gap).probs for gap in np.diff(times)]
+@dataclass(frozen=True)
+class CohortPosteriors:
+    """Forward-backward output for a batch of B trajectories.
+
+    Rows follow the trajectories in batch order, one per timestamp (N in
+    all); trajectory b's rows start at ``starts[b]``.  ``xi`` has one row
+    per consecutive pair, in the same order as the concatenated gaps;
+    ``gaps`` holds the batch's sorted distinct gaps, ``gap_index`` the
+    index of each pair's gap into it and ``kernels[g]`` the transition
+    matrix for ``gaps[g]``.
+    """
+
+    log_likelihood: np.ndarray  # (B,)
+    gamma: np.ndarray  # (N, K)
+    xi: np.ndarray  # (N - B, K, K)
+    log_scale: np.ndarray  # (N,)
+    starts: np.ndarray  # (B,)
+    gaps: np.ndarray  # (G,)
+    gap_index: np.ndarray  # (N - B,)
+    kernels: np.ndarray  # (G, K, K)
+
+
+@dataclass(frozen=True)
+class _Packing:
+    """Time-major layout of a batch, longest trajectories first.
+
+    Step i holds the ``sizes[i]`` trajectories longer than i, always in the
+    same order, so those alive at a step are a prefix of those alive at
+    the step before; packed row ``offsets[i] + r`` is step i of the r-th
+    of them.  ``rows[n]`` is the packed row of concatenated row n,
+    ``pair_rows[j]`` the packed row that ends concatenated pair j, and
+    ``slot[p]`` the gap index of the pair ending at packed row p (rows of
+    the first step end no pair).
+    """
+
+    sizes: np.ndarray  # (T,)
+    offsets: np.ndarray  # (T,)
+    rows: np.ndarray  # (N,)
+    starts: np.ndarray  # (B,)
+    ends: np.ndarray  # (B,)
+    gaps: np.ndarray  # (G,)
+    pair_rows: np.ndarray  # (N - B,)
+    slot: np.ndarray  # (N,)
+
+    def steps(self) -> list[tuple[int, int, int]]:
+        """(first row of the step before, first row, size) of steps 1 .. T-1."""
+        return list(zip(self.offsets, self.offsets[1:], self.sizes[1:]))
+
+
+def _pack(trajectories: list[Trajectory]) -> _Packing:
+    lengths = np.array([t.length for t in trajectories])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    rank = np.empty_like(lengths)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
+    sizes = np.cumsum(np.bincount(lengths - 1)[::-1])[::-1]
+    offsets = np.cumsum(sizes) - sizes
+    step = np.arange(ends[-1]) - np.repeat(starts, lengths)
+    rows = offsets[step] + np.repeat(rank, lengths)
+    gaps, gap_index = np.unique(
+        np.concatenate([np.diff(t.times) for t in trajectories]), return_inverse=True
+    )
+    pair_rows = rows[step > 0]
+    slot = np.zeros_like(rows)
+    slot[pair_rows] = gap_index
+    return _Packing(sizes, offsets, rows, starts, ends, gaps, pair_rows, slot)
+
+
+def _observations(models: list[SubtypeModel], trajectories: list[Trajectory]) -> np.ndarray:
+    """All observation rows of the batch, checked for every model's feature count."""
+    if not trajectories:
+        raise InvariantViolation("need at least one trajectory")
+    for trajectory in trajectories:
+        for model in models:
+            if trajectory.n_features != model.n_features:
+                raise DimensionMismatch(
+                    f"patient {trajectory.patient_id!r} has {trajectory.n_features} "
+                    f"features, model expects {model.n_features}"
+                )
+    return np.concatenate([t.observations for t in trajectories])
+
+
+def _emission_weights(
+    models: list[SubtypeModel], observations: np.ndarray, packing: _Packing
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted emission likelihoods (M, N, K) and the shifts (M, N), packed.
+
+    Each row's log weights are shifted by their maximum before
+    exponentiation so very unlikely observations cannot underflow.
+    """
+    log_b = np.empty((len(models), observations.shape[0], models[0].n_states))
+    for m, model in enumerate(models):
+        log_b[m, packing.rows] = log_emission_matrix(model.emissions, observations)
+    shift = log_b.max(axis=-1)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    return np.exp(log_b - shift[..., None]), shift
+
+
+def _forward(
+    initial: np.ndarray, kernels: np.ndarray, b: np.ndarray, packing: _Packing
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled forward recursion for M models over a packed batch at once.
+
+    ``initial`` is (M, K), ``kernels`` (M, G, K, K) and ``b`` (M, N, K).
+    Returns the packed scaling constants (M, N) and scaled alphas
+    (M, N, K).  A zero scale (an impossible step) makes alpha NaN from
+    there on.
+    """
+    n_first = packing.sizes[0]
+    scale = np.empty(b.shape[:-1])
+    alpha = np.empty(b.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        forward = initial[:, None, :] * b[:, :n_first]
+        scale[:, :n_first] = forward.sum(axis=-1)
+        alpha[:, :n_first] = forward / scale[:, :n_first, None]
+        for before, start, size in packing.steps():
+            here = slice(start, start + size)
+            step = kernels[:, packing.slot[here]]
+            forward = (alpha[:, before : before + size, None, :] @ step)[..., 0, :] * b[:, here]
+            scale[:, here] = forward.sum(axis=-1)
+            alpha[:, here] = forward / scale[:, here, None]
+    return scale, alpha
+
+
+def _log_likelihood(
+    scale: np.ndarray, shift: np.ndarray, packing: _Packing
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log scaling constants (M, N) in batch order and their per-trajectory sums (M, B).
+
+    A trajectory with any non-positive scale has probability zero under
+    the model; its log-likelihood is -inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_scale = (np.log(scale) + shift)[:, packing.rows]
+    possible = np.logical_and.reduceat(scale[:, packing.rows] > 0, packing.starts, axis=1)
+    total = np.add.reduceat(log_scale, packing.starts, axis=1)
+    return log_scale, np.where(possible, total, -np.inf)
+
+
+def forward_filter(
+    models: list[SubtypeModel], trajectories: list[Trajectory]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-only pass of every model over every trajectory.
+
+    All models must share the state count.  The kernels for the batch's
+    distinct gaps under all models come from one stacked exponential and
+    one time loop runs the scaled forward recursion for all (model,
+    trajectory) pairs.  Returns the log-likelihoods (M, B), -inf for an
+    impossible trajectory, and the filtered state laws at each
+    trajectory's last timestamp (M, B, K).
+    """
+    if len({model.n_states for model in models}) != 1:
+        raise InvariantViolation("models disagree on state count")
+    observations = _observations(models, trajectories)
+    packing = _pack(trajectories)
+    rates = np.stack([model.generator.rates for model in models])
+    kernels = transition_kernels(rates, packing.gaps)
+    b, shift = _emission_weights(models, observations, packing)
+    initial = np.stack([model.initial for model in models])
+    scale, alpha = _forward(initial, kernels, b, packing)
+    _, log_likelihood = _log_likelihood(scale, shift, packing)
+    return log_likelihood, alpha[:, packing.rows[packing.ends - 1]]
+
+
+def forward_backward_batch(
+    model: SubtypeModel, trajectories: list[Trajectory]
+) -> CohortPosteriors:
+    """Scaled forward-backward pass over a batch of trajectories.
+
+    One stacked exponential builds the kernels for the batch's distinct
+    gaps; the forward and backward recursions each loop over time steps
+    with all trajectories still running at that step, and the pairwise
+    posteriors need no loop.  A trajectory with probability zero has
+    log-likelihood -inf and NaN posteriors from the impossible step onward.
+    """
+    observations = _observations([model], trajectories)
+    packing = _pack(trajectories)
+    kernels = transition_kernels(model.generator.rates[None], packing.gaps)[0]
+    b, shift = _emission_weights([model], observations, packing)
+    scale, alpha = _forward(model.initial[None], kernels[None], b, packing)
+    log_scale, log_likelihood = _log_likelihood(scale, shift, packing)
+    b, scale, alpha = b[0], scale[0], alpha[0]
+
+    # Dividing by NaN where a scale is zero propagates the impossibility.
+    live_scale = np.where(scale > 0, scale, np.nan)
+    n_first = packing.sizes[0]
+    pairs = slice(n_first, None)
+    beta = np.ones(b.shape)
+    for before, start, size in reversed(packing.steps()):
+        here = slice(start, start + size)
+        step = kernels[packing.slot[here]]
+        behind = (step @ (b[here] * beta[here])[..., None])[..., 0]
+        beta[before : before + size] = behind / live_scale[here, None]
+
+    previous = np.arange(n_first, b.shape[0]) - np.repeat(packing.sizes[:-1], packing.sizes[1:])
+    xi = (
+        alpha[previous, :, None]
+        * kernels[packing.slot[pairs]]
+        * (b[pairs] * beta[pairs])[:, None, :]
+    ) / live_scale[pairs, None, None]
+    return CohortPosteriors(
+        log_likelihood=log_likelihood[0],
+        gamma=(alpha * beta)[packing.rows],
+        xi=xi[packing.pair_rows - n_first],
+        log_scale=log_scale[0],
+        starts=packing.starts,
+        gaps=packing.gaps,
+        gap_index=packing.slot[packing.pair_rows],
+        kernels=kernels,
+    )
 
 
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:
     """Scaled forward-backward pass under the continuous-time HMM.
 
-    Emission weights are shifted by their per-step maximum before
-    exponentiation so very unlikely observations cannot underflow; the
-    shift is folded back into the scaling constants.  If the trajectory
-    has probability zero under the model the log-likelihood is -inf and
-    the posteriors are NaN from the impossible step onward.
+    The single-trajectory case of :func:`forward_backward_batch`.  If the
+    trajectory has probability zero under the model the log-likelihood is
+    -inf and the posteriors are NaN from the impossible step onward.
     """
-    _check_dimensions(model, trajectory)
-    n, n_states = trajectory.length, model.n_states
-    log_b = log_emission_matrix(model.emissions, trajectory.observations)
-    shift = log_b.max(axis=1)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    b = np.exp(log_b - shift[:, None])
-    kernels = _interval_kernels(model.generator, trajectory.times)
-
-    alpha = np.empty((n, n_states))
-    scale = np.empty(n)
-    forward = model.initial * b[0]
-    scale[0] = forward.sum()
-    alpha[0] = forward / scale[0] if scale[0] > 0 else np.nan
-    for i in range(1, n):
-        forward = (alpha[i - 1] @ kernels[i - 1]) * b[i]
-        scale[i] = forward.sum()
-        alpha[i] = forward / scale[i] if scale[i] > 0 else np.nan
-
-    beta = np.empty((n, n_states))
-    beta[n - 1] = 1.0
-    for i in range(n - 2, -1, -1):
-        weighted = b[i + 1] * beta[i + 1]
-        beta[i] = (kernels[i] @ weighted) / scale[i + 1] if scale[i + 1] > 0 else np.nan
-
-    gamma = alpha * beta
-    xi = np.empty((n - 1, n_states, n_states))
-    for i in range(n - 1):
-        if scale[i + 1] > 0:
-            xi[i] = (
-                alpha[i][:, None] * kernels[i] * (b[i + 1] * beta[i + 1])[None, :]
-            ) / scale[i + 1]
-        else:
-            xi[i] = np.nan
-
-    with np.errstate(divide="ignore"):
-        log_scale = np.log(scale) + shift
+    posteriors = forward_backward_batch(model, [trajectory])
     return PosteriorSummary(
-        log_likelihood=float(log_scale.sum()),
-        gamma=gamma,
-        xi=xi,
-        log_scale=log_scale,
+        log_likelihood=float(posteriors.log_likelihood[0]),
+        gamma=posteriors.gamma,
+        xi=posteriors.xi,
+        log_scale=posteriors.log_scale,
     )
 
 
 def trajectory_log_likelihood(model: SubtypeModel, trajectory: Trajectory) -> float:
     """Marginal log-probability of the observations under the model."""
-    return forward_backward(model, trajectory).log_likelihood
+    log_likelihood, _ = forward_filter([model], [trajectory])
+    return float(log_likelihood[0, 0])
 
 
-def _check_dimensions(model: SubtypeModel, trajectory: Trajectory) -> None:
-    if trajectory.n_features != model.n_features:
-        raise DimensionMismatch(
-            f"trajectory has {trajectory.n_features} features, model expects {model.n_features}"
-        )
-    for d, count in enumerate(model.emissions.bin_counts):
-        column = trajectory.observations[:, d]
-        if np.any(column >= count):
-            raise DimensionMismatch(
-                f"feature {d}: bin index out of range for {count} bins"
-            )
+def propagate_filter(
+    model: SubtypeModel, filtered: np.ndarray, gaps: np.ndarray
+) -> list[list[np.ndarray]]:
+    """Per-feature bin laws after a filtered state law evolves for each gap.
+
+    The gaps' kernels come from one stacked exponential; returns one list
+    of per-feature probability vectors per gap.
+    """
+    states = filtered @ transition_kernels(model.generator.rates[None], gaps)[0]
+    per_feature = [states @ table for table in model.emissions.tables]
+    return [[probs[i] for probs in per_feature] for i in range(len(gaps))]
 
 
 def predictive_bin_distributions(
@@ -211,24 +388,15 @@ def predictive_bin_distributions(
     future_times = np.asarray(future_times, dtype=float)
     if future_times.ndim != 1 or future_times.size < 1:
         raise ValueError("future_times must be a non-empty 1-d sequence")
-    if np.any(np.diff(future_times) <= 0):
+    if not np.all(np.diff(future_times) > 0):
         raise ValueError("future_times must be strictly increasing")
     t_end = prefix.times[-1]
-    if future_times[0] <= t_end:
+    if not future_times[0] > t_end:
         raise NonCausalQuery(
             f"future time {future_times[0]} does not follow the prefix end {t_end}"
         )
-
-    # gamma at the final step is the filtered distribution: the backward
-    # weights there are identically one.
-    filtered = forward_backward(model, prefix).gamma[-1]
-
-    out: list[list[np.ndarray]] = []
-    for t in future_times:
-        state_dist = filtered @ transition_matrix(model.generator, t - t_end).probs
-        per_feature = [state_dist @ table for table in model.emissions.tables]
-        out.append(per_feature)
-    return out
+    _, filtered = forward_filter([model], [prefix])
+    return propagate_filter(model, filtered[0, 0], future_times - t_end)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """EM training of one subtype model over a set of trajectories.
 
-The E-step runs forward-backward per trajectory and accumulates three
-sufficient statistics: posterior-weighted emission counts, initial-state
-posteriors, and pairwise hidden-state counts per distinct time gap
-between consecutive observations.  The M-step has closed forms for all
-three parameter blocks; the generator update divides end-conditioned
-expected jump counts by end-conditioned expected sojourn times, both
-aggregated over the per-gap pair counts.
+The E-step runs one batched forward-backward over the cohort and
+accumulates three sufficient statistics: posterior-weighted emission
+counts, initial-state posteriors, and pairwise hidden-state counts per
+distinct time gap between consecutive observations.  The M-step has
+closed forms for all three parameter blocks; the generator update
+divides end-conditioned expected jump counts by end-conditioned
+expected sojourn times, both aggregated over the per-gap pair counts.
 """
 
 from __future__ import annotations
@@ -23,18 +23,17 @@ from .ctmc import (
     _interval_integral,
     full_mask,
     left_to_right_mask,
-    transition_matrix,
+    transition_kernels,
     validate_generator,
 )
 from .emissions import MISSING, EmissionTable
 from .errors import (
     DegenerateOccupancy,
-    DimensionMismatch,
     ImpossibleTrajectory,
     InvariantViolation,
     SubtypingError,
 )
-from .inference import SubtypeModel, Trajectory, forward_backward
+from .inference import SubtypeModel, Trajectory, forward_backward_batch
 
 _OCCUPANCY_FLOOR = 1e-10
 
@@ -46,6 +45,10 @@ class SufficientStats:
     ``gaps`` holds the sorted distinct inter-observation gaps (shape G) and
     ``pair_counts[g]`` the K x K posterior counts of (state before, state
     after) pairs at gap ``gaps[g]`` (shape G x K x K).
+    ``generator`` is the generator the E-step ran under and
+    ``transition_probs[g]`` its P(``gaps[g]``); the generator update reuses
+    them and rejects any other generator.  Both are None for statistics
+    built by hand, and the update then builds the kernels itself.
     """
 
     gaps: np.ndarray
@@ -54,6 +57,12 @@ class SufficientStats:
     emission_counts: tuple[np.ndarray, ...]
     n_trajectories: int = 0
     n_timepoints: int = 0
+    generator: GeneratorMatrix | None = None
+    transition_probs: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if (self.generator is None) != (self.transition_probs is None):
+            raise InvariantViolation("transition kernels need the generator they came from")
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,7 @@ class EmConfig:
     reestimate_prior: bool = False
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise InvariantViolation("tolerance must be positive")
         if self.max_iterations < 1:
             raise InvariantViolation("need at least one EM iteration")
@@ -81,8 +90,18 @@ class EmConfig:
             raise InvariantViolation(f"unknown structure kind {self.structure!r}")
         if self.restarts < 1:
             raise InvariantViolation("need at least one restart")
-        if self.delta_quantization is not None and self.delta_quantization <= 0:
+        if self.delta_quantization is not None and not self.delta_quantization > 0:
             raise InvariantViolation("quantization step must be positive")
+        if not 0 <= self.smoothing < np.inf:
+            raise InvariantViolation(f"smoothing must be finite and >= 0, got {self.smoothing}")
+        # Generators only hold nonzero rates within [RATE_MIN, RATE_MAX], so
+        # wider bounds would fail on the first model the fit builds.
+        lo, hi = self.rate_bounds
+        if not RATE_MIN <= lo <= hi <= RATE_MAX:
+            raise InvariantViolation(
+                f"rate bounds must satisfy {RATE_MIN} <= lo <= hi <= {RATE_MAX}, "
+                f"got {self.rate_bounds}"
+            )
 
 
 @dataclass
@@ -141,56 +160,39 @@ def e_step(
 ) -> tuple[SufficientStats, float]:
     """Accumulate sufficient statistics and the total log-likelihood.
 
-    Raises :class:`ImpossibleTrajectory` for a trajectory with probability
-    zero under ``model``, whose posteriors are undefined.
+    One batched forward-backward pass covers the whole cohort; its
+    distinct gaps index both the transition kernels and the pair-count
+    slots, and the kernels ride along on the statistics for the generator
+    update.  Raises :class:`ImpossibleTrajectory` for a trajectory with
+    probability zero under ``model``, whose posteriors are undefined.
     """
-    n_states = model.n_states
-    bin_counts = model.emissions.bin_counts
-    gamma_initial = np.zeros(n_states)
-    emission_counts = tuple(np.zeros((n_states, j)) for j in bin_counts)
-    # Empty first entries keep the concatenations valid when no gap exists.
-    all_gaps = [np.empty(0)]
-    all_xi = [np.empty((0, n_states, n_states))]
-    total = 0.0
-    n_timepoints = 0
-
-    for traj in trajectories:
-        if traj.n_features != model.n_features:
-            raise DimensionMismatch(
-                f"patient {traj.patient_id!r} has {traj.n_features} features, "
-                f"model expects {model.n_features}"
-            )
-        summary = forward_backward(model, traj)
-        if not np.isfinite(summary.log_likelihood):
-            raise ImpossibleTrajectory(
-                f"patient {traj.patient_id!r} has log-likelihood "
-                f"{summary.log_likelihood} under the current model"
-            )
-        total += summary.log_likelihood
-        gamma_initial += summary.gamma[0]
-        n_timepoints += traj.length
-
-        obs = traj.observations
-        for d in range(model.n_features):
-            idx = obs[:, d]
-            seen = idx != MISSING
-            if np.any(seen):
-                np.add.at(emission_counts[d].T, idx[seen], summary.gamma[seen])
-        all_gaps.append(np.diff(traj.times))
-        all_xi.append(summary.xi)
-
-    gaps, slot = np.unique(np.concatenate(all_gaps), return_inverse=True)
-    pair_counts = np.zeros((gaps.size, n_states, n_states))
-    np.add.at(pair_counts, slot, np.concatenate(all_xi))
+    posteriors = forward_backward_batch(model, trajectories)
+    impossible = np.nonzero(~np.isfinite(posteriors.log_likelihood))[0]
+    if impossible.size:
+        b = impossible[0]
+        raise ImpossibleTrajectory(
+            f"patient {trajectories[b].patient_id!r} has log-likelihood "
+            f"{posteriors.log_likelihood[b]} under the current model"
+        )
+    observations = np.concatenate([t.observations for t in trajectories])
+    emission_counts = tuple(np.zeros((model.n_states, j)) for j in model.emissions.bin_counts)
+    for d, counts in enumerate(emission_counts):
+        idx = observations[:, d]
+        seen = idx != MISSING
+        np.add.at(counts.T, idx[seen], posteriors.gamma[seen])
+    pair_counts = np.zeros(posteriors.kernels.shape)
+    np.add.at(pair_counts, posteriors.gap_index, posteriors.xi)
     stats = SufficientStats(
-        gaps=gaps,
+        gaps=posteriors.gaps,
         pair_counts=pair_counts,
-        gamma_initial=gamma_initial,
+        gamma_initial=posteriors.gamma[posteriors.starts].sum(axis=0),
         emission_counts=emission_counts,
         n_trajectories=len(trajectories),
-        n_timepoints=n_timepoints,
+        n_timepoints=posteriors.gamma.shape[0],
+        generator=model.generator,
+        transition_probs=posteriors.kernels,
     )
-    return stats, total
+    return stats, float(posteriors.log_likelihood.sum())
 
 
 def m_step_emissions(stats: SufficientStats, smoothing: float) -> EmissionTable:
@@ -231,11 +233,21 @@ def generator_update_terms(
     per-gap pair counts.  With A = counts / P(gap) (zero where P is below
     ``P_FLOOR``), the upper-right block D of expm([[Q, A^T], [0, Q]] gap)
     gives the sojourn times on its diagonal and the jumps as Q * D^T;
-    one stacked exponential covers every distinct gap.
+    one stacked exponential covers every distinct gap.  P(gap) comes from
+    the E-step when ``stats`` were accumulated under ``previous``; statistics
+    from any other generator raise :class:`InvariantViolation`.
     """
-    n = previous.size
-    probs = np.array([transition_matrix(previous, gap).probs for gap in stats.gaps])
-    probs = probs.reshape(-1, n, n)
+    if stats.generator is None:
+        probs = transition_kernels(previous.rates[None], stats.gaps)[0]
+    elif stats.generator is previous or (
+        np.array_equal(stats.generator.rates, previous.rates)
+        and np.array_equal(stats.generator.mask, previous.mask)
+    ):
+        probs = stats.transition_probs
+    else:
+        raise InvariantViolation(
+            "statistics were accumulated under a different generator than the one updated"
+        )
     reachable = probs >= P_FLOOR
     weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
     integral = _interval_integral(

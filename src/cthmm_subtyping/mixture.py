@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emissions import MISSING, BinningScheme
-from .errors import DimensionMismatch, InvariantViolation, TooFewPatients
-from .inference import SubtypeModel, Trajectory, trajectory_log_likelihood
+from .errors import InvariantViolation, TooFewPatients
+from .inference import SubtypeModel, Trajectory, forward_filter
 from .learning import EmConfig, FitDiagnostics, fit_disease_model, quantize_gaps
 
 
@@ -60,15 +60,31 @@ class MixtureModel:
         return self.models[0].n_states
 
 
-def _joint_scores(mixture_models, prior, trajectory) -> np.ndarray:
+def _joint_scores(
+    models: tuple[SubtypeModel, ...], prior: np.ndarray, trajectories: list[Trajectory]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint log scores (B, M) and filtered state laws (M, B, K).
+
+    The score of subtype m is log prior + trajectory log-likelihood, all
+    from one forward-only pass over every subtype and trajectory.
+    """
+    log_likelihood, filtered = forward_filter(list(models), trajectories)
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
-    return np.array(
-        [
-            lp + trajectory_log_likelihood(model, trajectory)
-            for model, lp in zip(mixture_models, log_prior)
-        ]
-    )
+    return log_prior[None, :] + log_likelihood.T, filtered
+
+
+def assign_with_filter(
+    mixture: MixtureModel, trajectory: Trajectory
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Best subtype, all per-subtype joint log scores, and the best
+    subtype's filtered state law at the trajectory's last timestamp.
+
+    Ties break toward the lowest subtype index.
+    """
+    scores, filtered = _joint_scores(mixture.models, mixture.prior, [trajectory])
+    subtype = int(np.argmax(scores[0]))
+    return subtype, scores[0], filtered[subtype, 0]
 
 
 def assign_subtype(mixture: MixtureModel, trajectory: Trajectory) -> tuple[int, np.ndarray]:
@@ -76,13 +92,8 @@ def assign_subtype(mixture: MixtureModel, trajectory: Trajectory) -> tuple[int, 
 
     Ties break toward the lowest subtype index.
     """
-    if trajectory.n_features != mixture.models[0].n_features:
-        raise DimensionMismatch(
-            f"trajectory has {trajectory.n_features} features, "
-            f"mixture expects {mixture.models[0].n_features}"
-        )
-    scores = _joint_scores(mixture.models, mixture.prior, trajectory)
-    return int(np.argmax(scores)), scores
+    subtype, scores, _ = assign_with_filter(mixture, trajectory)
+    return subtype, scores
 
 
 def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.ndarray:
@@ -95,13 +106,19 @@ def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.n
     return weights / weights.sum()
 
 
-def _bin_histograms(trajectories: list[Trajectory]) -> np.ndarray:
-    """Per-patient observed-bin frequency vectors, features concatenated."""
-    n_features = trajectories[0].n_features
-    bin_counts = [
-        max(int(max(t.observations[:, d].max() for t in trajectories)) + 1, 1)
-        for d in range(n_features)
-    ]
+def _bin_histograms(
+    trajectories: list[Trajectory], bin_counts: tuple[int, ...] | None
+) -> np.ndarray:
+    """Per-patient observed-bin frequency vectors, features concatenated.
+
+    Without scheme bin counts, each feature gets as many bins as its
+    largest observed index needs.
+    """
+    if bin_counts is None:
+        bin_counts = [
+            max(int(max(t.observations[:, d].max() for t in trajectories)) + 1, 1)
+            for d in range(trajectories[0].n_features)
+        ]
     rows = []
     for t in trajectories:
         parts = []
@@ -115,7 +132,10 @@ def _bin_histograms(trajectories: list[Trajectory]) -> np.ndarray:
 
 
 def _initial_partition(
-    trajectories: list[Trajectory], n_subtypes: int, rng: np.random.Generator
+    trajectories: list[Trajectory],
+    n_subtypes: int,
+    rng: np.random.Generator,
+    bin_counts: tuple[int, ...] | None,
 ) -> np.ndarray:
     """Seed the alternation by clustering per-patient bin histograms.
 
@@ -127,7 +147,7 @@ def _initial_partition(
     n = len(trajectories)
     if n_subtypes == 1:
         return np.zeros(n, dtype=int)
-    points = _bin_histograms(trajectories)
+    points = _bin_histograms(trajectories, bin_counts)
     centroids = points[rng.choice(n, size=n_subtypes, replace=False)]
     assignments = np.zeros(n, dtype=int)
     for _ in range(25):
@@ -195,6 +215,8 @@ def fit_mixture(
     the log-objective trace (one entry after every assignment pass and
     every refit pass).
     """
+    if n_subtypes < 1:
+        raise InvariantViolation(f"need at least one subtype, got {n_subtypes}")
     n = len(trajectories)
     if n < n_subtypes:
         raise TooFewPatients(f"{n} patients cannot fill {n_subtypes} subtypes")
@@ -204,7 +226,7 @@ def fit_mixture(
     bin_counts = scheme.bin_counts if scheme is not None else None
 
     rng = np.random.default_rng(config.seed)
-    assignments = _initial_partition(trajectories, n_subtypes, rng)
+    assignments = _initial_partition(trajectories, n_subtypes, rng, bin_counts)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
 
     models: list[SubtypeModel | None] = [None] * n_subtypes
@@ -233,9 +255,7 @@ def fit_mixture(
         trace.append(refit_objective)
 
         # Reassign every patient to its best-scoring subtype.
-        score_matrix = np.array(
-            [_joint_scores(models, prior, traj) for traj in trajectories]
-        )
+        score_matrix, _ = _joint_scores(models, prior, trajectories)
         proposed = score_matrix.argmax(axis=1)
         best_scores = score_matrix.max(axis=1)
         trace.append(float(best_scores.sum()))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, validate_generator, left_to_right_mask
+from .ctmc import GeneratorMatrix, full_mask, left_to_right_mask, validate_generator
 from .emissions import MISSING, BinningScheme, EmissionTable
 from .errors import InvariantViolation, NonPositiveInterval
 from .inference import SubtypeModel, Trajectory
@@ -194,7 +194,7 @@ def random_mixture(
         if structure == "left-to-right":
             mask = left_to_right_mask(n_states)
         else:
-            mask = ~np.eye(n_states, dtype=bool)
+            mask = full_mask(n_states)
         raw = rng.uniform(0.25, 0.65, size=(n_states, n_states)) * mask
         generator = validate_generator(raw, mask)
 

@@ -69,6 +69,56 @@ def enumerate_posteriors(
     return np.log(total), gamma / total, xi / total
 
 
+def scaled_forward_backward(
+    pi: np.ndarray,
+    rates: np.ndarray,
+    tables: list[np.ndarray],
+    times: np.ndarray,
+    observations: np.ndarray,
+):
+    """Per-trajectory scaled forward-backward, one Python loop per pass.
+
+    The step-by-step recursion the batched passes replaced: per-step
+    maximum-shifted emission weights, one ``expm`` per gap, and separate
+    alpha, beta and xi loops.  Returns (log_likelihood, gamma, xi); the
+    log-likelihood is -inf when some step has probability zero.
+    """
+    n, n_states = times.size, pi.size
+    log_b = np.zeros((n, n_states))
+    with np.errstate(divide="ignore"):
+        for d, table in enumerate(tables):
+            seen = observations[:, d] != -1
+            log_b[seen] += np.log(table[:, observations[seen, d]]).T
+    shift = log_b.max(axis=1)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    b = np.exp(log_b - shift[:, None])
+    kernels = [expm(rates * gap) for gap in np.diff(times)]
+
+    alpha = np.empty((n, n_states))
+    scale = np.empty(n)
+    forward = pi * b[0]
+    for i in range(n):
+        if i > 0:
+            forward = (alpha[i - 1] @ kernels[i - 1]) * b[i]
+        scale[i] = forward.sum()
+        alpha[i] = forward / scale[i] if scale[i] > 0 else np.nan
+
+    beta = np.empty((n, n_states))
+    beta[n - 1] = 1.0
+    for i in range(n - 2, -1, -1):
+        weighted = b[i + 1] * beta[i + 1]
+        beta[i] = (kernels[i] @ weighted) / scale[i + 1] if scale[i + 1] > 0 else np.nan
+
+    xi = np.empty((n - 1, n_states, n_states))
+    for i in range(n - 1):
+        xi[i] = alpha[i][:, None] * kernels[i] * (b[i + 1] * beta[i + 1])[None, :]
+        xi[i] = xi[i] / scale[i + 1] if scale[i + 1] > 0 else np.nan
+
+    if not np.all(scale > 0):
+        return -np.inf, alpha * beta, xi
+    return float(np.sum(np.log(scale) + shift)), alpha * beta, xi
+
+
 def enumerate_predictive(
     pi: np.ndarray,
     rates: np.ndarray,

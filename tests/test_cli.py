@@ -209,6 +209,17 @@ class TestErrorSurface:
         assert code == 1
         assert "error SubtypingError" in capsys.readouterr().err
 
+    def test_fit_zero_subtypes_gives_single_error_line(self, workdir, capsys):
+        tmp, config = workdir
+        cohort = tmp / "cohort.csv"
+        main(["simulate", "--config", config, "--out", str(cohort)])
+        capsys.readouterr()
+        argv = ["fit", "--config", config, "--data", str(cohort), "--out", str(tmp / "m.json")]
+        assert main(argv + ["--subtypes", "0"]) == 1
+        lines = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith("error InvariantViolation: ")
+
 
 def test_label_accuracy_matches_permutation_search():
     rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cthmm_subtyping import (
     ExpmInaccuracy,
@@ -14,6 +15,7 @@ from cthmm_subtyping import (
     full_mask,
     left_to_right_mask,
     sojourn_expectation,
+    transition_kernels,
     transition_matrix,
     validate_generator,
 )
@@ -143,16 +145,46 @@ class TestTransitionMatrix:
                 transition_matrix(q, delta)
 
     def test_expm_drift_raises(self, monkeypatch):
-        ctmc.clear_caches()
         q = validate_generator(np.array([[0.0, 0.77], [0.0, 0.0]]), full_mask(2))
+        rates = np.stack([q.rates, 2.0 * q.rates])
+        gaps = np.array([0.5, 1.0, 2.0])
         for bad in (
             np.array([[0.9, 0.2], [0.1, 0.7]]),  # row sums far from 1
             np.full((2, 2), np.nan),  # e.g. an overflowed exponential
         ):
-            monkeypatch.setattr(ctmc, "expm", lambda a: bad)
+            monkeypatch.setattr(ctmc, "expm", lambda a: np.broadcast_to(bad, a.shape).copy())
             with pytest.raises(ExpmInaccuracy):
                 transition_matrix(q, 1.0)
-        ctmc.clear_caches()
+            with pytest.raises(ExpmInaccuracy):
+                transition_kernels(rates, gaps)
+
+            def one_drifts(a):
+                out = expm(a)
+                out.reshape(-1, 2, 2)[4] = bad
+                return out
+
+            # One drifting matrix in the middle of the stack fails the call.
+            monkeypatch.setattr(ctmc, "expm", one_drifts)
+            with pytest.raises(ExpmInaccuracy, match="interval 1.0"):
+                transition_kernels(rates, gaps)
+
+    def test_kernels_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(16)
+        generators = [random_generator(rng, 3) for _ in range(3)]
+        gaps = np.array([0.0, 0.25, 1.7, 6.0])
+        kernels = transition_kernels(np.stack([g.rates for g in generators]), gaps)
+        assert kernels.shape == (3, 4, 3, 3)
+        for m, generator in enumerate(generators):
+            for g, gap in enumerate(gaps):
+                single = transition_matrix(generator, gap).probs
+                assert np.array_equal(kernels[m, g], single)
+        assert np.array_equal(kernels[:, 0], np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+    def test_kernels_reject_non_finite_gaps(self):
+        q = validate_generator(np.zeros((2, 2)), full_mask(2))
+        for gaps in ([0.5, np.nan], [np.inf], [1.0, -1e-3]):
+            with pytest.raises(NonPositiveInterval):
+                transition_kernels(q.rates[None], np.array(gaps))
 
 
 class TestEndConditionedStats:

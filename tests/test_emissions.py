@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cthmm_subtyping import (
     MISSING,
     BinningScheme,
+    DimensionMismatch,
     EmissionTable,
     FeatureBinning,
     InvariantViolation,
@@ -119,6 +120,13 @@ class TestEmissionLogLikelihood:
                 assert matrix[i, k] == pytest.approx(
                     emission_log_likelihood(self.table, k, obs[i]), abs=1e-12
                 )
+
+
+    def test_matrix_helper_rejects_out_of_range_bins(self):
+        # Feature 0 has 2 bins and feature 1 has 3; none may spill over.
+        for row in ([2, 0], [0, 3], [-2, 0]):
+            with pytest.raises(DimensionMismatch):
+                log_emission_matrix(self.table, np.array([[0, 0], row]))
 
 
 class TestExpectedFeatureValue:

@@ -5,21 +5,30 @@ from cthmm_subtyping import (
     MISSING,
     BinningScheme,
     DimensionMismatch,
+    EmissionTable,
     FeatureBinning,
+    ImpossibleTrajectory,
     InvariantViolation,
     NonCausalQuery,
     StructureNotChain,
+    SubtypeModel,
     Trajectory,
+    e_step,
     forward_backward,
+    forward_backward_batch,
+    forward_filter,
     full_mask,
+    left_to_right_mask,
     predictive_bin_distributions,
     progression_trajectory,
     sojourn_expectation,
     trajectory_log_likelihood,
+    transition_matrix,
+    validate_generator,
 )
 
 from conftest import chain_model, random_model, random_observations, random_times
-from oracles import enumerate_posteriors, enumerate_predictive
+from oracles import enumerate_posteriors, enumerate_predictive, scaled_forward_backward
 
 
 def _random_fixture(rng, n_states=None, n_points=None, bin_counts=None, missing=0.25):
@@ -43,6 +52,11 @@ class TestTrajectory:
     def test_requires_at_least_one_point(self):
         with pytest.raises(InvariantViolation):
             Trajectory("p", np.array([]), np.zeros((0, 1), dtype=int))
+
+    def test_requires_finite_times(self):
+        for times in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan]):
+            with pytest.raises(InvariantViolation):
+                Trajectory("x", np.array(times), np.zeros((len(times), 1), dtype=int))
 
     def test_single_point_is_legal(self):
         t = Trajectory("p", np.array([3.0]), np.array([[MISSING]]))
@@ -163,6 +177,100 @@ class TestForwardBackward:
             forward_backward(
                 model, Trajectory("p", np.array([0.0]), np.array([[0, 5]]))
             )
+
+
+def _ragged_cohort(rng, lengths, bin_counts):
+    cohort = []
+    for i, n in enumerate(lengths):
+        obs = random_observations(rng, n, bin_counts, missing_rate=0.3)
+        if n > 2:
+            obs[1] = MISSING
+        cohort.append(Trajectory(f"p{i}", random_times(rng, n), obs))
+    return cohort
+
+
+def _reference(model, trajectory):
+    return scaled_forward_backward(
+        model.initial,
+        model.generator.rates,
+        list(model.emissions.tables),
+        trajectory.times,
+        trajectory.observations,
+    )
+
+
+class TestBatchedPasses:
+    @pytest.mark.parametrize("n_states", [1, 2, 4])
+    @pytest.mark.parametrize("mask", [full_mask, left_to_right_mask])
+    def test_batch_matches_per_trajectory_reference(self, mask, n_states):
+        rng = np.random.default_rng(30 + n_states)
+        bin_counts = (3, 4)
+        model = random_model(rng, n_states, bin_counts, mask=mask(n_states))
+        cohort = _ragged_cohort(rng, [1, 5, 2, 9, 1, 4], bin_counts)
+        batch = forward_backward_batch(model, cohort)
+        assert batch.gamma.shape == (22, n_states)
+        assert batch.xi.shape == (16, n_states, n_states)
+        for b, trajectory in enumerate(cohort):
+            n = trajectory.length
+            rows = slice(batch.starts[b], batch.starts[b] + n)
+            pairs = slice(batch.starts[b] - b, batch.starts[b] - b + n - 1)
+            assert np.array_equal(batch.gaps[batch.gap_index[pairs]], np.diff(trajectory.times))
+            ll, gamma, xi = _reference(model, trajectory)
+            single = forward_backward(model, trajectory)
+            batched = batch.gamma[rows], batch.xi[pairs], batch.log_scale[rows]
+            for got in (
+                (batch.log_likelihood[b], *batched),
+                (single.log_likelihood, single.gamma, single.xi, single.log_scale),
+            ):
+                assert got[0] == pytest.approx(ll, rel=1e-12)
+                np.testing.assert_allclose(got[1], gamma, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got[2], xi, rtol=1e-12, atol=0)
+                assert got[3].sum() == pytest.approx(ll, rel=1e-12)
+        for gap, kernel in zip(batch.gaps, batch.kernels):
+            assert np.array_equal(kernel, transition_matrix(model.generator, gap).probs)
+
+    def test_zero_probability_trajectory_is_minus_infinity(self):
+        # State 0 always emits bin 0 and never leaves, so the second
+        # observation is impossible; later steps do not revive it.
+        model = SubtypeModel(
+            initial=np.array([1.0, 0.0]),
+            generator=validate_generator(np.zeros((2, 2)), full_mask(2)),
+            emissions=EmissionTable(tables=(np.array([[1.0, 0.0], [0.0, 1.0]]),)),
+        )
+        possible = Trajectory("fine", np.array([0.0, 0.5]), np.array([[0], [0]]))
+        impossible = Trajectory(
+            "ghost", np.array([0.0, 1.0, 2.0, 3.0]), np.array([[0], [1], [0], [MISSING]])
+        )
+        assert _reference(model, impossible)[0] == -np.inf
+        batch = forward_backward_batch(model, [possible, impossible])
+        assert batch.log_likelihood.tolist() == [0.0, -np.inf]
+        assert forward_backward(model, impossible).log_likelihood == -np.inf
+        assert trajectory_log_likelihood(model, impossible) == -np.inf
+        log_likelihood, _ = forward_filter([model], [impossible, possible])
+        assert log_likelihood.tolist() == [[-np.inf, 0.0]]
+        with pytest.raises(ImpossibleTrajectory, match="ghost"):
+            e_step(model, [possible, impossible])
+
+    def test_forward_filter_matches_forward_backward(self):
+        rng = np.random.default_rng(40)
+        bin_counts = (3, 2)
+        models = [random_model(rng, 3, bin_counts) for _ in range(3)]
+        cohort = _ragged_cohort(rng, [1, 6, 3, 8], bin_counts)
+        log_likelihood, filtered = forward_filter(models, cohort)
+        assert log_likelihood.shape == (3, 4)
+        assert filtered.shape == (3, 4, 3)
+        for m, model in enumerate(models):
+            for b, trajectory in enumerate(cohort):
+                summary = forward_backward(model, trajectory)
+                assert log_likelihood[m, b] == pytest.approx(summary.log_likelihood, rel=1e-12)
+                np.testing.assert_allclose(filtered[m, b], summary.gamma[-1], rtol=1e-12, atol=0)
+
+    def test_forward_filter_needs_one_state_count(self):
+        rng = np.random.default_rng(41)
+        models = [random_model(rng, 2, (3,)), random_model(rng, 3, (3,))]
+        cohort = _ragged_cohort(rng, [3], (3,))
+        with pytest.raises(InvariantViolation):
+            forward_filter(models, cohort)
 
 
 class TestPredictive:

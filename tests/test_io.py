@@ -178,6 +178,23 @@ class TestLoadCohort:
         with pytest.raises(DuplicateTimestamp):
             load_cohort(path, simple_scheme())
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_time_rejected_with_line(self, tmp_path, bad):
+        path = tmp_path / "cohort.csv"
+        path.write_text(
+            f"patient_id,time,heart_rate,systolic_bp\np,1.0,70,100\np,{bad},80,110\n"
+        )
+        with pytest.raises(ParseError, match=":3:"):
+            load_cohort(path, simple_scheme())
+
+    def test_repeated_infinite_times_rejected(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text(
+            "patient_id,time,heart_rate,systolic_bp\np,0.0,70,100\np,inf,80,110\np,inf,90,120\n"
+        )
+        with pytest.raises(ParseError, match=":3:"):
+            load_cohort(path, simple_scheme())
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "cohort.csv"
         path.write_text("patient_id,time,heart_rate,systolic_bp\n")

@@ -6,7 +6,9 @@ from cthmm_subtyping import (
     DimensionMismatch,
     EmConfig,
     EmissionTable,
+    GeneratorMatrix,
     ImpossibleTrajectory,
+    InvariantViolation,
     MixtureModel,
     SufficientStats,
     SubtypeModel,
@@ -256,6 +258,31 @@ class TestMStepGenerator:
         assert kept.rates[0, 1] == 0.7
         assert degenerate == (0,)
 
+    def test_statistics_from_another_generator_rejected(self):
+        rng = np.random.default_rng(12)
+        model, trajectories = _cohort(rng, 6, 3, (2,))
+        stats, _ = e_step(model, trajectories)
+        expected, _ = m_step_generator(stats, model.generator)
+        # An equal generator built anew is the same generator.
+        copy = GeneratorMatrix(rates=model.generator.rates.copy(), mask=model.generator.mask)
+        updated, _ = m_step_generator(stats, copy)
+        assert np.array_equal(updated.rates, expected.rates)
+        other = validate_generator(2.0 * model.generator.rates, model.generator.mask)
+        with pytest.raises(InvariantViolation, match="different generator"):
+            m_step_generator(stats, other)
+        with pytest.raises(InvariantViolation, match="different generator"):
+            generator_update_terms(stats, other)
+
+    def test_kernels_need_their_generator(self):
+        with pytest.raises(InvariantViolation, match="generator they came from"):
+            SufficientStats(
+                gaps=np.array([1.0]),
+                pair_counts=np.ones((1, 2, 2)),
+                gamma_initial=np.ones(2),
+                emission_counts=(np.zeros((2, 2)),),
+                transition_probs=np.full((1, 2, 2), 0.5),
+            )
+
     @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("structure", ["full", "left-to-right"])
     def test_update_terms_match_end_conditioned_reference(self, structure, n_states):
@@ -406,6 +433,33 @@ class TestFitDiseaseModel:
         t = Trajectory("p", np.array([0.0, 0.01, 0.02]), np.full((3, 1), -1))
         (q,) = quantize_gaps([t], 0.5)
         assert np.all(np.diff(q.times) == 0.5)
+
+
+class TestEmConfig:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"smoothing": -1.0},
+            {"smoothing": np.nan},
+            {"smoothing": np.inf},
+            {"rate_bounds": (5.0, 1.0)},
+            {"rate_bounds": (-1.0, np.nan)},
+            {"rate_bounds": (np.nan, 1.0)},
+            {"rate_bounds": (0.0, 1.0)},
+            {"rate_bounds": (1e-6, np.inf)},
+            {"rate_bounds": (1e-9, 1e-8)},
+            {"rate_bounds": (1e4, 1e5)},
+            {"tolerance": np.nan},
+            {"delta_quantization": np.nan},
+        ],
+    )
+    def test_invalid_settings_rejected(self, settings):
+        with pytest.raises(InvariantViolation):
+            EmConfig(**settings)
+
+    def test_boundary_settings_accepted(self):
+        config = EmConfig(smoothing=0.0, rate_bounds=(0.5, 0.5))
+        assert config.rate_bounds == (0.5, 0.5)
 
 
 class TestStructureMask:

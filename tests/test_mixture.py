@@ -3,17 +3,21 @@ import pytest
 
 from cthmm_subtyping import (
     EmConfig,
+    InvariantViolation,
     MixtureModel,
     ObservationTimeConfig,
     TooFewPatients,
     Trajectory,
     assign_subtype,
+    assign_with_filter,
     assignment_posteriors,
     fit_disease_model,
     fit_mixture,
+    forward_backward,
     sample_cohort,
     sample_trajectory,
 )
+from cthmm_subtyping.mixture import _bin_histograms
 
 from conftest import (
     best_permutation_accuracy,
@@ -111,6 +115,25 @@ class TestFitMixture:
         )
         assert np.array_equal(reassigned, mixture.assignments)
 
+    def test_needs_at_least_one_subtype(self):
+        rng = np.random.default_rng(1)
+        t = Trajectory("p", np.array([0.0]), random_observations(rng, 1, (2,)))
+        with pytest.raises(InvariantViolation):
+            fit_mixture([t], 0, 2, EmConfig())
+
+    def test_histograms_take_scheme_bins(self):
+        rng = np.random.default_rng(3)
+        cohort = [
+            Trajectory(f"p{i}", random_times(rng, 6), random_observations(rng, 6, (3, 2)))
+            for i in range(5)
+        ]
+        inferred = _bin_histograms(cohort, None)
+        widened = _bin_histograms(cohort, (5, 4))
+        assert inferred.shape == (5, 5)
+        assert widened.shape == (5, 9)
+        assert np.array_equal(widened[:, [0, 1, 2, 5, 6]], inferred)
+        assert np.all(widened[:, [3, 4, 7, 8]] == 0.0)
+
     def test_too_few_patients(self):
         rng = np.random.default_rng(1)
         t = Trajectory("p", np.array([0.0]), random_observations(rng, 1, (2,)))
@@ -166,6 +189,18 @@ class TestAssignSubtype:
         trajectory, _ = sample_trajectory(mixture.models[1], times, 0.1, seed=44, patient_id="x")
         subtype, _ = assign_subtype(mixture, trajectory)
         assert subtype == 1
+
+    def test_filtered_law_belongs_to_chosen_subtype(self):
+        mixture = separated_mixture(TWO_SUBTYPE_PEAKS, TWO_SUBTYPE_RATES)
+        times = np.cumsum(np.full(9, 0.7))
+        for seed in range(4):
+            trajectory, _ = sample_trajectory(mixture.models[seed % 2], times, 0.3, seed=seed)
+            subtype, scores, filtered = assign_with_filter(mixture, trajectory)
+            expected_subtype, expected_scores = assign_subtype(mixture, trajectory)
+            assert subtype == expected_subtype
+            assert np.array_equal(scores, expected_scores)
+            gamma = forward_backward(mixture.models[subtype], trajectory).gamma
+            assert filtered == pytest.approx(gamma[-1], rel=1e-12, abs=1e-15)
 
     def test_argmax_invariant_to_constant_score_shift(self):
         mixture = separated_mixture(TWO_SUBTYPE_PEAKS, TWO_SUBTYPE_RATES)
