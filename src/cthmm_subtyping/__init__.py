@@ -87,7 +87,7 @@ from .learning import (
 from .mixture import (
     MixtureModel,
     assign_subtype,
-    assign_with_filter,
+    assign_subtypes,
     assignment_posteriors,
     fit_mixture,
 )

@@ -19,7 +19,7 @@ from . import cohort_io
 from .errors import SubtypingError
 from .evaluation import forecast_report, grid_evaluate
 from .inference import progression_trajectory
-from .mixture import assign_subtype, fit_mixture
+from .mixture import assign_subtypes, fit_mixture
 from .synthesis import ObservationTimeConfig, random_mixture, sample_cohort
 
 
@@ -205,10 +205,8 @@ def _cmd_assign(args: argparse.Namespace) -> int:
     header = ["patient_id", "subtype"] + [
         f"score_{m}" for m in range(mixture.n_subtypes)
     ]
-    rows = []
-    for trajectory in cohort:
-        subtype, scores = assign_subtype(mixture, trajectory)
-        rows.append([trajectory.patient_id, subtype, *[repr(s) for s in scores]])
+    best, scores, _ = assign_subtypes(mixture, cohort)
+    rows = [[t.patient_id, int(m), *map(repr, s.tolist())] for t, m, s in zip(cohort, best, scores)]
     _write_csv(args.out, header, rows)
     print(f"assigned {len(rows)} patients; table written to {args.out}")
     return 0

@@ -54,7 +54,6 @@ class RunConfig:
     train_fraction: float = 0.8
     prefix_fraction: float = 0.7
     seed: int = 0
-    time_unit: str = "hours"
     em: EmConfig = field(default_factory=EmConfig)
     sim_patients: int = 100
     sim_missing_rate: float = 0.2
@@ -139,7 +138,6 @@ def config_from_dict(payload: dict) -> RunConfig:
             train_fraction=float(payload.get("train_fraction", 0.8)),
             prefix_fraction=float(payload.get("prefix_fraction", 0.7)),
             seed=int(payload.get("seed", 0)),
-            time_unit=str(payload.get("time_unit", "hours")),
             em=em,
             sim_patients=int(payload.get("simulate", {}).get("patients", 100)),
             sim_missing_rate=float(payload.get("simulate", {}).get("missing_rate", 0.2)),

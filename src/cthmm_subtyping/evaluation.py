@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emissions import MISSING
-from .errors import EmptyCohort, NoHeldOutObservations
+from .errors import EmptyCohort, ImpossibleTrajectory, NoHeldOutObservations
 from .inference import Trajectory, propagate_filter
 from .learning import EmConfig
-from .mixture import MixtureModel, assign_with_filter, fit_mixture
+from .mixture import MixtureModel, assign_subtypes, fit_mixture
 
 
 def _ceil_share(fraction: float, count: int) -> int:
@@ -61,24 +61,18 @@ def prefix_split(
     return prefix, trajectory.times[n_prefix:], trajectory.observations[n_prefix:]
 
 
-def forecast_cross_entropy(
+def _held_out_loss(
     mixture: MixtureModel, trajectory: Trajectory, prefix_fraction: float
-) -> float:
-    """Mean negative log-probability of the held-out observed bins.
-
-    The subtype is chosen from the prefix alone; missing held-out features
-    are skipped.  Raises :class:`NoHeldOutObservations` when nothing
-    remains to score.
-    """
+) -> tuple[float, int]:
+    """Summed negative log-probability of the held-out observed bins, and
+    how many bins were scored; see :func:`forecast_cross_entropy`."""
     prefix, held_times, held_obs = prefix_split(trajectory, prefix_fraction)
     if held_times.size == 0 or np.all(held_obs == MISSING):
         raise NoHeldOutObservations(
             f"patient {trajectory.patient_id!r} has no scorable held-out observations"
         )
-    subtype, _, filtered = assign_with_filter(mixture, prefix)
-    predicted = propagate_filter(
-        mixture.models[subtype], filtered, held_times - prefix.times[-1]
-    )
+    (subtype,), _, (filtered,) = assign_subtypes(mixture, [prefix])
+    predicted = propagate_filter(mixture.models[subtype], filtered, held_times - prefix.times[-1])
     total = 0.0
     scored = 0
     for i in range(held_times.size):
@@ -87,8 +81,28 @@ def forecast_cross_entropy(
             if j == MISSING:
                 continue
             # Mixing weights can overshoot one by a few ulps; keep scores >= 0.
-            total += -math.log(min(float(predicted[i][d][j]), 1.0))
+            p = min(float(predicted[i][d][j]), 1.0)
+            if not p > 0:
+                raise ImpossibleTrajectory(
+                    f"patient {trajectory.patient_id!r}: held-out bin {j} of feature {d} "
+                    f"has no probability under subtype {subtype}"
+                )
+            total -= math.log(p)
             scored += 1
+    return total, scored
+
+
+def forecast_cross_entropy(
+    mixture: MixtureModel, trajectory: Trajectory, prefix_fraction: float
+) -> float:
+    """Mean negative log-probability of the held-out observed bins.
+
+    The subtype is chosen from the prefix alone; missing held-out features
+    are skipped.  Raises :class:`NoHeldOutObservations` when nothing
+    remains to score, :class:`ImpossibleTrajectory` for a bin of zero
+    predicted probability.
+    """
+    total, scored = _held_out_loss(mixture, trajectory, prefix_fraction)
     return total / scored
 
 
@@ -154,13 +168,12 @@ def forecast_report(
     )
     for trajectory in cohort:
         try:
-            score = forecast_cross_entropy(mixture, trajectory, prefix_fraction)
+            total, scored = _held_out_loss(mixture, trajectory, prefix_fraction)
         except NoHeldOutObservations:
             report.n_skipped_patients += 1
             continue
-        _, held_times, held_obs = prefix_split(trajectory, prefix_fraction)
-        report.per_patient.append((trajectory.patient_id, score))
-        report.n_scored_observations += int(np.count_nonzero(held_obs != MISSING))
+        report.per_patient.append((trajectory.patient_id, total / scored))
+        report.n_scored_observations += scored
     return report
 
 

@@ -29,6 +29,7 @@ from .ctmc import (
 from .emissions import MISSING, EmissionTable
 from .errors import (
     DegenerateOccupancy,
+    DimensionMismatch,
     ImpossibleTrajectory,
     InvariantViolation,
     SubtypingError,
@@ -56,7 +57,6 @@ class SufficientStats:
     gamma_initial: np.ndarray
     emission_counts: tuple[np.ndarray, ...]
     n_trajectories: int = 0
-    n_timepoints: int = 0
     generator: GeneratorMatrix | None = None
     transition_probs: np.ndarray | None = None
 
@@ -90,6 +90,8 @@ class EmConfig:
             raise InvariantViolation(f"unknown structure kind {self.structure!r}")
         if self.restarts < 1:
             raise InvariantViolation("need at least one restart")
+        if self.mixture_iterations < 1:
+            raise InvariantViolation("need at least one mixture iteration")
         if self.delta_quantization is not None and not self.delta_quantization > 0:
             raise InvariantViolation("quantization step must be positive")
         if not 0 <= self.smoothing < np.inf:
@@ -188,7 +190,6 @@ def e_step(
         gamma_initial=posteriors.gamma[posteriors.starts].sum(axis=0),
         emission_counts=emission_counts,
         n_trajectories=len(trajectories),
-        n_timepoints=posteriors.gamma.shape[0],
         generator=model.generator,
         transition_probs=posteriors.kernels,
     )
@@ -290,14 +291,11 @@ def m_step_generator(
 def _empirical_bin_frequencies(
     trajectories: list[Trajectory], bin_counts: tuple[int, ...], smoothing: float
 ) -> list[np.ndarray]:
+    observations = np.concatenate([t.observations for t in trajectories])
     freqs = []
     for d, j in enumerate(bin_counts):
-        counts = np.zeros(j)
-        for traj in trajectories:
-            idx = traj.observations[:, d]
-            seen = idx[idx != MISSING]
-            counts += np.bincount(seen, minlength=j)
-        smoothed = counts + max(smoothing, 1e-6)
+        idx = observations[:, d]
+        smoothed = np.bincount(idx[idx != MISSING], minlength=j) + max(smoothing, 1e-6)
         freqs.append(smoothed / smoothed.sum())
     return freqs
 
@@ -374,6 +372,67 @@ def _run_em(
     return model, diag
 
 
+def _prepare_cohort(
+    trajectories: list[Trajectory],
+    config: EmConfig,
+    bin_counts: tuple[int, ...] | None = None,
+) -> tuple[list[Trajectory], tuple[int, ...]]:
+    """Check a training cohort, fix its bin counts and, when
+    ``config.delta_quantization`` is set, snap its gaps to that grid.
+
+    Without given counts each feature gets its largest observed bin index
+    plus one, and at least two bins.
+    """
+    if not trajectories:
+        raise InvariantViolation("cannot fit a model with no trajectories")
+    if len({t.n_features for t in trajectories}) != 1:
+        raise DimensionMismatch("trajectories disagree on feature count")
+    observed_max = np.max([t.observations.max(axis=0) for t in trajectories], axis=0)
+    if bin_counts is None:
+        bin_counts = tuple(int(m) + 1 for m in np.maximum(observed_max, 1))
+    if len(bin_counts) != observed_max.size or np.any(observed_max >= bin_counts):
+        raise DimensionMismatch(f"bin counts {bin_counts} miss observed bin indices {observed_max}")
+    if config.delta_quantization is not None:
+        trajectories = quantize_gaps(trajectories, config.delta_quantization)
+    return trajectories, tuple(bin_counts)
+
+
+def _fit_prepared(
+    trajectories: list[Trajectory],
+    n_states: int,
+    bin_counts: tuple[int, ...],
+    config: EmConfig,
+    initial_model: SubtypeModel | None = None,
+) -> tuple[SubtypeModel, FitDiagnostics]:
+    """EM with seeded restarts, or one warm-started run, on a prepared cohort."""
+    if n_states < 1:
+        raise InvariantViolation("need at least one state")
+    if initial_model is not None:
+        return _run_em(trajectories, initial_model, config)
+
+    base_freqs = _empirical_bin_frequencies(trajectories, bin_counts, config.smoothing)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    best: tuple[SubtypeModel, FitDiagnostics] | None = None
+    scores: list[float] = []
+    failure: SubtypingError | None = None
+    for seq in seeds:
+        rng = np.random.default_rng(seq)
+        start = _initial_model(trajectories, n_states, bin_counts, config, rng, base_freqs)
+        try:
+            model, diag = _run_em(trajectories, start, config)
+        except SubtypingError as err:
+            failure = err
+            scores.append(-np.inf)
+            continue
+        scores.append(diag.log_likelihood)
+        if best is None or diag.log_likelihood > best[1].log_likelihood:
+            best = (model, diag)
+    if best is None:
+        raise failure if failure is not None else DegenerateOccupancy("all restarts failed")
+    best[1].restart_scores = scores
+    return best
+
+
 def fit_disease_model(
     trajectories: list[Trajectory],
     n_states: int,
@@ -398,49 +457,15 @@ def fit_disease_model(
         When given, a single EM run warm-starts from this model and the
         random restarts are skipped.
     bin_counts
-        Bins per feature.  Defaults to the largest observed bin index plus
-        one, which undercounts when the tail bin of a feature never occurs
-        in this cohort; pass the binning-scheme counts when available.
+        Bins per feature; a larger observed bin index raises
+        :class:`DimensionMismatch`.  Defaults to the largest observed bin
+        index plus one, which undercounts when the tail bin of a feature
+        never occurs in this cohort; pass the scheme counts when available.
 
     Returns
     -------
     (model, diagnostics)
         Best model over restarts by final log-likelihood, plus the trace.
     """
-    if not trajectories:
-        raise InvariantViolation("cannot fit a model with no trajectories")
-    if n_states < 1:
-        raise InvariantViolation("need at least one state")
-    if config.delta_quantization is not None:
-        trajectories = quantize_gaps(trajectories, config.delta_quantization)
-
-    if initial_model is not None:
-        return _run_em(trajectories, initial_model, config)
-
-    if bin_counts is None:
-        observed_max = np.full(trajectories[0].n_features, -1, dtype=int)
-        for traj in trajectories:
-            observed_max = np.maximum(observed_max, traj.observations.max(axis=0))
-        bin_counts = tuple(int(m) + 1 for m in np.maximum(observed_max, 1))
-
-    base_freqs = _empirical_bin_frequencies(trajectories, bin_counts, config.smoothing)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best: tuple[SubtypeModel, FitDiagnostics] | None = None
-    scores: list[float] = []
-    failure: SubtypingError | None = None
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        start = _initial_model(trajectories, n_states, bin_counts, config, rng, base_freqs)
-        try:
-            model, diag = _run_em(trajectories, start, config)
-        except SubtypingError as err:
-            failure = err
-            scores.append(-np.inf)
-            continue
-        scores.append(diag.log_likelihood)
-        if best is None or diag.log_likelihood > best[1].log_likelihood:
-            best = (model, diag)
-    if best is None:
-        raise failure if failure is not None else DegenerateOccupancy("all restarts failed")
-    best[1].restart_scores = scores
-    return best
+    trajectories, bin_counts = _prepare_cohort(trajectories, config, bin_counts)
+    return _fit_prepared(trajectories, n_states, bin_counts, config, initial_model)

@@ -16,7 +16,7 @@ import numpy as np
 from .emissions import MISSING, BinningScheme
 from .errors import InvariantViolation, TooFewPatients
 from .inference import SubtypeModel, Trajectory, forward_filter
-from .learning import EmConfig, FitDiagnostics, fit_disease_model, quantize_gaps
+from .learning import EmConfig, FitDiagnostics, _fit_prepared, _prepare_cohort
 
 
 @dataclass
@@ -60,31 +60,21 @@ class MixtureModel:
         return self.models[0].n_states
 
 
-def _joint_scores(
-    models: tuple[SubtypeModel, ...], prior: np.ndarray, trajectories: list[Trajectory]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint log scores (B, M) and filtered state laws (M, B, K).
+def assign_subtypes(
+    mixture: MixtureModel, trajectories: list[Trajectory]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best subtype of every trajectory, from one forward-only pass.
 
-    The score of subtype m is log prior + trajectory log-likelihood, all
-    from one forward-only pass over every subtype and trajectory.
+    The joint score of subtype m is log prior + trajectory log-likelihood.
+    Returns the best subtypes (B,), all joint scores (B, M), and each
+    trajectory's filtered state law at its last timestamp under its best
+    subtype (B, K).  Ties break toward the lowest subtype index.
     """
-    log_likelihood, filtered = forward_filter(list(models), trajectories)
+    log_likelihood, filtered = forward_filter(list(mixture.models), trajectories)
     with np.errstate(divide="ignore"):
-        log_prior = np.log(prior)
-    return log_prior[None, :] + log_likelihood.T, filtered
-
-
-def assign_with_filter(
-    mixture: MixtureModel, trajectory: Trajectory
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Best subtype, all per-subtype joint log scores, and the best
-    subtype's filtered state law at the trajectory's last timestamp.
-
-    Ties break toward the lowest subtype index.
-    """
-    scores, filtered = _joint_scores(mixture.models, mixture.prior, [trajectory])
-    subtype = int(np.argmax(scores[0]))
-    return subtype, scores[0], filtered[subtype, 0]
+        scores = np.log(mixture.prior)[None, :] + log_likelihood.T
+    best = scores.argmax(axis=1)
+    return best, scores, filtered[best, np.arange(best.size)]
 
 
 def assign_subtype(mixture: MixtureModel, trajectory: Trajectory) -> tuple[int, np.ndarray]:
@@ -92,8 +82,8 @@ def assign_subtype(mixture: MixtureModel, trajectory: Trajectory) -> tuple[int, 
 
     Ties break toward the lowest subtype index.
     """
-    subtype, scores, _ = assign_with_filter(mixture, trajectory)
-    return subtype, scores
+    best, scores, _ = assign_subtypes(mixture, [trajectory])
+    return int(best[0]), scores[0]
 
 
 def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.ndarray:
@@ -106,19 +96,8 @@ def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.n
     return weights / weights.sum()
 
 
-def _bin_histograms(
-    trajectories: list[Trajectory], bin_counts: tuple[int, ...] | None
-) -> np.ndarray:
-    """Per-patient observed-bin frequency vectors, features concatenated.
-
-    Without scheme bin counts, each feature gets as many bins as its
-    largest observed index needs.
-    """
-    if bin_counts is None:
-        bin_counts = [
-            max(int(max(t.observations[:, d].max() for t in trajectories)) + 1, 1)
-            for d in range(trajectories[0].n_features)
-        ]
+def _bin_histograms(trajectories: list[Trajectory], bin_counts: tuple[int, ...]) -> np.ndarray:
+    """Per-patient observed-bin frequency vectors, features concatenated."""
     rows = []
     for t in trajectories:
         parts = []
@@ -135,7 +114,7 @@ def _initial_partition(
     trajectories: list[Trajectory],
     n_subtypes: int,
     rng: np.random.Generator,
-    bin_counts: tuple[int, ...] | None,
+    bin_counts: tuple[int, ...],
 ) -> np.ndarray:
     """Seed the alternation by clustering per-patient bin histograms.
 
@@ -210,6 +189,8 @@ def fit_mixture(
     histogram-clustered partition; later rounds warm-start from the
     previous parameters so the joint objective cannot decrease.  The
     subtype prior stays uniform unless ``config.reestimate_prior`` is set.
+    Gaps and bin counts are prepared once for the whole cohort; the bin
+    counts come from ``scheme`` when given.
 
     Returns the fitted :class:`MixtureModel` with training assignments and
     the log-objective trace (one entry after every assignment pass and
@@ -220,10 +201,9 @@ def fit_mixture(
     n = len(trajectories)
     if n < n_subtypes:
         raise TooFewPatients(f"{n} patients cannot fill {n_subtypes} subtypes")
-    if config.delta_quantization is not None:
-        trajectories = quantize_gaps(trajectories, config.delta_quantization)
-        config = replace(config, delta_quantization=None)
-    bin_counts = scheme.bin_counts if scheme is not None else None
+    trajectories, bin_counts = _prepare_cohort(
+        trajectories, config, scheme.bin_counts if scheme is not None else None
+    )
 
     rng = np.random.default_rng(config.seed)
     assignments = _initial_partition(trajectories, n_subtypes, rng, bin_counts)
@@ -237,37 +217,27 @@ def fit_mixture(
         # Refit every subtype on its current members.
         for m in range(n_subtypes):
             members = [trajectories[i] for i in np.nonzero(assignments == m)[0]]
-            models[m], diagnostics[m] = fit_disease_model(
+            models[m], diagnostics[m] = _fit_prepared(
                 members,
                 n_states,
+                bin_counts,
                 replace(config, seed=config.seed + m),
                 initial_model=models[m],
-                bin_counts=bin_counts,
             )
         if config.reestimate_prior:
             counts = np.bincount(assignments, minlength=n_subtypes)
             prior = counts / counts.sum()
         with np.errstate(divide="ignore"):
-            log_prior = np.log(prior)
-        refit_objective = sum(d.log_likelihood for d in diagnostics) + float(
-            log_prior[assignments].sum()
-        )
-        trace.append(refit_objective)
+            log_prior = float(np.log(prior)[assignments].sum())
+        trace.append(sum(d.log_likelihood for d in diagnostics) + log_prior)
 
         # Reassign every patient to its best-scoring subtype.
-        score_matrix, _ = _joint_scores(models, prior, trajectories)
-        proposed = score_matrix.argmax(axis=1)
-        best_scores = score_matrix.max(axis=1)
+        mixture = MixtureModel(tuple(models), prior, assignments, trace, scheme)
+        proposed, scores, _ = assign_subtypes(mixture, trajectories)
+        best_scores = scores[np.arange(n), proposed]
         trace.append(float(best_scores.sum()))
-        proposed = _repair_empty_subtypes(proposed, best_scores.copy(), n_subtypes)
+        proposed = _repair_empty_subtypes(proposed, best_scores, n_subtypes)
         if np.array_equal(proposed, assignments):
             break
         assignments = proposed
-
-    return MixtureModel(
-        models=tuple(models),
-        prior=prior,
-        assignments=assignments,
-        objective_trace=trace,
-        scheme=scheme,
-    )
+    return replace(mixture, assignments=assignments)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, full_mask, left_to_right_mask, validate_generator
+from .ctmc import GeneratorMatrix, validate_generator
 from .emissions import MISSING, BinningScheme, EmissionTable
 from .errors import InvariantViolation, NonPositiveInterval
 from .inference import SubtypeModel, Trajectory
+from .learning import _apply_terminal_intervention, structure_mask
 from .mixture import MixtureModel
 
 
@@ -191,10 +192,7 @@ def random_mixture(
     rng = np.random.default_rng(seed)
     models = []
     for m in range(n_subtypes):
-        if structure == "left-to-right":
-            mask = left_to_right_mask(n_states)
-        else:
-            mask = full_mask(n_states)
+        mask = structure_mask(structure, n_states)
         raw = rng.uniform(0.25, 0.65, size=(n_states, n_states)) * mask
         generator = validate_generator(raw, mask)
 
@@ -210,13 +208,9 @@ def random_mixture(
             tables.append(table / table.sum(axis=1, keepdims=True))
         emissions = EmissionTable(tables=tuple(tables))
         if terminal_intervention_feature is not None:
-            if scheme.bin_counts[terminal_intervention_feature] != 2:
-                raise InvariantViolation("intervention indicator must be binary")
-            pinned = np.tile([1.0 - smoothing, smoothing], (n_states, 1))
-            pinned[-1] = [smoothing, 1.0 - smoothing]
-            t = list(emissions.tables)
-            t[terminal_intervention_feature] = pinned
-            emissions = EmissionTable(tables=tuple(t))
+            emissions = _apply_terminal_intervention(
+                emissions, terminal_intervention_feature, smoothing
+            )
 
         initial = np.full(n_states, 0.1 / max(n_states - 1, 1))
         initial[0] = 0.9

@@ -1,13 +1,33 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cthmm_subtyping import load_model, save_model
+import cthmm_subtyping
+from cthmm_subtyping import (
+    EmissionTable,
+    ObservationTimeConfig,
+    SubtypeModel,
+    assign_subtype,
+    load_cohort,
+    load_model,
+    sample_cohort,
+    save_cohort,
+    save_model,
+)
 from cthmm_subtyping.cli import _label_accuracy, main
 
 from conftest import best_permutation_accuracy, separated_mixture, simple_scheme
@@ -221,6 +241,125 @@ class TestErrorSurface:
         assert lines[0].startswith("error InvariantViolation: ")
 
 
+def _model_and_cohort(directory):
+    """A saved two-subtype model and the rows of a small cohort CSV it scores."""
+    scheme = simple_scheme()
+    mixture = separated_mixture(
+        [np.array([[0, 0], [2, 2], [4, 4]]), np.array([[4, 4], [2, 3], [0, 1]])],
+        [[0.5, 0.4], [0.3, 0.6]],
+        scheme=scheme,
+    )
+    model = directory / "model.json"
+    save_model(mixture, model)
+    cohort = sample_cohort(
+        mixture,
+        5,
+        ObservationTimeConfig(min_observations=2, max_observations=6),
+        missing_rate=0.2,
+        seed=3,
+    )
+    data = directory / "cohort.csv"
+    save_cohort(cohort.trajectories, data, scheme)
+    with data.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    return mixture, model, rows
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, [line for line in err.getvalue().splitlines() if line]
+
+
+_FUZZ_CELLS = ["abc", "inf", "-inf", "nan", "NaN", "", " ", "1e309", "-0", "1e-320"]
+_FUZZ_EDITS = st.one_of(
+    st.tuples(st.just("drop_column"), st.integers(0, 3)),
+    st.tuples(st.just("duplicate_row"), st.integers(1, 200)),
+    st.tuples(
+        st.just("set_cell"),
+        st.integers(1, 200),
+        st.integers(0, 3),
+        st.sampled_from(_FUZZ_CELLS),
+    ),
+)
+
+
+class TestAssignAndForecastSurface:
+    def test_assign_table_matches_per_patient_scores(self, tmp_path):
+        mixture, model, rows = _model_and_cohort(tmp_path)
+        data = tmp_path / "cohort.csv"
+        out = tmp_path / "assignments.csv"
+        assert _run_cli(["assign", "--model", str(model), "--data", str(data),
+                         "--out", str(out)]) == (0, [])
+        table = _read_rows(out)
+        cohort = load_cohort(data, mixture.scheme)
+        assert [row["patient_id"] for row in table] == [t.patient_id for t in cohort]
+        for row, trajectory in zip(table, cohort):
+            subtype, scores = assign_subtype(mixture, trajectory)
+            assert int(row["subtype"]) == subtype
+            # repr round-trips, so equal floats mean bitwise-equal scores
+            assert [float(row[f"score_{m}"]) for m in range(2)] == scores.tolist()
+
+    def test_forecast_zero_probability_bin_gives_single_error_line(self, tmp_path):
+        scheme = simple_scheme()
+        mixture = separated_mixture(
+            [np.array([[0, 0], [2, 2], [4, 4]])], [[0.5, 0.4]], scheme=scheme
+        )
+        (model,) = mixture.models
+        table = model.emissions.tables[0].copy()
+        table[:, 0] = 0.0
+        table /= table.sum(axis=1, keepdims=True)
+        zeroed = SubtypeModel(
+            initial=model.initial,
+            generator=model.generator,
+            emissions=EmissionTable(tables=(table, model.emissions.tables[1])),
+        )
+        save_model(replace(mixture, models=(zeroed,)), tmp_path / "model.json")
+        # heart rate 95 falls in bin 2, 45 in bin 0; the last row is held out.
+        lines = ["patient_id,time,heart_rate,systolic_bp"]
+        lines += [f"zed,{t}.0,95,120" for t in range(4)] + ["zed,4.0,45,120"]
+        (tmp_path / "cohort.csv").write_text("\n".join(lines) + "\n")
+        code, err = _run_cli(["forecast", "--model", str(tmp_path / "model.json"),
+                              "--data", str(tmp_path / "cohort.csv"),
+                              "--out", str(tmp_path / "forecast.csv")])
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith("error ImpossibleTrajectory: ")
+        assert "'zed'" in err[0] and "feature 0" in err[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["assign", "forecast"]),
+        edits=st.lists(_FUZZ_EDITS, min_size=1, max_size=4),
+    )
+    def test_fuzzed_cohort_files_fail_cleanly(self, command, edits):
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch)
+            _, model, rows = _model_and_cohort(directory)
+            for edit in edits:
+                if edit[0] == "drop_column":
+                    rows = [row[: edit[1]] + row[edit[1] + 1 :] for row in rows]
+                elif edit[0] == "duplicate_row":
+                    i = 1 + edit[1] % (len(rows) - 1)
+                    rows.insert(i, list(rows[i]))
+                else:
+                    i = 1 + edit[1] % (len(rows) - 1)
+                    if edit[2] < len(rows[i]):
+                        rows[i][edit[2]] = edit[3]
+            data = directory / "mutated.csv"
+            with data.open("w", newline="") as handle:
+                csv.writer(handle).writerows(rows)
+            code, err = _run_cli([command, "--model", str(model), "--data", str(data),
+                                  "--out", str(directory / "out.csv")])
+        assert code in (0, 1)
+        if code == 0:
+            assert err == []
+        else:
+            assert len(err) == 1
+            assert re.match(r"error [A-Za-z]+: ", err[0])
+
+
 def test_label_accuracy_matches_permutation_search():
     rng = np.random.default_rng(5)
     for n_subtypes in (1, 2, 3, 4):
@@ -237,10 +376,15 @@ def test_label_accuracy_matches_permutation_search():
 
 
 def test_console_entry_point_runs():
+    # The child interpreter must find the package wherever this one did.
+    package_root = os.path.dirname(os.path.dirname(cthmm_subtyping.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited]))}
     result = subprocess.run(
         [sys.executable, "-m", "cthmm_subtyping", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "fit" in result.stdout and "simulate" in result.stdout

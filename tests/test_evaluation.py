@@ -7,6 +7,7 @@ from cthmm_subtyping import (
     EmConfig,
     EmissionTable,
     EmptyCohort,
+    ImpossibleTrajectory,
     MixtureModel,
     NoHeldOutObservations,
     ObservationTimeConfig,
@@ -179,6 +180,20 @@ class TestForecastCrossEntropy:
         with pytest.raises(NoHeldOutObservations):
             forecast_cross_entropy(mixture, all_missing_tail, 0.7)
 
+    def test_zero_probability_held_out_bin_is_impossible(self):
+        mixture = _flat_mixture(table_rows=np.array([[0.0, 1.0, 0.0]]))
+        t = Trajectory("zed", np.arange(6.0), np.array([[1], [1], [1], [1], [1], [0]]))
+        with pytest.raises(ImpossibleTrajectory, match=r"'zed'.*feature 0"):
+            forecast_cross_entropy(mixture, t, 0.7)
+        with pytest.raises(ImpossibleTrajectory, match="zed"):
+            forecast_report(mixture, [t], 0.7)
+
+    def test_impossible_prefix_is_impossible(self):
+        mixture = _flat_mixture(table_rows=np.array([[0.0, 1.0, 0.0]]))
+        t = Trajectory("zed", np.arange(6.0), np.array([[0], [1], [1], [1], [1], [1]]))
+        with pytest.raises(ImpossibleTrajectory, match="zed"):
+            forecast_cross_entropy(mixture, t, 0.7)
+
 
 class TestForecastReport:
     def test_skipped_patients_counted(self):
@@ -190,6 +205,9 @@ class TestForecastReport:
         assert report.n_skipped_patients == 1
         assert report.n_patients == 6
         assert report.mean >= 0.0
+        assert report.n_scored_observations == sum(
+            np.count_nonzero(prefix_split(t, 0.7)[2] != -1) for t in cohort
+        )
 
     def test_standard_error_recomputable(self):
         mixture = _flat_mixture(table_rows=np.array([[0.3, 0.7]]))

@@ -283,10 +283,13 @@ class TestRunConfig:
             "terminal_intervention": True,
             "seed": 11,
             "em": {"max_iterations": 77, "smoothing": 0.01},
+            # Unknown top-level keys, such as the retired time_unit, are ignored.
+            "time_unit": "hours",
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         config = load_config(path)
+        assert not hasattr(config, "time_unit")
         assert config.subtypes == [2, 3]
         assert config.states == [4]
         assert config.em.max_iterations == 77

@@ -429,6 +429,24 @@ class TestFitDiseaseModel:
         assert diag_a.trace == diag_b.trace
         assert np.array_equal(model_a.generator.rates, model_b.generator.rates)
 
+    def test_given_bin_counts_must_cover_observed_bins(self):
+        rng = np.random.default_rng(11)
+        _, trajectories = _cohort(rng, 5, 2, (5,), missing=0.0)
+        trajectories.append(Trajectory("top", np.array([0.0, 1.0]), np.array([[4], [4]])))
+        config = EmConfig(seed=0, restarts=1, max_iterations=3)
+        with pytest.raises(DimensionMismatch, match=r"\(3,\)"):
+            fit_disease_model(trajectories, 2, config, bin_counts=(3,))
+        with pytest.raises(DimensionMismatch):
+            fit_disease_model(trajectories, 2, config, bin_counts=(5, 5))
+        model, _ = fit_disease_model(trajectories, 2, config)
+        assert model.emissions.bin_counts == (5,)
+
+    def test_feature_count_must_agree(self):
+        a = Trajectory("a", np.array([0.0, 1.0]), np.array([[0], [1]]))
+        b = Trajectory("b", np.array([0.0, 1.0]), np.array([[0, 1], [1, 0]]))
+        with pytest.raises(DimensionMismatch):
+            fit_disease_model([a, b], 1, EmConfig(restarts=1, max_iterations=2))
+
     def test_quantized_gaps_stay_positive(self):
         t = Trajectory("p", np.array([0.0, 0.01, 0.02]), np.full((3, 1), -1))
         (q,) = quantize_gaps([t], 0.5)
@@ -451,6 +469,7 @@ class TestEmConfig:
             {"rate_bounds": (1e4, 1e5)},
             {"tolerance": np.nan},
             {"delta_quantization": np.nan},
+            {"mixture_iterations": 0},
         ],
     )
     def test_invalid_settings_rejected(self, settings):

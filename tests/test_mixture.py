@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cthmm_subtyping import (
+    DimensionMismatch,
     EmConfig,
     InvariantViolation,
     MixtureModel,
@@ -9,7 +10,7 @@ from cthmm_subtyping import (
     TooFewPatients,
     Trajectory,
     assign_subtype,
-    assign_with_filter,
+    assign_subtypes,
     assignment_posteriors,
     fit_disease_model,
     fit_mixture,
@@ -26,6 +27,7 @@ from conftest import (
     random_observations,
     random_times,
     separated_mixture,
+    simple_scheme,
 )
 
 TWO_SUBTYPE_PEAKS = [
@@ -127,12 +129,36 @@ class TestFitMixture:
             Trajectory(f"p{i}", random_times(rng, 6), random_observations(rng, 6, (3, 2)))
             for i in range(5)
         ]
-        inferred = _bin_histograms(cohort, None)
+        inferred = _bin_histograms(cohort, (3, 2))
         widened = _bin_histograms(cohort, (5, 4))
         assert inferred.shape == (5, 5)
         assert widened.shape == (5, 9)
         assert np.array_equal(widened[:, [0, 1, 2, 5, 6]], inferred)
         assert np.all(widened[:, [3, 4, 7, 8]] == 0.0)
+
+    def test_bins_come_from_the_whole_cohort(self):
+        # Half the patients only use bins {0, 1}, the other half {3, 4}: each
+        # subtype's members alone would imply a different bin count.
+        rng = np.random.default_rng(12)
+        cohort = []
+        for i in range(40):
+            low = 0 if i % 2 == 0 else 3
+            n = int(rng.integers(4, 9))
+            observations = (low + rng.integers(0, 2, size=(n, 1))).astype(int)
+            cohort.append(Trajectory(f"p{i}", random_times(rng, n), observations))
+        config = EmConfig(seed=2, restarts=1, max_iterations=6, mixture_iterations=4)
+        mixture = fit_mixture(cohort, 2, 1, config)
+        assert all(model.emissions.bin_counts == (5,) for model in mixture.models)
+        accuracy, _ = best_permutation_accuracy(mixture.assignments, np.arange(40) % 2, 2)
+        assert accuracy == 1.0
+
+    def test_scheme_bins_must_cover_observed_bins(self):
+        rng = np.random.default_rng(13)
+        cohort = [
+            Trajectory(f"p{i}", random_times(rng, 4), np.full((4, 2), i % 5)) for i in range(6)
+        ]
+        with pytest.raises(DimensionMismatch):
+            fit_mixture(cohort, 2, 1, EmConfig(restarts=1), scheme=simple_scheme(bins=3))
 
     def test_too_few_patients(self):
         rng = np.random.default_rng(1)
@@ -195,12 +221,12 @@ class TestAssignSubtype:
         times = np.cumsum(np.full(9, 0.7))
         for seed in range(4):
             trajectory, _ = sample_trajectory(mixture.models[seed % 2], times, 0.3, seed=seed)
-            subtype, scores, filtered = assign_with_filter(mixture, trajectory)
+            best, scores, filtered = assign_subtypes(mixture, [trajectory])
             expected_subtype, expected_scores = assign_subtype(mixture, trajectory)
-            assert subtype == expected_subtype
-            assert np.array_equal(scores, expected_scores)
-            gamma = forward_backward(mixture.models[subtype], trajectory).gamma
-            assert filtered == pytest.approx(gamma[-1], rel=1e-12, abs=1e-15)
+            assert best[0] == expected_subtype
+            assert np.array_equal(scores[0], expected_scores)
+            gamma = forward_backward(mixture.models[best[0]], trajectory).gamma
+            assert filtered[0] == pytest.approx(gamma[-1], rel=1e-12, abs=1e-15)
 
     def test_argmax_invariant_to_constant_score_shift(self):
         mixture = separated_mixture(TWO_SUBTYPE_PEAKS, TWO_SUBTYPE_RATES)
@@ -226,6 +252,44 @@ class TestAssignSubtype:
             swapped, swapped_scores = assign_subtype(permuted, trajectory)
             assert swapped == 1 - original
             assert swapped_scores == pytest.approx(scores[::-1])
+
+
+class TestAssignSubtypes:
+    def test_cohort_call_matches_per_patient_calls(self):
+        mixture = separated_mixture(
+            TWO_SUBTYPE_PEAKS + [np.array([[2, 4], [2, 2], [0, 4]])],
+            TWO_SUBTYPE_RATES + [[0.4, 0.4]],
+        )
+        cohort = sample_cohort(
+            mixture,
+            50,
+            ObservationTimeConfig(min_observations=1, max_observations=15),
+            missing_rate=0.3,
+            seed=47,
+        ).trajectories
+        best, scores, filtered = assign_subtypes(mixture, cohort)
+        assert best.shape == (50,) and scores.shape == (50, 3) and filtered.shape == (50, 3)
+        for b, trajectory in enumerate(cohort):
+            subtype, expected = assign_subtype(mixture, trajectory)
+            assert best[b] == subtype
+            assert np.array_equal(scores[b], expected)
+
+    def test_ties_go_to_lowest_index(self):
+        rng = np.random.default_rng(14)
+        model = random_model(rng, 2, (3,))
+        mixture = MixtureModel(
+            models=(model, model),
+            prior=np.array([0.5, 0.5]),
+            assignments=np.empty(0, dtype=int),
+            objective_trace=[],
+        )
+        cohort = [
+            Trajectory(f"p{i}", random_times(rng, 4), random_observations(rng, 4, (3,)))
+            for i in range(5)
+        ]
+        best, scores, _ = assign_subtypes(mixture, cohort)
+        assert np.all(best == 0)
+        assert np.array_equal(scores[:, 0], scores[:, 1])
 
 
 class TestAssignmentPosteriors:
