@@ -27,7 +27,6 @@ from .emissions import (
     EmissionTable,
     FeatureBinning,
     discretize,
-    emission_log_likelihood,
     expected_feature_value,
 )
 from .errors import (

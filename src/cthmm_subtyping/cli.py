@@ -27,6 +27,10 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(","))
+
+
 def _single(values: list[int], flag: str) -> int:
     if len(values) != 1:
         raise SubtypingError(f"{flag} takes a single value here, got {values}")
@@ -159,26 +163,14 @@ def _label_accuracy(assigned: np.ndarray, truth: np.ndarray, n_subtypes: int) ->
 def _cmd_fit(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cohort = cohort_io.load_cohort(args.data, config.scheme)
-    scheme = config.scheme
     if args.features:
-        names = tuple(name.strip() for name in args.features.split(","))
-        cohort, scheme = cohort_io.restrict_features(cohort, scheme, names)
-        keep_intervention = config.intervention_feature in names
-        config = replace(
-            config,
-            scheme=scheme,
-            eval_features=None,
-            intervention_feature=(
-                config.intervention_feature if keep_intervention else None
-            ),
-            terminal_intervention=config.terminal_intervention and keep_intervention,
-        )
+        cohort, config = cohort_io.restrict_features(cohort, config, _names(args.features))
     mixture = fit_mixture(
         cohort,
         _single(config.subtypes, "--subtypes"),
         _single(config.states, "--states"),
         config.em_config(),
-        scheme=scheme,
+        scheme=config.scheme,
     )
     cohort_io.save_model(mixture, args.out)
     sizes = np.bincount(mixture.assignments, minlength=mixture.n_subtypes)
@@ -234,14 +226,9 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cohort = cohort_io.load_cohort(args.data, config.scheme)
-    scheme = config.scheme
-    subset = None
-    if args.features:
-        subset = tuple(name.strip() for name in args.features.split(","))
-    elif config.eval_features:
-        subset = config.eval_features
+    subset = _names(args.features) if args.features else config.eval_features
     if subset:
-        cohort, scheme = cohort_io.restrict_features(cohort, scheme, subset)
+        cohort, config = cohort_io.restrict_features(cohort, config, subset)
     result = grid_evaluate(
         cohort,
         config.subtypes,
@@ -250,7 +237,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         train_fraction=config.train_fraction,
         prefix_fraction=config.prefix_fraction,
         split_seed=config.seed,
-        scheme=scheme,
+        scheme=config.scheme,
     )
     records = result.to_records()
     _write_csv(
@@ -272,18 +259,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scheme = _model_scheme(mixture)
     else:
         scheme = config.scheme
+        em = config.em_config()
         mixture = random_mixture(
             _single(config.subtypes, "--subtypes"),
             _single(config.states, "--states"),
             scheme,
             seed=config.seed,
-            structure="left-to-right" if config.left_to_right else "full",
-            terminal_intervention_feature=(
-                scheme.index(config.intervention_feature)
-                if config.terminal_intervention
-                else None
-            ),
-            smoothing=config.em.smoothing,
+            structure=em.structure,
+            terminal_intervention_feature=em.terminal_intervention_feature,
+            smoothing=em.smoothing,
         )
     n_patients = args.patients if args.patients is not None else config.sim_patients
     cohort = sample_cohort(

@@ -64,6 +64,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 < self.train_fraction < 1 or not 0 < self.prefix_fraction < 1:
             raise InvariantViolation("split fractions must lie strictly between 0 and 1")
+        for flag, counts in (("subtypes", self.subtypes), ("states", self.states)):
+            if not counts or min(counts) < 1:
+                raise InvariantViolation(f"need {flag} counts, each >= 1, got {counts}")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
         names = self.scheme.names
         if self.intervention_feature is not None and self.intervention_feature not in names:
             raise InvariantViolation(
@@ -79,7 +84,12 @@ class RunConfig:
             )
 
     def em_config(self) -> EmConfig:
-        """EM settings with the structural flags folded in."""
+        """EM settings with the structural flags folded in.
+
+        The only place that turns ``left_to_right``, ``terminal_intervention``
+        and ``intervention_feature`` into :class:`EmConfig` fields; the
+        intervention index is taken against this config's own scheme.
+        """
         updates: dict = {}
         if self.left_to_right:
             updates["structure"] = "left-to-right"
@@ -227,11 +237,23 @@ def save_cohort(cohort: list[Trajectory], path: str | Path, scheme: BinningSchem
 
 
 def restrict_features(
-    cohort: list[Trajectory], scheme: BinningScheme, names: tuple[str, ...]
-) -> tuple[list[Trajectory], BinningScheme]:
-    """Project a cohort and its scheme onto a subset of features."""
-    idx = [scheme.index(name) for name in names]
-    sub_scheme = BinningScheme(tuple(scheme.features[i] for i in idx))
+    cohort: list[Trajectory], config: RunConfig, names: tuple[str, ...]
+) -> tuple[list[Trajectory], RunConfig]:
+    """Project a cohort and its run configuration onto a subset of features.
+
+    The returned config carries the projected scheme and no
+    ``eval_features``.  The intervention feature, and with it the terminal
+    pinning, survives only when it is in ``names``.
+    """
+    idx = [config.scheme.index(name) for name in names]
+    keep = config.intervention_feature in names
+    config = replace(
+        config,
+        scheme=BinningScheme(tuple(config.scheme.features[i] for i in idx)),
+        eval_features=None,
+        intervention_feature=config.intervention_feature if keep else None,
+        terminal_intervention=config.terminal_intervention and keep,
+    )
     projected = [
         Trajectory(
             patient_id=t.patient_id,
@@ -240,7 +262,7 @@ def restrict_features(
         )
         for t in cohort
     ]
-    return projected, sub_scheme
+    return projected, config
 
 
 def _model_payload(mixture: MixtureModel) -> dict:
@@ -333,7 +355,7 @@ def load_model(path: str | Path) -> MixtureModel:
         )
     except SubtypingError as err:
         raise InvariantViolation(f"{path}: {err}") from err
-    except (KeyError, TypeError, ValueError, IndexError) as err:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
         raise InvariantViolation(f"{path}: malformed model file: {err}") from err
     if scheme is not None and scheme.bin_counts != mixture.models[0].emissions.bin_counts:
         raise InvariantViolation(f"{path}: scheme bins disagree with emission tables")

@@ -32,8 +32,9 @@ class FeatureBinning:
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
         object.__setattr__(self, "bins", int(self.bins))
-        if not self.lower < self.upper:
-            raise InvariantViolation(f"feature {self.name!r}: lower must be < upper")
+        # A finite width also rules out infinite bounds and overflow.
+        if not (self.lower < self.upper and math.isfinite(self.upper - self.lower)):
+            raise InvariantViolation(f"feature {self.name!r}: need finite lower < upper")
         if self.bins < 2:
             raise InvariantViolation(f"feature {self.name!r}: need at least 2 bins")
 
@@ -127,8 +128,8 @@ class EmissionTable:
                 raise InvariantViolation("emission tables disagree on state count")
             if table.shape[1] < 1:
                 raise InvariantViolation(f"feature {d}: no bins")
-            if np.any(table < 0):
-                raise InvariantViolation(f"feature {d}: negative emission probability")
+            if not np.all(table >= 0):
+                raise InvariantViolation(f"feature {d}: negative or NaN emission probability")
             if np.abs(table.sum(axis=1) - 1.0).max() > 1e-12:
                 raise InvariantViolation(f"feature {d}: emission rows must sum to 1")
             table = np.ascontiguousarray(table)
@@ -149,42 +150,19 @@ class EmissionTable:
         return tuple(t.shape[1] for t in self.tables)
 
     @cached_property
-    def log_tables(self) -> tuple[np.ndarray, ...]:
-        out = []
-        with np.errstate(divide="ignore"):
-            for t in self.tables:
-                lt = np.log(t)
-                lt.flags.writeable = False
-                out.append(lt)
-        return tuple(out)
-
-    @cached_property
     def _log_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Every feature's log table stacked bin-major, plus row offsets.
 
         Row ``offsets[d] + j`` holds log P(bin j of feature d | state) for
         all states; the final row is zero and stands for MISSING.
         """
-        rows = np.concatenate([*self.log_tables, np.zeros((self.n_states, 1))], axis=1)
+        with np.errstate(divide="ignore"):
+            rows = np.log(np.concatenate([*self.tables, np.ones((self.n_states, 1))], axis=1))
         rows = np.ascontiguousarray(rows.T)
         offsets = np.cumsum((0, *self.bin_counts[:-1]))
         rows.flags.writeable = False
         offsets.flags.writeable = False
         return rows, offsets
-
-
-def emission_log_likelihood(table: EmissionTable, state: int, observation: np.ndarray) -> float:
-    """Log-probability of one observation vector given a hidden state.
-
-    Missing features contribute nothing; an all-missing vector scores 0.
-    """
-    observation = np.asarray(observation)
-    total = 0.0
-    for d in range(table.n_features):
-        j = int(observation[d])
-        if j != MISSING:
-            total += table.log_tables[d][state, j]
-    return total
 
 
 def log_emission_matrix(table: EmissionTable, observations: np.ndarray) -> np.ndarray:

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emissions import MISSING
-from .errors import EmptyCohort, ImpossibleTrajectory, NoHeldOutObservations
+from .errors import (
+    EmptyCohort,
+    ImpossibleTrajectory,
+    InvariantViolation,
+    NoHeldOutObservations,
+)
 from .inference import Trajectory, propagate_filter
 from .learning import EmConfig
 from .mixture import MixtureModel, assign_subtypes, fit_mixture
@@ -34,7 +39,7 @@ def split_cohort(
     if not cohort:
         raise EmptyCohort("cannot split an empty cohort")
     if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+        raise InvariantViolation("train_fraction must lie strictly between 0 and 1")
     order = np.random.default_rng(seed).permutation(len(cohort))
     n_train = _ceil_share(train_fraction, len(cohort))
     train = [cohort[i] for i in order[:n_train]]
@@ -51,7 +56,7 @@ def prefix_split(
     and observations (both possibly empty).
     """
     if not 0 < prefix_fraction < 1:
-        raise ValueError("prefix_fraction must lie strictly between 0 and 1")
+        raise InvariantViolation("prefix_fraction must lie strictly between 0 and 1")
     n_prefix = _ceil_share(prefix_fraction, trajectory.length)
     prefix = Trajectory(
         patient_id=trajectory.patient_id,
@@ -158,7 +163,8 @@ def forecast_report(
     """Score every patient, averaging per patient first and then over patients.
 
     Patients whose held-out portion is empty or entirely missing are
-    excluded from the average and counted as skipped.
+    excluded from the average and counted as skipped; when that leaves no
+    patient to score, raises :class:`NoHeldOutObservations`.
     """
     report = ForecastReport(
         subtypes=mixture.n_subtypes,
@@ -174,6 +180,11 @@ def forecast_report(
             continue
         report.per_patient.append((trajectory.patient_id, total / scored))
         report.n_scored_observations += scored
+    if not report.per_patient:
+        raise NoHeldOutObservations(
+            f"none of {len(cohort)} patients has held-out observations "
+            f"after a {prefix_fraction} prefix"
+        )
     return report
 
 
@@ -226,7 +237,7 @@ def grid_evaluate(
 ) -> GridEvaluation:
     """Fit and score every (subtypes, states) combination on one shared split."""
     if not subtype_counts or not state_counts:
-        raise ValueError("need at least one subtype count and one state count")
+        raise InvariantViolation("need at least one subtype count and one state count")
     train, test = split_cohort(cohort, train_fraction, split_seed)
     if not test:
         raise EmptyCohort("the split left no test patients")

@@ -91,7 +91,7 @@ class SubtypeModel:
         initial = np.asarray(self.initial, dtype=float)
         if initial.ndim != 1:
             raise InvariantViolation("initial distribution must be a vector")
-        if np.any(initial < 0) or abs(initial.sum() - 1.0) > 1e-12:
+        if not np.all(initial >= 0) or abs(initial.sum() - 1.0) > 1e-12:
             raise InvariantViolation("initial distribution must be a probability vector")
         if initial.size != self.generator.size:
             raise InvariantViolation("initial distribution size differs from state count")
@@ -387,9 +387,9 @@ def predictive_bin_distributions(
     """
     future_times = np.asarray(future_times, dtype=float)
     if future_times.ndim != 1 or future_times.size < 1:
-        raise ValueError("future_times must be a non-empty 1-d sequence")
+        raise InvariantViolation("future_times must be a non-empty 1-d sequence")
     if not np.all(np.diff(future_times) > 0):
-        raise ValueError("future_times must be strictly increasing")
+        raise InvariantViolation("future_times must be strictly increasing")
     t_end = prefix.times[-1]
     if not future_times[0] > t_end:
         raise NonCausalQuery(
@@ -423,7 +423,7 @@ def progression_trajectory(
     if np.any(model.generator.mask != left_to_right_mask(n_states)):
         raise StructureNotChain("progression reports need the left-to-right mask")
     if not 0 <= start_state < n_states:
-        raise ValueError(f"start_state {start_state} out of range")
+        raise InvariantViolation(f"start_state {start_state} out of range")
 
     durations = sojourn_expectation(model.generator)
     stages = []

@@ -46,22 +46,21 @@ class SufficientStats:
     ``gaps`` holds the sorted distinct inter-observation gaps (shape G) and
     ``pair_counts[g]`` the K x K posterior counts of (state before, state
     after) pairs at gap ``gaps[g]`` (shape G x K x K).
-    ``generator`` is the generator the E-step ran under and
-    ``transition_probs[g]`` its P(``gaps[g]``); the generator update reuses
-    them and rejects any other generator.  Both are None for statistics
-    built by hand, and the update then builds the kernels itself.
+    ``generator`` is the generator the statistics were accumulated under,
+    the one the generator update revises, and ``transition_probs[g]`` its
+    P(``gaps[g]``) from the E-step.  Statistics built by hand may leave the
+    kernels out; the update then builds them from ``generator``.
     """
 
     gaps: np.ndarray
     pair_counts: np.ndarray
     gamma_initial: np.ndarray
     emission_counts: tuple[np.ndarray, ...]
-    n_trajectories: int = 0
     generator: GeneratorMatrix | None = None
     transition_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.generator is None) != (self.transition_probs is None):
+        if self.generator is None and self.transition_probs is not None:
             raise InvariantViolation("transition kernels need the generator they came from")
 
 
@@ -79,9 +78,10 @@ class EmConfig:
     delta_quantization: float | None = None
     terminal_intervention_feature: int | None = None
     mixture_iterations: int = 50
-    reestimate_prior: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
         if not self.tolerance > 0:
             raise InvariantViolation("tolerance must be positive")
         if self.max_iterations < 1:
@@ -116,16 +116,6 @@ class FitDiagnostics:
     trace: list[float] = field(default_factory=list)
     restart_scores: list[float] = field(default_factory=list)
     degenerate_events: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "log_likelihood": self.log_likelihood,
-            "trace": list(self.trace),
-            "restart_scores": list(self.restart_scores),
-            "degenerate_events": self.degenerate_events,
-        }
 
 
 def structure_mask(kind: str, n_states: int) -> np.ndarray:
@@ -189,7 +179,6 @@ def e_step(
         pair_counts=pair_counts,
         gamma_initial=posteriors.gamma[posteriors.starts].sum(axis=0),
         emission_counts=emission_counts,
-        n_trajectories=len(trajectories),
         generator=model.generator,
         transition_probs=posteriors.kernels,
     )
@@ -223,32 +212,24 @@ def m_step_initial(stats: SufficientStats) -> np.ndarray:
     return pi / pi.sum()
 
 
-def generator_update_terms(
-    stats: SufficientStats, previous: GeneratorMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
     """Numerators and denominators of the closed-form generator update.
 
     For each allowed transition (a, b) the numerator is the expected
     number of a -> b jumps and the denominator the expected time spent in
-    ``a``, both end-conditioned under ``previous`` and aggregated over the
-    per-gap pair counts.  With A = counts / P(gap) (zero where P is below
-    ``P_FLOOR``), the upper-right block D of expm([[Q, A^T], [0, Q]] gap)
-    gives the sojourn times on its diagonal and the jumps as Q * D^T;
-    one stacked exponential covers every distinct gap.  P(gap) comes from
-    the E-step when ``stats`` were accumulated under ``previous``; statistics
-    from any other generator raise :class:`InvariantViolation`.
+    ``a``, both end-conditioned under ``stats.generator`` and aggregated
+    over the per-gap pair counts.  With A = counts / P(gap) (zero where P
+    is below ``P_FLOOR``), the upper-right block D of
+    expm([[Q, A^T], [0, Q]] gap) gives the sojourn times on its diagonal
+    and the jumps as Q * D^T; one stacked exponential covers every
+    distinct gap.  P(gap) is the E-step's kernel when ``stats`` carry one.
     """
-    if stats.generator is None:
+    previous = stats.generator
+    if previous is None:
+        raise InvariantViolation("statistics carry no generator to update")
+    probs = stats.transition_probs
+    if probs is None:
         probs = transition_kernels(previous.rates[None], stats.gaps)[0]
-    elif stats.generator is previous or (
-        np.array_equal(stats.generator.rates, previous.rates)
-        and np.array_equal(stats.generator.mask, previous.mask)
-    ):
-        probs = stats.transition_probs
-    else:
-        raise InvariantViolation(
-            "statistics were accumulated under a different generator than the one updated"
-        )
     reachable = probs >= P_FLOOR
     weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
     integral = _interval_integral(
@@ -261,10 +242,9 @@ def generator_update_terms(
 
 def m_step_generator(
     stats: SufficientStats,
-    previous: GeneratorMatrix,
     rate_bounds: tuple[float, float] = (RATE_MIN, RATE_MAX),
 ) -> tuple[GeneratorMatrix, tuple[int, ...]]:
-    """Closed-form generator update under the previous iteration's rates.
+    """Closed-form generator update of ``stats.generator``.
 
     Allowed transitions get expected-jumps / expected-sojourn, clamped into
     ``rate_bounds`` (so a transition that was never seen is pinned at the
@@ -272,7 +252,8 @@ def m_step_generator(
     occupancy is below 1e-10 would divide by nothing, so its previous row
     is kept; such states are returned as the second element.
     """
-    numer, denom = generator_update_terms(stats, previous)
+    numer, denom = generator_update_terms(stats)
+    previous = stats.generator
     mask = previous.mask
     has_exit = mask.any(axis=1)
     degenerate = tuple(int(a) for a in np.nonzero(has_exit & (denom < _OCCUPANCY_FLOOR))[0])
@@ -313,7 +294,7 @@ def _apply_terminal_intervention(
     return EmissionTable(tables=tuple(tables))
 
 
-def _initial_model(
+def _random_start(
     trajectories: list[Trajectory],
     n_states: int,
     bin_counts: tuple[int, ...],
@@ -360,7 +341,7 @@ def _run_em(
                 emissions, config.terminal_intervention_feature, config.smoothing
             )
         pi = m_step_initial(stats)
-        generator, degenerate = m_step_generator(stats, model.generator, config.rate_bounds)
+        generator, degenerate = m_step_generator(stats, config.rate_bounds)
         diag.degenerate_events += len(degenerate)
         model = SubtypeModel(initial=pi, generator=generator, emissions=emissions)
     else:
@@ -402,13 +383,10 @@ def _fit_prepared(
     n_states: int,
     bin_counts: tuple[int, ...],
     config: EmConfig,
-    initial_model: SubtypeModel | None = None,
 ) -> tuple[SubtypeModel, FitDiagnostics]:
-    """EM with seeded restarts, or one warm-started run, on a prepared cohort."""
+    """EM with seeded restarts on a prepared cohort."""
     if n_states < 1:
         raise InvariantViolation("need at least one state")
-    if initial_model is not None:
-        return _run_em(trajectories, initial_model, config)
 
     base_freqs = _empirical_bin_frequencies(trajectories, bin_counts, config.smoothing)
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
@@ -417,7 +395,7 @@ def _fit_prepared(
     failure: SubtypingError | None = None
     for seq in seeds:
         rng = np.random.default_rng(seq)
-        start = _initial_model(trajectories, n_states, bin_counts, config, rng, base_freqs)
+        start = _random_start(trajectories, n_states, bin_counts, config, rng, base_freqs)
         try:
             model, diag = _run_em(trajectories, start, config)
         except SubtypingError as err:
@@ -437,7 +415,6 @@ def fit_disease_model(
     trajectories: list[Trajectory],
     n_states: int,
     config: EmConfig,
-    initial_model: SubtypeModel | None = None,
     bin_counts: tuple[int, ...] | None = None,
 ) -> tuple[SubtypeModel, FitDiagnostics]:
     """Fit one subtype model by EM with seeded random restarts.
@@ -453,9 +430,6 @@ def fit_disease_model(
         gaps are snapped to that grid before training so both the E- and
         M-step see identical gaps (this preserves exact EM monotonicity on
         the quantized record).
-    initial_model
-        When given, a single EM run warm-starts from this model and the
-        random restarts are skipped.
     bin_counts
         Bins per feature; a larger observed bin index raises
         :class:`DimensionMismatch`.  Defaults to the largest observed bin
@@ -468,4 +442,4 @@ def fit_disease_model(
         Best model over restarts by final log-likelihood, plus the trace.
     """
     trajectories, bin_counts = _prepare_cohort(trajectories, config, bin_counts)
-    return _fit_prepared(trajectories, n_states, bin_counts, config, initial_model)
+    return _fit_prepared(trajectories, n_states, bin_counts, config)

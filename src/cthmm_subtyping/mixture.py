@@ -16,7 +16,7 @@ import numpy as np
 from .emissions import MISSING, BinningScheme
 from .errors import InvariantViolation, TooFewPatients
 from .inference import SubtypeModel, Trajectory, forward_filter
-from .learning import EmConfig, FitDiagnostics, _fit_prepared, _prepare_cohort
+from .learning import EmConfig, FitDiagnostics, _fit_prepared, _prepare_cohort, _run_em
 
 
 @dataclass
@@ -35,7 +35,7 @@ class MixtureModel:
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (len(self.models),):
             raise InvariantViolation("prior length differs from subtype count")
-        if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-12:
+        if not np.all(prior >= 0) or abs(prior.sum() - 1.0) > 1e-12:
             raise InvariantViolation("subtype prior must be a probability vector")
         first = self.models[0]
         for model in self.models[1:]:
@@ -188,9 +188,8 @@ def fit_mixture(
     The first round fits each subtype from random restarts on a seeded
     histogram-clustered partition; later rounds warm-start from the
     previous parameters so the joint objective cannot decrease.  The
-    subtype prior stays uniform unless ``config.reestimate_prior`` is set.
-    Gaps and bin counts are prepared once for the whole cohort; the bin
-    counts come from ``scheme`` when given.
+    subtype prior stays uniform.  Gaps and bin counts are prepared once
+    for the whole cohort; the bin counts come from ``scheme`` when given.
 
     Returns the fitted :class:`MixtureModel` with training assignments and
     the log-objective trace (one entry after every assignment pass and
@@ -217,16 +216,12 @@ def fit_mixture(
         # Refit every subtype on its current members.
         for m in range(n_subtypes):
             members = [trajectories[i] for i in np.nonzero(assignments == m)[0]]
-            models[m], diagnostics[m] = _fit_prepared(
-                members,
-                n_states,
-                bin_counts,
-                replace(config, seed=config.seed + m),
-                initial_model=models[m],
-            )
-        if config.reestimate_prior:
-            counts = np.bincount(assignments, minlength=n_subtypes)
-            prior = counts / counts.sum()
+            if models[m] is None:
+                models[m], diagnostics[m] = _fit_prepared(
+                    members, n_states, bin_counts, replace(config, seed=config.seed + m)
+                )
+            else:
+                models[m], diagnostics[m] = _run_em(members, models[m], config)
         with np.errstate(divide="ignore"):
             log_prior = float(np.log(prior)[assignments].sum())
         trace.append(sum(d.log_likelihood for d in diagnostics) + log_prior)

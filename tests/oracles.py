@@ -25,6 +25,19 @@ def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
     return total
 
 
+def emission_log_likelihood(table, state: int, observation: np.ndarray) -> float:
+    """Log-probability of one observation vector given a hidden state.
+
+    Missing features (-1) contribute nothing; an all-missing vector scores 0.
+    """
+    total = 0.0
+    for d, probs in enumerate(table.tables):
+        j = int(observation[d])
+        if j != -1:
+            total += float(np.log(probs[state, j]))
+    return total
+
+
 def emission_probs(tables: list[np.ndarray], observations: np.ndarray) -> np.ndarray:
     """Per-(timepoint, state) likelihoods; missing entries (-1) are skipped."""
     n = observations.shape[0]

@@ -360,6 +360,277 @@ class TestAssignAndForecastSurface:
             assert re.match(r"error [A-Za-z]+: ", err[0])
 
 
+    def test_forecast_with_nothing_to_score_gives_single_error_line(self, tmp_path):
+        _, model, _ = _model_and_cohort(tmp_path)
+        data = tmp_path / "short.csv"
+        data.write_text("patient_id,time,heart_rate,systolic_bp\na,0.0,95,120\nb,1.0,60,100\n")
+        out = tmp_path / "forecast.csv"
+        code, err = _run_cli(["forecast", "--model", str(model), "--data", str(data),
+                              "--out", str(out)])
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith("error NoHeldOutObservations: ")
+        assert not out.exists()
+
+
+def _readme_config():
+    """The JSON block under the README's run-configuration heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Run configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+# heart_rate, then a binary flag that is not the intervention, then the
+# intervention indicator; restricting to a subset moves or drops the latter.
+_INTERVENTION_CONFIG = {
+    "features": [
+        {"name": "heart_rate", "lower": 40, "upper": 150, "bins": 5},
+        {"name": "intervention", "lower": 0, "upper": 1, "bins": 2},
+        {"name": "flag", "lower": 0, "upper": 1, "bins": 2},
+    ],
+    "intervention_feature": "intervention",
+    "subtypes": 1,
+    "states": 2,
+    "left_to_right": True,
+    "terminal_intervention": True,
+    "seed": 5,
+    "em": {"max_iterations": 4, "restarts": 1, "mixture_iterations": 2},
+    "simulate": {"patients": 24, "missing_rate": 0.1, "max_observations": 10},
+}
+
+
+def _pinned(n_states, epsilon=1e-3):
+    table = np.tile([1.0 - epsilon, epsilon], (n_states, 1))
+    table[-1] = [epsilon, 1.0 - epsilon]
+    return table
+
+
+class TestRunSettings:
+    def test_readme_config_runs_end_to_end(self, tmp_path):
+        config = _readme_config()
+        config["em"].update(max_iterations=3, restarts=1, mixture_iterations=2)
+        config["simulate"].update(patients=30, max_observations=10)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        cohort, model = str(tmp_path / "cohort.csv"), str(tmp_path / "model.json")
+        common = ["--config", str(path)]
+        for argv in (
+            ["simulate", *common, "--out", cohort],
+            ["fit", *common, "--data", cohort, "--out", model],
+            ["grid", *common, "--data", cohort, "--out", str(tmp_path / "grid.csv")],
+            ["forecast", *common, "--model", model, "--data", cohort,
+             "--out", str(tmp_path / "forecast.csv")],
+        ):
+            assert _run_cli(argv) == (0, []), argv
+        (row,) = _read_rows(tmp_path / "grid.csv")
+        assert np.isfinite(float(row["mean_cross_entropy"]))
+
+    @pytest.mark.parametrize(
+        "features, pinned",
+        [("intervention,flag", 0), ("flag,heart_rate,intervention", 2), ("heart_rate,flag", None)],
+    )
+    def test_grid_features_pin_the_intervention_only(self, tmp_path, monkeypatch,
+                                                     features, pinned):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_INTERVENTION_CONFIG))
+        cohort = str(tmp_path / "cohort.csv")
+        assert _run_cli(["simulate", "--config", str(path), "--out", cohort])[0] == 0
+        fitted = []
+
+        def recording_fit(*args, **kwargs):
+            fitted.append(evaluation_fit(*args, **kwargs))
+            return fitted[-1]
+
+        evaluation_fit = cthmm_subtyping.evaluation.fit_mixture
+        monkeypatch.setattr(cthmm_subtyping.evaluation, "fit_mixture", recording_fit)
+        argv = ["grid", "--config", str(path), "--data", cohort, "--features", features,
+                "--out", str(tmp_path / "grid.csv")]
+        assert _run_cli(argv) == (0, [])
+        (mixture,) = fitted
+        names = features.split(",")
+        for d, table in enumerate(mixture.models[0].emissions.tables):
+            is_pinned = table.shape == (2, 2) and np.array_equal(table, _pinned(2))
+            assert is_pinned == (d == pinned), names[d]
+
+    def test_fit_features_pin_the_intervention_at_its_new_index(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_INTERVENTION_CONFIG))
+        cohort, model = str(tmp_path / "cohort.csv"), tmp_path / "model.json"
+        assert _run_cli(["simulate", "--config", str(path), "--out", cohort])[0] == 0
+        argv = ["fit", "--config", str(path), "--data", cohort, "--features",
+                "flag,intervention", "--out", str(model)]
+        assert _run_cli(argv) == (0, [])
+        flag, intervention = load_model(model).models[0].emissions.tables
+        assert np.array_equal(intervention, _pinned(2))
+        assert not np.array_equal(flag, _pinned(2))
+
+    def test_simulate_follows_the_em_structure(self, tmp_path):
+        config = {"subtypes": 1, "states": 3, "seed": 2,
+                  "em": {"structure": "left-to-right"},
+                  "simulate": {"patients": 20, "mean_gap": 2.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        cohort = tmp_path / "cohort.csv"
+        assert _run_cli(["simulate", "--config", str(path), "--out", str(cohort)])[0] == 0
+        states: dict[str, list[int]] = {}
+        for row in _read_rows(tmp_path / "cohort.truth.csv"):
+            states.setdefault(row["patient_id"], []).append(int(row["hidden_state"]))
+        assert len(states) == 20
+        assert any(path[-1] > path[0] for path in states.values())
+        assert all(np.all(np.diff(path) >= 0) for path in states.values())
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("simulate", ["--states", "0"]),
+            ("simulate", ["--subtypes", "0"]),
+            ("simulate", ["--seed", "-1"]),
+            ("fit", ["--seed", "-1"]),
+            ("grid", ["--states", ","]),
+            ("grid", ["--subtypes", "0,2"]),
+        ],
+    )
+    def test_bad_settings_give_single_error_line(self, workdir, command, flags):
+        tmp, config = workdir
+        cohort = str(tmp / "cohort.csv")
+        assert _run_cli(["simulate", "--config", config, "--out", cohort])[0] == 0
+        argv = [command, "--config", config, "--out", str(tmp / "out.csv"), *flags]
+        if command != "simulate":
+            argv += ["--data", cohort]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith("error InvariantViolation: ")
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1)
+    if code == 0:
+        assert err == []
+    else:
+        assert len(err) == 1
+        assert re.match(r"error [A-Za-z]+: ", err[0])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A config with an intervention feature, a cohort it simulates, a model."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    config = dict(_INTERVENTION_CONFIG, terminal_intervention=False, left_to_right=False,
+                  em={"max_iterations": 3, "restarts": 1, "mixture_iterations": 2})
+    config["simulate"] = {"patients": 12, "missing_rate": 0.2, "max_observations": 8}
+    (directory / "config.json").write_text(json.dumps(config))
+    _, model, _ = _model_and_cohort(directory)
+    argv = ["simulate", "--config", str(directory / "config.json"),
+            "--out", str(directory / "sim.csv")]
+    assert _run_cli(argv)[0] == 0
+    return directory
+
+
+_COUNTS = st.sampled_from(["", ",", "0", "-1", "1", "2", "3", "0,2", "1,2", "2,,1"])
+_FRACTIONS = st.sampled_from(["nan", "inf", "-inf", "0", "1", "-0.5", "0.3", "0.7", "1e-300"])
+_SEEDS = st.one_of(st.integers(-3, 3), st.integers(2**62, 2**80)).map(str)
+_FEATURE_SETS = st.sampled_from(
+    ["heart_rate", "intervention", "flag,intervention", "intervention,heart_rate",
+     "heart_rate,flag", ",", "nope", "flag,flag"]
+)
+_OPTIONS = {
+    "simulate": {"--subtypes": _COUNTS, "--states": _COUNTS, "--seed": _SEEDS,
+                 "--patients": st.integers(-1, 12).map(str)},
+    "fit": {"--subtypes": _COUNTS, "--states": _COUNTS, "--seed": _SEEDS,
+            "--features": _FEATURE_SETS},
+    "grid": {"--subtypes": _COUNTS, "--states": _COUNTS, "--seed": _SEEDS,
+             "--features": _FEATURE_SETS, "--train-fraction": _FRACTIONS,
+             "--prefix-fraction": _FRACTIONS},
+    "forecast": {"--seed": _SEEDS, "--prefix-fraction": _FRACTIONS},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True)):
+        argv.append(f"{flag}={draw(options[flag])}")  # "=" keeps "-inf" a value
+    if command != "forecast":
+        argv += [flag for flag in ("--left-to-right", "--terminal-intervention")
+                 if draw(st.booleans())]
+    return argv
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, (*path, key))]
+
+
+def _resolve(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+_LEAF_VALUES = [float("nan"), float("inf"), -float("inf"), -1, 0, 1e308, "x", None, [], {}, True]
+_MODEL_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("set_leaf"), st.integers(0, 10**6), st.sampled_from(_LEAF_VALUES)),
+    st.tuples(st.just("drop_item"), st.integers(0, 10**6)),
+    st.tuples(st.just("version"), st.sampled_from([0, 2, "1", None, 1.5])),
+)
+
+
+class TestSettingsAndModelFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    def test_fuzzed_arguments_fail_cleanly(self, fuzz_dir, argv):
+        argv = argv + ["--config", str(fuzz_dir / "config.json"),
+                       "--out", str(fuzz_dir / "out.csv")]
+        if argv[0] in ("fit", "grid", "forecast"):
+            argv += ["--data", str(fuzz_dir / ("cohort.csv" if argv[0] == "forecast"
+                                               else "sim.csv"))]
+        if argv[0] == "forecast":
+            argv += ["--model", str(fuzz_dir / "model.json")]
+        _assert_clean_exit(*_run_cli(argv))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["assign", "forecast", "report", "simulate"]),
+        edits=st.lists(_MODEL_EDITS, min_size=1, max_size=3),
+    )
+    def test_fuzzed_model_files_fail_cleanly(self, fuzz_dir, command, edits):
+        payload = json.loads((fuzz_dir / "model.json").read_text())
+        text = None
+        for edit in edits:
+            leaves = _leaf_paths(payload)
+            if edit[0] == "set_leaf":
+                *parent, key = leaves[edit[1] % len(leaves)]
+                _resolve(payload, parent)[key] = edit[2]
+            elif edit[0] == "drop_item":
+                items = [path for path in leaves if isinstance(path[-1], int)]
+                if items:
+                    *parent, index = items[edit[1] % len(items)]
+                    del _resolve(payload, parent)[index]
+            elif edit[0] == "version":
+                payload["version"] = edit[1]
+            elif edit[0] == "truncate":
+                full = json.dumps(payload)
+                text = full[: int(edit[1] * len(full))]
+                break
+        model = fuzz_dir / "mutated.json"
+        model.write_text(json.dumps(payload) if text is None else text)
+        argv = [command, "--model", str(model), "--out", str(fuzz_dir / "out.csv")]
+        if command in ("assign", "forecast"):
+            argv += ["--data", str(fuzz_dir / "cohort.csv")]
+        if command == "simulate":
+            argv += ["--patients", "3"]
+        _assert_clean_exit(*_run_cli(argv))
+
+
 def test_label_accuracy_matches_permutation_search():
     rng = np.random.default_rng(5)
     for n_subtypes in (1, 2, 3, 4):

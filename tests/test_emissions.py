@@ -14,10 +14,11 @@ from cthmm_subtyping import (
     InvariantViolation,
     UnknownFeature,
     discretize,
-    emission_log_likelihood,
     expected_feature_value,
 )
 from cthmm_subtyping.emissions import log_emission_matrix
+
+from oracles import emission_log_likelihood
 
 HEART_RATE = FeatureBinning(name="heart_rate", lower=40.0, upper=150.0, bins=5)
 SCHEME = BinningScheme((HEART_RATE,))
@@ -66,6 +67,9 @@ class TestDiscretize:
             FeatureBinning(name="x", lower=10.0, upper=10.0, bins=5)
         with pytest.raises(InvariantViolation):
             FeatureBinning(name="x", lower=0.0, upper=1.0, bins=1)
+        for lower, upper in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
+            with pytest.raises(InvariantViolation):
+                FeatureBinning(name="x", lower=lower, upper=upper, bins=5)
 
 
 class TestEmissionTable:
@@ -76,6 +80,10 @@ class TestEmissionTable:
     def test_negative_probability_rejected(self):
         with pytest.raises(InvariantViolation):
             EmissionTable(tables=(np.array([[1.2, -0.2]]),))
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(InvariantViolation, match="NaN"):
+            EmissionTable(tables=(np.array([[np.nan, 1.0]]),))
 
     def test_feature_state_counts_must_agree(self):
         with pytest.raises(InvariantViolation):

@@ -196,6 +196,15 @@ class TestForecastCrossEntropy:
 
 
 class TestForecastReport:
+    def test_nothing_to_score_raises(self):
+        mixture = _flat_mixture(table_rows=np.array([[0.5, 0.5]]))
+        cohort = [
+            Trajectory("a", np.array([0.0]), np.array([[0]])),
+            Trajectory("b", np.array([2.0]), np.array([[1]])),
+        ]
+        with pytest.raises(NoHeldOutObservations, match="none of 2 patients"):
+            forecast_report(mixture, cohort, 0.7)
+
     def test_skipped_patients_counted(self):
         mixture = _flat_mixture(table_rows=np.array([[0.25, 0.75]]))
         rng = np.random.default_rng(5)

@@ -63,6 +63,13 @@ class TestTrajectory:
         assert t.length == 1
 
 
+class TestSubtypeModel:
+    def test_nan_initial_law_rejected(self):
+        model = random_model(np.random.default_rng(3), 2, (2,))
+        with pytest.raises(InvariantViolation, match="initial"):
+            SubtypeModel(np.array([np.nan, 1.0]), model.generator, model.emissions)
+
+
 class TestForwardBackward:
     def test_single_point_all_missing_returns_prior(self):
         rng = np.random.default_rng(1)
@@ -340,7 +347,7 @@ class TestPredictive:
         prefix = Trajectory("p", np.array([0.0, 2.0]), np.array([[0], [1]]))
         with pytest.raises(NonCausalQuery):
             predictive_bin_distributions(model, prefix, np.array([1.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolation):
             predictive_bin_distributions(model, prefix, np.array([3.0, 2.5]))
 
 

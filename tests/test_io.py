@@ -246,18 +246,47 @@ def discretize_hr(value):
     return discretize(value, "heart_rate", simple_scheme())
 
 
+_WITH_INTERVENTION = {
+    "features": [
+        {"name": "heart_rate", "lower": 40, "upper": 150, "bins": 5},
+        {"name": "flag", "lower": 0, "upper": 1, "bins": 2},
+        {"name": "intervention", "lower": 0, "upper": 1, "bins": 2},
+    ],
+    "intervention_feature": "intervention",
+    "eval_features": ["heart_rate", "flag"],
+    "terminal_intervention": True,
+    "left_to_right": True,
+}
+
+
 class TestRestrictFeatures:
     def test_projection(self, tmp_path):
         path = tmp_path / "cohort.csv"
         path.write_text(COHORT_CSV)
-        scheme = simple_scheme()
-        cohort = load_cohort(path, scheme)
-        projected, sub = restrict_features(cohort, scheme, ("systolic_bp",))
-        assert sub.names == ("systolic_bp",)
+        config = RunConfig(scheme=simple_scheme(), eval_features=("heart_rate",))
+        cohort = load_cohort(path, config.scheme)
+        projected, sub = restrict_features(cohort, config, ("systolic_bp",))
+        assert sub.scheme.names == ("systolic_bp",)
+        assert sub.eval_features is None
         assert projected[0].observations.shape[1] == 1
         assert np.array_equal(
             projected[0].observations[:, 0], cohort[0].observations[:, 1]
         )
+
+    def test_intervention_is_indexed_in_the_subset(self):
+        config = config_from_dict(_WITH_INTERVENTION)
+        assert config.em_config().terminal_intervention_feature == 2
+        _, sub = restrict_features([], config, ("intervention", "heart_rate"))
+        assert sub.intervention_feature == "intervention"
+        assert sub.em_config().terminal_intervention_feature == 0
+        assert sub.em_config().structure == "left-to-right"
+
+    def test_subset_without_intervention_pins_nothing(self):
+        config = config_from_dict(_WITH_INTERVENTION)
+        _, sub = restrict_features([], config, ("heart_rate", "flag"))
+        assert sub.intervention_feature is None
+        assert not sub.terminal_intervention
+        assert sub.em_config().terminal_intervention_feature is None
 
 
 class TestRunConfig:
@@ -301,6 +330,32 @@ class TestRunConfig:
     def test_bad_fraction_rejected(self):
         with pytest.raises(InvariantViolation):
             RunConfig(train_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"subtypes": []},
+            {"states": []},
+            {"subtypes": [0]},
+            {"states": [2, 0]},
+            {"subtypes": [-1]},
+            {"seed": -1},
+            {"train_fraction": float("nan")},
+        ],
+    )
+    def test_invalid_settings_rejected(self, settings):
+        with pytest.raises(InvariantViolation):
+            RunConfig(**settings)
+
+    def test_negative_em_seed_in_file_rejected(self):
+        with pytest.raises(InvariantViolation, match="seed"):
+            config_from_dict({"seed": -3})
+        with pytest.raises(InvariantViolation, match="seed"):
+            config_from_dict({"em": {"seed": -3}})
+
+    def test_retired_em_setting_is_parse_error(self):
+        with pytest.raises(ParseError, match="reestimate_prior"):
+            config_from_dict({"em": {"reestimate_prior": True}})
 
     def test_unknown_eval_feature_rejected(self):
         with pytest.raises(InvariantViolation):

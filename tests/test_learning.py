@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from cthmm_subtyping import (
     DimensionMismatch,
     EmConfig,
     EmissionTable,
-    GeneratorMatrix,
     ImpossibleTrajectory,
     InvariantViolation,
     MixtureModel,
@@ -26,7 +27,7 @@ from cthmm_subtyping import (
     transition_matrix,
     validate_generator,
 )
-from cthmm_subtyping.learning import generator_update_terms, structure_mask
+from cthmm_subtyping.learning import _run_em, generator_update_terms, structure_mask
 
 from conftest import (
     chain_model,
@@ -59,7 +60,6 @@ class TestEStep:
         model, trajectories = _cohort(rng, 4, 1, (3,))
         stats, _ = e_step(model, trajectories)
         gaps = [g for t in trajectories for g in np.diff(t.times)]
-        assert stats.n_trajectories == 4
         total_pairs = stats.pair_counts.sum()
         assert total_pairs == pytest.approx(len(gaps), abs=1e-10)
         raw = np.zeros(3)
@@ -140,7 +140,7 @@ class TestEStep:
         with pytest.raises(ImpossibleTrajectory, match="ghost"):
             e_step(model, [impossible])
         with pytest.raises(ImpossibleTrajectory, match="ghost"):
-            fit_disease_model([impossible], 2, EmConfig(), initial_model=model)
+            _run_em([impossible], model, EmConfig())
 
 
 class TestMStepEmissions:
@@ -217,7 +217,7 @@ class TestMStepGenerator:
             seed=42,
         )
         stats, _ = e_step(truth, cohort.trajectories)
-        updated, _ = m_step_generator(stats, truth.generator)
+        updated, _ = m_step_generator(stats)
         assert updated.rates[0, 1] == pytest.approx(0.5, rel=0.10)
 
     def test_zero_transitions_clamp_to_rate_floor(self):
@@ -229,8 +229,9 @@ class TestMStepGenerator:
             pair_counts=np.array([[[1.0, 0.0], [0.0, 0.0]]]),
             gamma_initial=np.array([1.0, 0.0]),
             emission_counts=(np.zeros((2, 2)),),
+            generator=previous,
         )
-        updated, _ = m_step_generator(stats, previous)
+        updated, _ = m_step_generator(stats)
         assert updated.rates[0, 1] == 1e-6
 
     def test_single_state_stays_zero(self):
@@ -240,8 +241,9 @@ class TestMStepGenerator:
             pair_counts=np.array([[[3.0]]]),
             gamma_initial=np.array([1.0]),
             emission_counts=(np.zeros((1, 2)),),
+            generator=previous,
         )
-        updated, _ = m_step_generator(stats, previous)
+        updated, _ = m_step_generator(stats)
         assert updated.rates.tolist() == [[0.0]]
 
     def test_degenerate_occupancy_keeps_previous_row(self):
@@ -253,25 +255,25 @@ class TestMStepGenerator:
             pair_counts=np.array([[[0.0, 0.0], [0.0, 1.0]]]),
             gamma_initial=np.array([0.0, 1.0]),
             emission_counts=(np.zeros((2, 2)),),
+            generator=previous,
         )
-        kept, degenerate = m_step_generator(stats, previous)
+        kept, degenerate = m_step_generator(stats)
         assert kept.rates[0, 1] == 0.7
         assert degenerate == (0,)
 
-    def test_statistics_from_another_generator_rejected(self):
+    def test_hand_built_statistics_build_their_kernels(self):
         rng = np.random.default_rng(12)
         model, trajectories = _cohort(rng, 6, 3, (2,))
         stats, _ = e_step(model, trajectories)
-        expected, _ = m_step_generator(stats, model.generator)
-        # An equal generator built anew is the same generator.
-        copy = GeneratorMatrix(rates=model.generator.rates.copy(), mask=model.generator.mask)
-        updated, _ = m_step_generator(stats, copy)
+        assert stats.generator is model.generator
+        expected, _ = m_step_generator(stats)
+        # Without the E-step kernels the update builds P(gap) from the
+        # statistics' own generator, and lands on the same rates.
+        bare = replace(stats, transition_probs=None)
+        updated, _ = m_step_generator(bare)
         assert np.array_equal(updated.rates, expected.rates)
-        other = validate_generator(2.0 * model.generator.rates, model.generator.mask)
-        with pytest.raises(InvariantViolation, match="different generator"):
-            m_step_generator(stats, other)
-        with pytest.raises(InvariantViolation, match="different generator"):
-            generator_update_terms(stats, other)
+        with pytest.raises(InvariantViolation, match="no generator"):
+            generator_update_terms(replace(bare, generator=None))
 
     def test_kernels_need_their_generator(self):
         with pytest.raises(InvariantViolation, match="generator they came from"):
@@ -295,6 +297,7 @@ class TestMStepGenerator:
             pair_counts=rng.uniform(0.0, 5.0, (gaps.size, n_states, n_states)),
             gamma_initial=np.ones(n_states),
             emission_counts=(np.zeros((n_states, 2)),),
+            generator=previous,
         )
         numer = np.zeros((n_states, n_states))
         denom = np.zeros(n_states)
@@ -306,7 +309,7 @@ class TestMStepGenerator:
             probs = np.array([transition_matrix(previous, gap).probs for gap in gaps])
             assert np.any(probs < P_FLOOR)
 
-        batched_numer, batched_denom = generator_update_terms(stats, previous)
+        batched_numer, batched_denom = generator_update_terms(stats)
         scale = max(np.abs(numer).max(), np.abs(denom).max())
         assert np.abs(batched_numer - numer).max() <= 1e-10 * scale
         assert np.abs(batched_denom - denom).max() <= 1e-10 * scale
@@ -470,6 +473,7 @@ class TestEmConfig:
             {"tolerance": np.nan},
             {"delta_quantization": np.nan},
             {"mixture_iterations": 0},
+            {"seed": -1},
         ],
     )
     def test_invalid_settings_rejected(self, settings):

@@ -123,6 +123,11 @@ class TestFitMixture:
         with pytest.raises(InvariantViolation):
             fit_mixture([t], 0, 2, EmConfig())
 
+    def test_nan_prior_rejected(self):
+        model = random_model(np.random.default_rng(2), 2, (2,))
+        with pytest.raises(InvariantViolation, match="prior"):
+            MixtureModel((model, model), np.array([np.nan, 1.0]), np.empty(0, int), [])
+
     def test_histograms_take_scheme_bins(self):
         rng = np.random.default_rng(3)
         cohort = [
