@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cohort_io
-from .errors import SubtypingError
+from .errors import ParseError, SubtypingError, UnknownColumn
 from .evaluation import forecast_report, grid_evaluate
 from .inference import progression_trajectory
 from .mixture import assign_subtypes, fit_mixture
@@ -160,11 +160,34 @@ def _label_accuracy(assigned: np.ndarray, truth: np.ndarray, n_subtypes: int) ->
     return float(confusion[rows, cols].sum() / len(assigned))
 
 
+def _read_truth(path: str | Path, patient_ids: list[str]) -> np.ndarray:
+    """Each patient's subtype from a ``simulate`` ground-truth sidecar."""
+    labels = {}
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        for column in ("patient_id", "subtype"):
+            if column not in (reader.fieldnames or ()):
+                raise UnknownColumn(f"{path}: missing required column {column!r}")
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                labels[row["patient_id"]] = np.int64(int(row["subtype"]))
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(
+                    f"{path}:{line_no}: subtype {row['subtype']!r} is not a 64-bit integer"
+                ) from None
+    missing = [pid for pid in patient_ids if pid not in labels]
+    if missing:
+        raise ParseError(f"{path}: no subtype for patient {missing[0]!r}")
+    return np.array([labels[pid] for pid in patient_ids])
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     config = _load_config(args)
     cohort = cohort_io.load_cohort(args.data, config.scheme)
     if args.features:
         cohort, config = cohort_io.restrict_features(cohort, config, _names(args.features))
+    if args.truth:
+        truth = _read_truth(args.truth, [t.patient_id for t in cohort])
     mixture = fit_mixture(
         cohort,
         _single(config.subtypes, "--subtypes"),
@@ -181,11 +204,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
           f"({len(mixture.objective_trace)} tracked steps)")
     print(f"model written to {args.out}")
     if args.truth:
-        truth_by_id = {}
-        with Path(args.truth).open(newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                truth_by_id[row["patient_id"]] = int(row["subtype"])
-        truth = np.array([truth_by_id[t.patient_id] for t in cohort])
         accuracy = _label_accuracy(mixture.assignments, truth, mixture.n_subtypes)
         print(f"label accuracy vs ground truth (best permutation): {accuracy:.4f}")
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -124,8 +125,6 @@ def config_from_dict(payload: dict) -> RunConfig:
         )
         scheme = BinningScheme(features) if features else BinningScheme(DEFAULT_FEATURES)
         em_payload = dict(payload.get("em", {}))
-        if "rate_bounds" in em_payload:
-            em_payload["rate_bounds"] = tuple(em_payload["rate_bounds"])
         if "seed" not in em_payload and "seed" in payload:
             em_payload["seed"] = int(payload["seed"])
         em = EmConfig(**em_payload)
@@ -166,11 +165,13 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
 
     Required columns: ``patient_id``, ``time``, plus one column per
     configured feature.  Empty feature fields and out-of-range values both
-    ingest as missing.  Rows are grouped by patient (order of first
-    appearance) and sorted by time; duplicate (patient, time) rows are
-    rejected.
+    ingest as missing; each feature column is binned in one call.  Rows
+    are grouped by patient (order of first appearance) and sorted by time;
+    duplicate (patient, time) rows are rejected.
     """
     path = Path(path)
+    rows = array("d")  # row-major (patient index, time, *features); empty cells are NaN
+    patients: dict[str, int] = {}
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -179,7 +180,6 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
             if column not in reader.fieldnames:
                 raise UnknownColumn(f"{path}: missing required column {column!r}")
 
-        rows: dict[str, list[tuple[float, list[int]]]] = {}
         for line_no, row in enumerate(reader, start=2):
             pid = (row.get("patient_id") or "").strip()
             if not pid:
@@ -192,33 +192,32 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
                 ) from None
             if not math.isfinite(t):
                 raise ParseError(f"{path}:{line_no}: time {t} is not finite")
-            bins = []
-            for d, name in enumerate(scheme.names):
-                raw = (row.get(name) or "").strip()
-                if raw == "":
-                    bins.append(MISSING)
-                    continue
+            rows.extend((patients.setdefault(pid, len(patients)), t))
+            for feature in scheme.features:
+                raw = (row.get(feature.name) or "").strip()
                 try:
-                    value = float(raw)
+                    rows.append(float(raw) if raw else math.nan)
                 except ValueError:
                     raise ParseError(
-                        f"{path}:{line_no}: feature {name!r} value {raw!r} is not a number"
+                        f"{path}:{line_no}: feature {feature.name!r} value {raw!r} is not a number"
                     ) from None
-                bins.append(discretize(value, d, scheme))
-            rows.setdefault(pid, []).append((t, bins))
 
-    if not rows:
+    if not patients:
         raise EmptyCohort(f"{path}: no data rows")
 
-    cohort = []
-    for pid, records in rows.items():
-        records.sort(key=lambda r: r[0])
-        times = np.array([t for t, _ in records])
-        if not np.all(np.diff(times) > 0):
-            raise DuplicateTimestamp(f"{path}: duplicate timestamp for patient {pid!r}")
-        obs = np.array([b for _, b in records], dtype=int)
-        cohort.append(Trajectory(patient_id=pid, times=times, observations=obs))
-    return cohort
+    table = np.frombuffer(rows).reshape(-1, 2 + scheme.n_features)
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    patient, times = table[:, 0], table[:, 1]
+    repeated = (np.diff(times) <= 0) & (np.diff(patient) == 0)
+    if np.any(repeated):
+        pid = list(patients)[int(patient[np.argmax(repeated)])]
+        raise DuplicateTimestamp(f"{path}: duplicate timestamp for patient {pid!r}")
+    observations = np.empty((len(table), scheme.n_features), dtype=int)
+    for d in range(scheme.n_features):
+        observations[:, d] = discretize(table[:, 2 + d], d, scheme)
+    cuts = np.flatnonzero(np.diff(patient)) + 1
+    pieces = zip(patients, np.split(times, cuts), np.split(observations, cuts))
+    return [Trajectory(patient_id=pid, times=t, observations=obs) for pid, t, obs in pieces]
 
 
 def save_cohort(cohort: list[Trajectory], path: str | Path, scheme: BinningScheme) -> None:

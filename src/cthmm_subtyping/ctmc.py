@@ -130,17 +130,13 @@ class EndConditionedStats:
         object.__setattr__(self, "expected_sojourn", _frozen(self.expected_sojourn))
 
 
-def validate_generator(
-    raw: np.ndarray,
-    mask: np.ndarray,
-    rate_bounds: tuple[float, float] = (RATE_MIN, RATE_MAX),
-) -> GeneratorMatrix:
+def validate_generator(raw: np.ndarray, mask: np.ndarray) -> GeneratorMatrix:
     """Build a valid generator from raw off-diagonal rates.
 
     The diagonal of ``raw`` is ignored and recomputed as the negative row
     sum.  Masked-off entries are zeroed, and nonzero rates are clamped into
-    ``rate_bounds``.  Zero rates on masked-in entries are left at zero (the
-    transition simply never fires).
+    [RATE_MIN, RATE_MAX].  Zero rates on masked-in entries are left at zero
+    (the transition simply never fires).
 
     Raises
     ------
@@ -166,10 +162,9 @@ def validate_generator(
     if np.any(raw[off_diag] < 0):
         raise NegativeOffDiagonal("off-diagonal rates must be nonnegative")
 
-    lo, hi = rate_bounds
     rates = np.where(mask, raw, 0.0)
     nonzero = mask & (rates > 0)
-    rates[nonzero] = np.clip(rates[nonzero], lo, hi)
+    rates[nonzero] = np.clip(rates[nonzero], RATE_MIN, RATE_MAX)
     np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=1))
     return GeneratorMatrix(rates=rates, mask=mask)

@@ -89,18 +89,35 @@ class BinningScheme:
         return feature
 
 
-def discretize(value: float, feature: int | str, scheme: BinningScheme) -> int:
-    """Map a raw value to its bin index, or MISSING if outside the range.
+def discretize(values, feature: int | str, scheme: BinningScheme) -> np.ndarray:
+    """Map raw values to bin indices, MISSING where outside the range.
 
     Bins are half-open except the last, so the upper boundary itself lands
-    in the final bin.  NaN counts as missing.
+    in the final bin.  NaN counts as missing.  Returns an integer array of
+    the input's shape (0-d for a scalar).
     """
     binning = scheme.features[scheme.index(feature)]
-    value = float(value)
-    if math.isnan(value) or value < binning.lower or value > binning.upper:
-        return MISSING
-    idx = int((value - binning.lower) / binning.width)
-    return min(idx, binning.bins - 1)
+    values = np.asarray(values, dtype=float)
+    inside = (values >= binning.lower) & (values <= binning.upper)
+    offset = np.where(inside, values, binning.lower) - binning.lower
+    index = np.minimum(np.floor(offset / binning.width), binning.bins - 1)
+    return np.where(inside, index, MISSING).astype(int)
+
+
+def stacked_columns(observations: np.ndarray, bin_counts: tuple[int, ...]) -> np.ndarray:
+    """Column of each cell of an (n, D) bin-index array in the stacked layout.
+
+    Bin j of feature d goes to column ``sum(bin_counts[:d]) + j`` and
+    MISSING to the final one; a bin outside its feature's range raises
+    :class:`DimensionMismatch`.
+    """
+    observations = np.asarray(observations)
+    bad = np.any((observations >= np.array(bin_counts)) | (observations < MISSING), axis=0)
+    if np.any(bad):
+        d = int(np.argmax(bad))
+        raise DimensionMismatch(f"feature {d}: bin index out of range for {bin_counts[d]} bins")
+    offsets = np.cumsum((0, *bin_counts[:-1]))
+    return np.where(observations == MISSING, sum(bin_counts), observations + offsets)
 
 
 @dataclass(frozen=True)
@@ -149,20 +166,19 @@ class EmissionTable:
     def bin_counts(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tables)
 
-    @cached_property
-    def _log_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every feature's log table stacked bin-major, plus row offsets.
+    @property
+    def stacked(self) -> np.ndarray:
+        """Every feature's table side by side, in the layout of
+        :func:`stacked_columns`; the final (MISSING) column is all ones."""
+        return np.concatenate([*self.tables, np.ones((self.n_states, 1))], axis=1)
 
-        Row ``offsets[d] + j`` holds log P(bin j of feature d | state) for
-        all states; the final row is zero and stands for MISSING.
-        """
+    @cached_property
+    def _log_stacked(self) -> np.ndarray:
+        """Log of :attr:`stacked`, transposed to one row per column."""
         with np.errstate(divide="ignore"):
-            rows = np.log(np.concatenate([*self.tables, np.ones((self.n_states, 1))], axis=1))
-        rows = np.ascontiguousarray(rows.T)
-        offsets = np.cumsum((0, *self.bin_counts[:-1]))
+            rows = np.ascontiguousarray(np.log(self.stacked).T)
         rows.flags.writeable = False
-        offsets.flags.writeable = False
-        return rows, offsets
+        return rows
 
 
 def log_emission_matrix(table: EmissionTable, observations: np.ndarray) -> np.ndarray:
@@ -173,18 +189,7 @@ def log_emission_matrix(table: EmissionTable, observations: np.ndarray) -> np.nd
     Raises :class:`DimensionMismatch` for a bin index outside its
     feature's range.
     """
-    rows, offsets = table._log_rows
-    observations = np.asarray(observations)
-    out_of_range = np.any(
-        (observations >= np.array(table.bin_counts)) | (observations < MISSING), axis=0
-    )
-    if np.any(out_of_range):
-        d = int(np.argmax(out_of_range))
-        raise DimensionMismatch(
-            f"feature {d}: bin index out of range for {table.bin_counts[d]} bins"
-        )
-    index = np.where(observations == MISSING, rows.shape[0] - 1, observations + offsets)
-    return rows[index.T].sum(axis=0)
+    return table._log_stacked[stacked_columns(observations, table.bin_counts).T].sum(axis=0)
 
 
 def expected_feature_value(

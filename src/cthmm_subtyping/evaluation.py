@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emissions import MISSING
+from .emissions import MISSING, stacked_columns
 from .errors import (
     EmptyCohort,
     ImpossibleTrajectory,
@@ -72,29 +72,25 @@ def _held_out_loss(
     """Summed negative log-probability of the held-out observed bins, and
     how many bins were scored; see :func:`forecast_cross_entropy`."""
     prefix, held_times, held_obs = prefix_split(trajectory, prefix_fraction)
-    if held_times.size == 0 or np.all(held_obs == MISSING):
+    observed = held_obs != MISSING
+    if not observed.any():
         raise NoHeldOutObservations(
             f"patient {trajectory.patient_id!r} has no scorable held-out observations"
         )
     (subtype,), _, (filtered,) = assign_subtypes(mixture, [prefix])
-    predicted = propagate_filter(mixture.models[subtype], filtered, held_times - prefix.times[-1])
-    total = 0.0
-    scored = 0
-    for i in range(held_times.size):
-        for d in range(held_obs.shape[1]):
-            j = held_obs[i, d]
-            if j == MISSING:
-                continue
-            # Mixing weights can overshoot one by a few ulps; keep scores >= 0.
-            p = min(float(predicted[i][d][j]), 1.0)
-            if not p > 0:
-                raise ImpossibleTrajectory(
-                    f"patient {trajectory.patient_id!r}: held-out bin {j} of feature {d} "
-                    f"has no probability under subtype {subtype}"
-                )
-            total -= math.log(p)
-            scored += 1
-    return total, scored
+    model = mixture.models[subtype]
+    predicted = propagate_filter(model, filtered, held_times - prefix.times[-1])
+    columns = stacked_columns(held_obs, model.emissions.bin_counts)
+    # Mixing weights can overshoot one by a few ulps; keep scores >= 0.
+    p = np.minimum(np.take_along_axis(predicted, columns, axis=1), 1.0)
+    impossible = np.argwhere(observed & ~(p > 0))
+    if impossible.size:
+        i, d = impossible[0]
+        raise ImpossibleTrajectory(
+            f"patient {trajectory.patient_id!r}: held-out bin {held_obs[i, d]} of feature {d} "
+            f"has no probability under subtype {subtype}"
+        )
+    return float(-np.log(p[observed]).sum()), int(observed.sum())
 
 
 def forecast_cross_entropy(

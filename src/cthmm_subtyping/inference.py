@@ -360,17 +360,14 @@ def trajectory_log_likelihood(model: SubtypeModel, trajectory: Trajectory) -> fl
     return float(log_likelihood[0, 0])
 
 
-def propagate_filter(
-    model: SubtypeModel, filtered: np.ndarray, gaps: np.ndarray
-) -> list[list[np.ndarray]]:
-    """Per-feature bin laws after a filtered state law evolves for each gap.
+def propagate_filter(model: SubtypeModel, filtered: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Bin laws after a filtered state law evolves for each gap.
 
-    The gaps' kernels come from one stacked exponential; returns one list
-    of per-feature probability vectors per gap.
+    The gaps' kernels come from one stacked exponential; returns a (gaps,
+    columns) array in the layout of :func:`~.emissions.stacked_columns`.
     """
     states = filtered @ transition_kernels(model.generator.rates[None], gaps)[0]
-    per_feature = [states @ table for table in model.emissions.tables]
-    return [[probs[i] for probs in per_feature] for i in range(len(gaps))]
+    return states @ model.emissions.stacked
 
 
 def predictive_bin_distributions(
@@ -396,7 +393,8 @@ def predictive_bin_distributions(
             f"future time {future_times[0]} does not follow the prefix end {t_end}"
         )
     _, filtered = forward_filter([model], [prefix])
-    return propagate_filter(model, filtered[0, 0], future_times - t_end)
+    predicted = propagate_filter(model, filtered[0, 0], future_times - t_end)
+    return [np.split(row, np.cumsum(model.emissions.bin_counts))[:-1] for row in predicted]
 
 
 @dataclass(frozen=True)

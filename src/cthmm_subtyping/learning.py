@@ -12,6 +12,7 @@ expected sojourn times, both aggregated over the per-gap pair counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .ctmc import (
     transition_kernels,
     validate_generator,
 )
-from .emissions import MISSING, EmissionTable
+from .emissions import EmissionTable, stacked_columns
 from .errors import (
     DegenerateOccupancy,
     DimensionMismatch,
@@ -71,7 +72,6 @@ class EmConfig:
     max_iterations: int = 200
     tolerance: float = 1e-6
     smoothing: float = 1e-3
-    rate_bounds: tuple[float, float] = (RATE_MIN, RATE_MAX)
     structure: str = "full"
     seed: int = 0
     restarts: int = 5
@@ -80,6 +80,12 @@ class EmConfig:
     mixture_iterations: int = 50
 
     def __post_init__(self) -> None:
+        integers = ["max_iterations", "seed", "restarts", "mixture_iterations"]
+        if self.terminal_intervention_feature is not None:
+            integers.append("terminal_intervention_feature")
+        for name in integers:
+            if not isinstance(getattr(self, name), Integral):
+                raise InvariantViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
         if not self.tolerance > 0:
@@ -96,14 +102,6 @@ class EmConfig:
             raise InvariantViolation("quantization step must be positive")
         if not 0 <= self.smoothing < np.inf:
             raise InvariantViolation(f"smoothing must be finite and >= 0, got {self.smoothing}")
-        # Generators only hold nonzero rates within [RATE_MIN, RATE_MAX], so
-        # wider bounds would fail on the first model the fit builds.
-        lo, hi = self.rate_bounds
-        if not RATE_MIN <= lo <= hi <= RATE_MAX:
-            raise InvariantViolation(
-                f"rate bounds must satisfy {RATE_MIN} <= lo <= hi <= {RATE_MAX}, "
-                f"got {self.rate_bounds}"
-            )
 
 
 @dataclass
@@ -166,12 +164,13 @@ def e_step(
             f"patient {trajectories[b].patient_id!r} has log-likelihood "
             f"{posteriors.log_likelihood[b]} under the current model"
         )
-    observations = np.concatenate([t.observations for t in trajectories])
-    emission_counts = tuple(np.zeros((model.n_states, j)) for j in model.emissions.bin_counts)
-    for d, counts in enumerate(emission_counts):
-        idx = observations[:, d]
-        seen = idx != MISSING
-        np.add.at(counts.T, idx[seen], posteriors.gamma[seen])
+    bin_counts = model.emissions.bin_counts
+    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
+    counts = np.zeros((sum(bin_counts) + 1, model.n_states))
+    np.add.at(counts, columns, posteriors.gamma[:, None, :])
+    emission_counts = tuple(
+        np.ascontiguousarray(block.T) for block in np.split(counts[:-1], np.cumsum(bin_counts[:-1]))
+    )
     pair_counts = np.zeros(posteriors.kernels.shape)
     np.add.at(pair_counts, posteriors.gap_index, posteriors.xi)
     stats = SufficientStats(
@@ -240,15 +239,12 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
     return numer, denom
 
 
-def m_step_generator(
-    stats: SufficientStats,
-    rate_bounds: tuple[float, float] = (RATE_MIN, RATE_MAX),
-) -> tuple[GeneratorMatrix, tuple[int, ...]]:
+def m_step_generator(stats: SufficientStats) -> tuple[GeneratorMatrix, tuple[int, ...]]:
     """Closed-form generator update of ``stats.generator``.
 
     Allowed transitions get expected-jumps / expected-sojourn, clamped into
-    ``rate_bounds`` (so a transition that was never seen is pinned at the
-    lower bound instead of freezing at zero).  A state whose expected
+    [RATE_MIN, RATE_MAX] (so a transition that was never seen is pinned at
+    the lower bound instead of freezing at zero).  A state whose expected
     occupancy is below 1e-10 would divide by nothing, so its previous row
     is kept; such states are returned as the second element.
     """
@@ -257,7 +253,6 @@ def m_step_generator(
     mask = previous.mask
     has_exit = mask.any(axis=1)
     degenerate = tuple(int(a) for a in np.nonzero(has_exit & (denom < _OCCUPANCY_FLOOR))[0])
-    lo, hi = rate_bounds
     rates = np.zeros_like(numer)
     for a in range(previous.size):
         if not has_exit[a]:
@@ -265,28 +260,25 @@ def m_step_generator(
         if a in degenerate:
             rates[a] = np.abs(previous.rates[a]) * mask[a]
             continue
-        rates[a] = np.clip(numer[a] / denom[a], lo, hi) * mask[a]
-    return validate_generator(rates, mask, rate_bounds=rate_bounds), degenerate
+        rates[a] = np.clip(numer[a] / denom[a], RATE_MIN, RATE_MAX) * mask[a]
+    return validate_generator(rates, mask), degenerate
 
 
 def _empirical_bin_frequencies(
     trajectories: list[Trajectory], bin_counts: tuple[int, ...], smoothing: float
 ) -> list[np.ndarray]:
-    observations = np.concatenate([t.observations for t in trajectories])
-    freqs = []
-    for d, j in enumerate(bin_counts):
-        idx = observations[:, d]
-        smoothed = np.bincount(idx[idx != MISSING], minlength=j) + max(smoothing, 1e-6)
-        freqs.append(smoothed / smoothed.sum())
-    return freqs
+    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
+    seen = np.bincount(columns.ravel(), minlength=sum(bin_counts) + 1)[:-1]
+    smoothed = np.split(seen + max(smoothing, 1e-6), np.cumsum(bin_counts[:-1]))
+    return [counts / counts.sum() for counts in smoothed]
 
 
 def _apply_terminal_intervention(
     table: EmissionTable, feature: int, epsilon: float
 ) -> EmissionTable:
     """Pin the intervention indicator: certain in the last state, absent before."""
-    if table.tables[feature].shape[1] != 2:
-        raise InvariantViolation("terminal intervention feature must be binary")
+    if not (0 <= feature < table.n_features and table.tables[feature].shape[1] == 2):
+        raise InvariantViolation(f"terminal intervention feature {feature} is not a binary feature")
     pinned = np.tile([1.0 - epsilon, epsilon], (table.n_states, 1))
     pinned[-1] = [epsilon, 1.0 - epsilon]
     tables = list(table.tables)
@@ -295,7 +287,6 @@ def _apply_terminal_intervention(
 
 
 def _random_start(
-    trajectories: list[Trajectory],
     n_states: int,
     bin_counts: tuple[int, ...],
     config: EmConfig,
@@ -305,7 +296,7 @@ def _random_start(
     pi = rng.dirichlet(np.ones(n_states))
     mask = structure_mask(config.structure, n_states)
     raw = rng.uniform(0.01, 1.0, size=(n_states, n_states)) * mask
-    generator = validate_generator(raw, mask, rate_bounds=config.rate_bounds)
+    generator = validate_generator(raw, mask)
     tables = []
     for d, j in enumerate(bin_counts):
         noise = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=(n_states, j))
@@ -341,7 +332,7 @@ def _run_em(
                 emissions, config.terminal_intervention_feature, config.smoothing
             )
         pi = m_step_initial(stats)
-        generator, degenerate = m_step_generator(stats, config.rate_bounds)
+        generator, degenerate = m_step_generator(stats)
         diag.degenerate_events += len(degenerate)
         model = SubtypeModel(initial=pi, generator=generator, emissions=emissions)
     else:
@@ -395,7 +386,7 @@ def _fit_prepared(
     failure: SubtypingError | None = None
     for seq in seeds:
         rng = np.random.default_rng(seq)
-        start = _random_start(trajectories, n_states, bin_counts, config, rng, base_freqs)
+        start = _random_start(n_states, bin_counts, config, rng, base_freqs)
         try:
             model, diag = _run_em(trajectories, start, config)
         except SubtypingError as err:

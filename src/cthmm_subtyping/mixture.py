@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emissions import MISSING, BinningScheme
+from .emissions import BinningScheme, stacked_columns
 from .errors import InvariantViolation, TooFewPatients
 from .inference import SubtypeModel, Trajectory, forward_filter
 from .learning import EmConfig, FitDiagnostics, _fit_prepared, _prepare_cohort, _run_em
@@ -98,16 +98,12 @@ def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.n
 
 def _bin_histograms(trajectories: list[Trajectory], bin_counts: tuple[int, ...]) -> np.ndarray:
     """Per-patient observed-bin frequency vectors, features concatenated."""
-    rows = []
-    for t in trajectories:
-        parts = []
-        for d, j in enumerate(bin_counts):
-            col = t.observations[:, d]
-            seen = col[col != MISSING]
-            h = np.bincount(seen, minlength=j).astype(float)
-            parts.append(h / max(seen.size, 1))
-        rows.append(np.concatenate(parts))
-    return np.array(rows)
+    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
+    patient = np.repeat(np.arange(len(trajectories)), [t.length for t in trajectories])
+    counts = np.zeros((len(trajectories), sum(bin_counts) + 1))
+    np.add.at(counts, (patient[:, None], columns), 1.0)
+    features = np.split(counts[:, :-1], np.cumsum(bin_counts[:-1]), axis=1)
+    return np.hstack([h / np.maximum(h.sum(axis=1, keepdims=True), 1) for h in features])
 
 
 def _initial_partition(

@@ -2,17 +2,96 @@
 
 Everything here recomputes results from first principles: truncated
 series for the matrix exponential, exhaustive enumeration over hidden
-sequences for posteriors, and vectorised path simulation for
-end-conditioned expectations.  None of it calls back into the package
-code paths it verifies.
+sequences for posteriors, vectorised path simulation for
+end-conditioned expectations, and cell-by-cell CSV ingest.  None of it
+calls back into the package code paths it verifies.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
+
+from cthmm_subtyping import (
+    DuplicateTimestamp,
+    EmptyCohort,
+    ParseError,
+    Trajectory,
+    UnknownColumn,
+)
+
+
+def discretize_value(value: float, feature, scheme) -> int:
+    """Scalar binning rule: half-open bins except the last, NaN and
+    out-of-range values missing (-1)."""
+    binning = scheme.features[scheme.index(feature)]
+    value = float(value)
+    if math.isnan(value) or value < binning.lower or value > binning.upper:
+        return -1
+    idx = int((value - binning.lower) / binning.width)
+    return min(idx, binning.bins - 1)
+
+
+def load_cohort_by_cell(path, scheme) -> list[Trajectory]:
+    """Cohort CSV ingest that parses and bins one cell at a time.
+
+    Same contract as ``cohort_io.load_cohort``, errors and messages
+    included.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise EmptyCohort(f"{path}: no header row")
+        for column in ("patient_id", "time", *scheme.names):
+            if column not in reader.fieldnames:
+                raise UnknownColumn(f"{path}: missing required column {column!r}")
+
+        rows: dict[str, list[tuple[float, list[int]]]] = {}
+        for line_no, row in enumerate(reader, start=2):
+            pid = (row.get("patient_id") or "").strip()
+            if not pid:
+                raise ParseError(f"{path}:{line_no}: empty patient_id")
+            try:
+                t = float(row["time"])
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"{path}:{line_no}: time {row.get('time')!r} is not a number"
+                ) from None
+            if not math.isfinite(t):
+                raise ParseError(f"{path}:{line_no}: time {t} is not finite")
+            bins = []
+            for d, name in enumerate(scheme.names):
+                raw = (row.get(name) or "").strip()
+                if raw == "":
+                    bins.append(-1)
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{line_no}: feature {name!r} value {raw!r} is not a number"
+                    ) from None
+                bins.append(discretize_value(value, d, scheme))
+            rows.setdefault(pid, []).append((t, bins))
+
+    if not rows:
+        raise EmptyCohort(f"{path}: no data rows")
+
+    cohort = []
+    for pid, records in rows.items():
+        records.sort(key=lambda r: r[0])
+        times = np.array([t for t, _ in records])
+        if not np.all(np.diff(times) > 0):
+            raise DuplicateTimestamp(f"{path}: duplicate timestamp for patient {pid!r}")
+        obs = np.array([b for _, b in records], dtype=int)
+        cohort.append(Trajectory(patient_id=pid, times=times, observations=obs))
+    return cohort
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:

@@ -240,6 +240,40 @@ class TestErrorSurface:
         assert len(lines) == 1
         assert lines[0].startswith("error InvariantViolation: ")
 
+    @pytest.mark.parametrize(
+        "sidecar, error, detail",
+        [
+            ("patient_id,subtype\np00000,0\n", "ParseError", "'p00001'"),
+            ("patient_id,hidden_state\np00000,0\n", "UnknownColumn", "'subtype'"),
+            ("patient_id,subtype\np00000,0\np00001,one\n", "ParseError", ":3:"),
+            ("patient_id,subtype\np00000,99999999999999999999999\n", "ParseError", ":2:"),
+            ("", "UnknownColumn", "'patient_id'"),
+        ],
+    )
+    def test_bad_truth_sidecar_fails_before_fitting(self, workdir, sidecar, error, detail):
+        tmp, config = workdir
+        cohort = tmp / "cohort.csv"
+        assert _run_cli(["simulate", "--config", config, "--out", str(cohort)])[0] == 0
+        truth, model = tmp / "bad.truth.csv", tmp / "m.json"
+        truth.write_text(sidecar)
+        code, err = _run_cli(["fit", "--config", config, "--data", str(cohort),
+                              "--out", str(model), "--truth", str(truth)])
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith(f"error {error}: ") and detail in err[0]
+        assert not model.exists()
+
+    def test_retired_rate_bounds_key_gives_single_parse_error(self, workdir):
+        tmp, config = workdir
+        payload = json.loads(Path(config).read_text())
+        payload["em"]["rate_bounds"] = [1e-6, 1e3]
+        path = tmp / "bounds.json"
+        path.write_text(json.dumps(payload))
+        code, err = _run_cli(["simulate", "--config", str(path), "--out", str(tmp / "c.csv")])
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith("error ParseError: ") and "rate_bounds" in err[0]
+
 
 def _model_and_cohort(directory):
     """A saved two-subtype model and the rows of a small cohort CSV it scores."""
@@ -576,6 +610,15 @@ def _resolve(node, path):
 
 
 _LEAF_VALUES = [float("nan"), float("inf"), -float("inf"), -1, 0, 1e308, "x", None, [], {}, True]
+_EM_KEYS = ["max_iterations", "tolerance", "smoothing", "structure", "seed", "restarts",
+            "delta_quantization", "terminal_intervention_feature", "mixture_iterations",
+            "rate_bounds"]
+# Counts stay small so that every accepted setting fits in well under a second.
+_EM_VALUES = st.one_of(
+    st.integers(-2, 3),
+    st.sampled_from([2.5, 1.5, 0.0, -1.0, 1e-3, 0.5, 1e308, float("nan"), float("inf"),
+                     True, None, "x", "full", "left-to-right", [1e-6, 1e3], {}]),
+)
 _MODEL_EDITS = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
     st.tuples(st.just("set_leaf"), st.integers(0, 10**6), st.sampled_from(_LEAF_VALUES)),
@@ -595,6 +638,17 @@ class TestSettingsAndModelFuzz:
                                                else "sim.csv"))]
         if argv[0] == "forecast":
             argv += ["--model", str(fuzz_dir / "model.json")]
+        _assert_clean_exit(*_run_cli(argv))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(em=st.dictionaries(st.sampled_from(_EM_KEYS), _EM_VALUES, max_size=4))
+    def test_fuzzed_em_settings_fail_cleanly(self, fuzz_dir, em):
+        config = json.loads((fuzz_dir / "config.json").read_text())
+        config["em"].update(em)
+        path = fuzz_dir / "em.json"
+        path.write_text(json.dumps(config))
+        argv = ["fit", "--config", str(path), "--data", str(fuzz_dir / "sim.csv"),
+                "--out", str(fuzz_dir / "em-model.json")]
         _assert_clean_exit(*_run_cli(argv))
 
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cthmm_subtyping import (
@@ -18,7 +18,7 @@ from cthmm_subtyping import (
 )
 from cthmm_subtyping.emissions import log_emission_matrix
 
-from oracles import emission_log_likelihood
+from oracles import discretize_value, emission_log_likelihood
 
 HEART_RATE = FeatureBinning(name="heart_rate", lower=40.0, upper=150.0, bins=5)
 SCHEME = BinningScheme((HEART_RATE,))
@@ -61,6 +61,48 @@ class TestDiscretize:
         j = discretize(value, 0, SCHEME)
         center = HEART_RATE.centers[j]
         assert abs(value - center) <= HEART_RATE.width / 2 + 1e-9
+
+    @pytest.mark.parametrize(
+        "binning",
+        [
+            HEART_RATE,
+            FeatureBinning(name="unit", lower=0.0, upper=1.0, bins=10),
+            FeatureBinning(name="signed", lower=-1.0, upper=2.0, bins=3),
+            FeatureBinning(name="tiny", lower=1e-300, upper=3e-300, bins=7),
+        ],
+    )
+    def test_array_matches_scalar_rule_on_every_edge(self, binning):
+        scheme = BinningScheme((binning,))
+        edges = np.concatenate(
+            [binning.edges, binning.lower + np.arange(binning.bins) * binning.width]
+        )
+        values = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324],
+            ]
+        )
+        binned = discretize(values, 0, scheme)
+        assert binned.dtype == np.dtype(int) and binned.shape == values.shape
+        assert binned.tolist() == [discretize_value(v, 0, scheme) for v in values]
+
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True) | st.floats(-1.0, 2.0), max_size=40
+        )
+    )
+    def test_array_matches_scalar_rule(self, values):
+        scheme = BinningScheme((FeatureBinning(name="unit", lower=0.0, upper=1.0, bins=10),))
+        expected = [discretize_value(v, 0, scheme) for v in values]
+        assert discretize(np.array(values, dtype=float), 0, scheme).tolist() == expected
+        assert [discretize(v, "unit", scheme).item() for v in values] == expected
+
+    def test_scalar_gives_zero_dimensional_array(self):
+        binned = discretize(95.0, "heart_rate", SCHEME)
+        assert binned.shape == () and binned == 2
 
     def test_bad_binning_rejected(self):
         with pytest.raises(InvariantViolation):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cthmm_subtyping import (
     MISSING,
@@ -271,6 +273,49 @@ class TestBatchedPasses:
                 summary = forward_backward(model, trajectory)
                 assert log_likelihood[m, b] == pytest.approx(summary.log_likelihood, rel=1e-12)
                 np.testing.assert_allclose(filtered[m, b], summary.gamma[-1], rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        n_states=st.integers(1, 3),
+        chain=st.booleans(),
+        blank_rows=st.lists(st.integers(0, 29), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_passes_match_enumeration(self, lengths, n_states, chain, blank_rows, seed):
+        # Short lengths give ties and single-row trajectories, which stress
+        # the prefix-alive packing; blank rows observe nothing at all.
+        rng = np.random.default_rng(seed)
+        bin_counts = (3, 2)
+        mask = (left_to_right_mask if chain else full_mask)(n_states)
+        models = [random_model(rng, n_states, bin_counts, mask=mask) for _ in range(2)]
+        observations = random_observations(rng, sum(lengths), bin_counts, missing_rate=0.3)
+        observations[[i % sum(lengths) for i in blank_rows]] = MISSING
+        ends = np.cumsum(lengths)
+        cohort = [
+            Trajectory(f"p{b}", random_times(rng, n), observations[end - n : end])
+            for b, (n, end) in enumerate(zip(lengths, ends))
+        ]
+        log_likelihood, filtered = forward_filter(models, cohort)
+        batch = forward_backward_batch(models[0], cohort)
+        for b, trajectory in enumerate(cohort):
+            for m, model in enumerate(models):
+                ll, gamma, xi = enumerate_posteriors(
+                    model.initial,
+                    model.generator.rates,
+                    list(model.emissions.tables),
+                    trajectory.times,
+                    trajectory.observations,
+                )
+                assert abs(log_likelihood[m, b] - ll) < 1e-10
+                assert np.abs(filtered[m, b] - gamma[-1]).max() < 1e-10
+                if m == 0:
+                    rows = slice(batch.starts[b], batch.starts[b] + trajectory.length)
+                    pairs = slice(batch.starts[b] - b, batch.starts[b] - b + trajectory.length - 1)
+                    assert abs(batch.log_likelihood[b] - ll) < 1e-10
+                    assert np.abs(batch.gamma[rows] - gamma).max() < 1e-10
+                    if trajectory.length > 1:
+                        assert np.abs(batch.xi[pairs] - xi).max() < 1e-10
 
     def test_forward_filter_needs_one_state_count(self):
         rng = np.random.default_rng(41)

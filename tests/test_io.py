@@ -1,7 +1,12 @@
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cthmm_subtyping import (
     BinningScheme,
@@ -11,6 +16,7 @@ from cthmm_subtyping import (
     InvariantViolation,
     MixtureModel,
     ParseError,
+    SubtypingError,
     UnknownColumn,
     VersionMismatch,
     load_cohort,
@@ -20,9 +26,11 @@ from cthmm_subtyping import (
     save_cohort,
     save_model,
 )
+from cthmm_subtyping import cohort_io
 from cthmm_subtyping.cohort_io import MODEL_VERSION, RunConfig, config_from_dict
 
 from conftest import random_model, simple_scheme
+from oracles import load_cohort_by_cell
 
 
 def _random_mixture(rng, n_subtypes=2, n_states=2, bin_counts=(3, 2), scheme=None):
@@ -238,6 +246,131 @@ class TestLoadCohort:
             assert a.patient_id == b.patient_id
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.observations, b.observations)
+
+
+# Width 1 (exact edges), width 0.1 (inexact edges: 0.5 // 0.1 == 4.0 but
+# int(0.5 / 0.1) == 5) and width 22 over a typical vital-sign range.
+_INGEST_SCHEME = BinningScheme(
+    (
+        FeatureBinning(name="a", lower=-1.0, upper=2.0, bins=3),
+        FeatureBinning(name="b", lower=0.0, upper=1.0, bins=10),
+        FeatureBinning(name="c", lower=40.0, upper=150.0, bins=5),
+    )
+)
+
+
+def _edge_cells(binning):
+    cells = []
+    for edge in (*binning.edges, *(binning.lower + k * binning.width for k in range(binning.bins))):
+        for value in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+            cells.append(repr(float(value)))
+    return cells
+
+
+_SPECIAL_CELLS = ["", " ", "0", "-0", "0.0", "-0.0", "+0", "nan", "NaN", "-nan", "inf",
+                  "-inf", "Infinity", " 1.5 ", "\t0.3", "1e-320", "1e309"]
+
+
+def _cells(binning):
+    return st.one_of(
+        st.sampled_from(sorted(set(_edge_cells(binning)))),
+        st.sampled_from(_SPECIAL_CELLS),
+        st.floats(binning.lower - 1.0, binning.upper + 1.0).map(repr),
+    )
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["p1", "p2", " p3 ", "p1 "]),  # "p1 " is patient p1 again
+        st.one_of(st.floats(-5.0, 5.0).map(repr), st.sampled_from([" 3 ", "-0.0", "1e-9"])),
+        st.tuples(*(_cells(f) for f in _INGEST_SCHEME.features)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+# Each edit spoils one row: a bad id, time or cell, or a row cut short
+# after its first ``n`` fields (losing only feature fields is still valid).
+_EDITS = st.one_of(
+    st.just([]),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("patient_id"), st.integers(0, 11), st.sampled_from(["", " "])),
+            st.tuples(st.just("time"), st.integers(0, 11),
+                      st.sampled_from(["nan", "inf", "-Infinity", "x", "", "1.0"])),
+            st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 11),
+                      st.sampled_from(["abc", "1,5", "0x1p3"])),
+            st.tuples(st.just("short"), st.integers(0, 11), st.integers(1, 4)),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+
+
+def _ingest(loader, path):
+    try:
+        return loader(path, _INGEST_SCHEME)
+    except SubtypingError as err:
+        return type(err), str(err)
+
+
+def _trajectory_bytes(trajectory):
+    return (
+        trajectory.patient_id,
+        trajectory.times.dtype.str,
+        trajectory.times.tobytes(),
+        trajectory.observations.dtype.str,
+        trajectory.observations.shape,
+        trajectory.observations.tobytes(),
+    )
+
+
+class TestColumnIngest:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=_ROWS, edits=_EDITS, columns=st.permutations(["patient_id", "time", "a", "b", "c"]))
+    def test_matches_cell_by_cell_ingest_bitwise(self, rows, edits, columns):
+        records = [dict(zip(("patient_id", "time", "a", "b", "c"), (pid, t, *cells)))
+                   for pid, t, cells in rows]
+        kept = [len(columns)] * len(records)
+        for field, row, value in edits:
+            row %= len(records)
+            if field == "short":
+                kept[row] = value
+            else:
+                records[row][field] = value
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "cohort.csv"
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(columns)
+                for record, n in zip(records, kept):
+                    writer.writerow([record[name] for name in columns][:n])
+            expected = _ingest(load_cohort_by_cell, path)
+            actual = _ingest(load_cohort, path)
+        if isinstance(expected, tuple):
+            assert actual == expected
+        else:
+            assert [_trajectory_bytes(t) for t in actual] == [
+                _trajectory_bytes(t) for t in expected
+            ]
+
+    def test_discretizes_once_per_feature_column(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(values, feature, scheme):
+            calls.append(np.shape(values))
+            return binning(values, feature, scheme)
+
+        binning = cohort_io.discretize
+        monkeypatch.setattr(cohort_io, "discretize", counting)
+        path = tmp_path / "cohort.csv"
+        rows = [f"p{i % 7},{i},{i % 3 - 1},{i / 50},{40 + i}" for i in range(60)]
+        path.write_text("patient_id,time,a,b,c\n" + "\n".join(rows) + "\n")
+        cohort = load_cohort(path, _INGEST_SCHEME)
+        assert calls == [(60,)] * 3
+        assert [_trajectory_bytes(t) for t in cohort] == [
+            _trajectory_bytes(t) for t in load_cohort_by_cell(path, _INGEST_SCHEME)
+        ]
 
 
 def discretize_hr(value):

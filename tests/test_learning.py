@@ -463,17 +463,17 @@ class TestEmConfig:
             {"smoothing": -1.0},
             {"smoothing": np.nan},
             {"smoothing": np.inf},
-            {"rate_bounds": (5.0, 1.0)},
-            {"rate_bounds": (-1.0, np.nan)},
-            {"rate_bounds": (np.nan, 1.0)},
-            {"rate_bounds": (0.0, 1.0)},
-            {"rate_bounds": (1e-6, np.inf)},
-            {"rate_bounds": (1e-9, 1e-8)},
-            {"rate_bounds": (1e4, 1e5)},
             {"tolerance": np.nan},
             {"delta_quantization": np.nan},
             {"mixture_iterations": 0},
             {"seed": -1},
+            {"max_iterations": 2.5},
+            {"mixture_iterations": 2.5},
+            {"restarts": 1.5},
+            {"seed": 1.5},
+            {"seed": "1"},
+            {"terminal_intervention_feature": 0.5},
+            {"terminal_intervention_feature": "0"},
         ],
     )
     def test_invalid_settings_rejected(self, settings):
@@ -481,8 +481,28 @@ class TestEmConfig:
             EmConfig(**settings)
 
     def test_boundary_settings_accepted(self):
-        config = EmConfig(smoothing=0.0, rate_bounds=(0.5, 0.5))
-        assert config.rate_bounds == (0.5, 0.5)
+        assert EmConfig(smoothing=0.0).smoothing == 0.0
+
+    def test_numpy_integers_accepted(self):
+        config = EmConfig(
+            max_iterations=np.int64(3),
+            seed=np.uint32(1),
+            restarts=np.int32(2),
+            mixture_iterations=np.int8(1),
+            terminal_intervention_feature=np.int64(0),
+        )
+        assert (config.max_iterations, config.restarts) == (3, 2)
+
+    @pytest.mark.parametrize("feature", [2, -1])
+    def test_intervention_index_outside_features_rejected(self, feature):
+        rng = np.random.default_rng(4)
+        cohort = [
+            Trajectory(f"p{i}", random_times(rng, 4), random_observations(rng, 4, (2, 2)))
+            for i in range(3)
+        ]
+        config = EmConfig(max_iterations=2, restarts=1, terminal_intervention_feature=feature)
+        with pytest.raises(InvariantViolation, match="is not a binary feature"):
+            fit_disease_model(cohort, 2, config, bin_counts=(2, 2))
 
 
 class TestStructureMask:
