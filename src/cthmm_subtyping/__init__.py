@@ -30,7 +30,6 @@ from .emissions import (
     expected_feature_value,
 )
 from .errors import (
-    DegenerateOccupancy,
     DimensionMismatch,
     DuplicateTimestamp,
     EmptyCohort,

@@ -20,7 +20,7 @@ from .errors import ParseError, SubtypingError, UnknownColumn
 from .evaluation import forecast_report, grid_evaluate
 from .inference import progression_trajectory
 from .mixture import assign_subtypes, fit_mixture
-from .synthesis import ObservationTimeConfig, random_mixture, sample_cohort
+from .synthesis import random_mixture, sample_cohort
 
 
 def _int_list(text: str) -> list[int]:
@@ -106,29 +106,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> cohort_io.RunConfig:
+    """The configured run settings with this command's flags applied."""
     config = (
         cohort_io.load_config(args.config) if args.config else cohort_io.RunConfig()
     )
-    updates: dict = {}
-    for attr, key in (
-        ("subtypes", "subtypes"),
-        ("states", "states"),
-        ("train_fraction", "train_fraction"),
-        ("prefix_fraction", "prefix_fraction"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[key] = value
+    updates = {
+        name: getattr(args, name)
+        for name in ("subtypes", "states", "train_fraction", "prefix_fraction", "seed",
+                     "terminal_intervention")
+        if getattr(args, name, None) is not None
+    }
+    em_updates = {"seed": updates["seed"]} if "seed" in updates else {}
     if getattr(args, "left_to_right", None):
-        updates["left_to_right"] = True
-    if getattr(args, "terminal_intervention", None):
-        updates["terminal_intervention"] = True
-    if updates:
-        config = replace(config, **updates)
-    if "seed" in updates:
-        config = replace(config, em=replace(config.em, seed=updates["seed"]))
-    return config
+        em_updates["structure"] = "left-to-right"
+    return replace(config, **updates, em=replace(config.em, **em_updates))
 
 
 def _model_scheme(mixture) -> cohort_io.BinningScheme:
@@ -168,13 +159,12 @@ def _read_truth(path: str | Path, patient_ids: list[str]) -> np.ndarray:
         for column in ("patient_id", "subtype"):
             if column not in (reader.fieldnames or ()):
                 raise UnknownColumn(f"{path}: missing required column {column!r}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 labels[row["patient_id"]] = np.int64(int(row["subtype"]))
             except (TypeError, ValueError, OverflowError):
-                raise ParseError(
-                    f"{path}:{line_no}: subtype {row['subtype']!r} is not a 64-bit integer"
-                ) from None
+                raise ParseError(f"{path}:{reader.line_num}: subtype {row['subtype']!r} "
+                                 "is not a 64-bit integer") from None
     missing = [pid for pid in patient_ids if pid not in labels]
     if missing:
         raise ParseError(f"{path}: no subtype for patient {missing[0]!r}")
@@ -291,11 +281,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cohort = sample_cohort(
         mixture,
         n_patients,
-        ObservationTimeConfig(
-            min_observations=config.sim_min_observations,
-            max_observations=config.sim_max_observations,
-            mean_gap=config.sim_mean_gap,
-        ),
+        config.sim_times,
         missing_rate=config.sim_missing_rate,
         seed=config.seed,
     )

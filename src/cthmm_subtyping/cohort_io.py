@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
 from .inference import SubtypeModel, Trajectory
 from .learning import EmConfig
 from .mixture import MixtureModel
+from .synthesis import ObservationTimeConfig
 
 MODEL_FORMAT = "cthmm-subtyping-mixture"
 MODEL_VERSION = 1
@@ -50,7 +51,6 @@ class RunConfig:
     intervention_feature: str | None = None
     subtypes: list[int] = field(default_factory=lambda: [1])
     states: list[int] = field(default_factory=lambda: [1])
-    left_to_right: bool = False
     terminal_intervention: bool = False
     train_fraction: float = 0.8
     prefix_fraction: float = 0.7
@@ -58,9 +58,7 @@ class RunConfig:
     em: EmConfig = field(default_factory=EmConfig)
     sim_patients: int = 100
     sim_missing_rate: float = 0.2
-    sim_mean_gap: float = 1.0
-    sim_min_observations: int = 5
-    sim_max_observations: int = 40
+    sim_times: ObservationTimeConfig = field(default_factory=ObservationTimeConfig)
 
     def __post_init__(self) -> None:
         if not 0 < self.train_fraction < 1 or not 0 < self.prefix_fraction < 1:
@@ -70,6 +68,9 @@ class RunConfig:
                 raise InvariantViolation(f"need {flag} counts, each >= 1, got {counts}")
         if self.seed < 0:
             raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
+        if self.em.terminal_intervention_feature is not None:
+            raise InvariantViolation("em.terminal_intervention_feature is not a run setting;"
+                                     " pin a feature by its intervention_feature name")
         names = self.scheme.names
         if self.intervention_feature is not None and self.intervention_feature not in names:
             raise InvariantViolation(
@@ -85,22 +86,15 @@ class RunConfig:
             )
 
     def em_config(self) -> EmConfig:
-        """EM settings with the structural flags folded in.
+        """EM settings with the pinned feature's index in this config's scheme.
 
-        The only place that turns ``left_to_right``, ``terminal_intervention``
-        and ``intervention_feature`` into :class:`EmConfig` fields; the
-        intervention index is taken against this config's own scheme.
+        The only place that sets ``EmConfig.terminal_intervention_feature``.
         """
-        updates: dict = {}
-        if self.left_to_right:
-            updates["structure"] = "left-to-right"
-        if self.terminal_intervention:
-            updates["terminal_intervention_feature"] = self.scheme.index(
-                self.intervention_feature
-            )
-        if updates:
-            return replace(self.em, **updates)
-        return self.em
+        if not self.terminal_intervention:
+            return self.em
+        return replace(
+            self.em, terminal_intervention_feature=self.scheme.index(self.intervention_feature)
+        )
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -112,51 +106,51 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(payload)
 
 
+def _int_list(value) -> list[int]:
+    if isinstance(value, (int, float)):
+        return [int(value)]
+    return [int(v) for v in value]
+
+
+def _present(section: dict, parsers: dict) -> dict:
+    """Each key of ``parsers`` that ``section`` sets, parsed."""
+    return {key: parse(section[key]) for key, parse in parsers.items() if key in section}
+
+
+def _scheme(records: list[dict]) -> BinningScheme:
+    """A binning scheme from its JSON feature records (config or model file)."""
+    return BinningScheme(tuple(
+        FeatureBinning(f["name"], f["lower"], f["upper"], f.get("bins", 5)) for f in records
+    ))
+
+
 def config_from_dict(payload: dict) -> RunConfig:
+    """A :class:`RunConfig` from parsed JSON; absent keys keep its defaults."""
     try:
-        features = tuple(
-            FeatureBinning(
-                name=f["name"],
-                lower=float(f["lower"]),
-                upper=float(f["upper"]),
-                bins=int(f.get("bins", 5)),
-            )
-            for f in payload.get("features", [])
+        settings = _present(payload, {
+            "intervention_feature": lambda name: name, "subtypes": _int_list,
+            "states": _int_list, "terminal_intervention": bool, "train_fraction": float,
+            "prefix_fraction": float, "seed": int,
+        })
+        if payload.get("features"):
+            settings["scheme"] = _scheme(payload["features"])
+        if payload.get("eval_features"):
+            settings["eval_features"] = tuple(payload["eval_features"])
+        em = dict(payload.get("em", {}))
+        if "seed" in settings:
+            em.setdefault("seed", settings["seed"])
+        if payload.get("left_to_right"):
+            em["structure"] = "left-to-right"
+        simulate = payload.get("simulate", {})
+        sim = _present(simulate, {"patients": int, "missing_rate": float})
+        times = _present(
+            simulate, {"mean_gap": float, "min_observations": int, "max_observations": int}
         )
-        scheme = BinningScheme(features) if features else BinningScheme(DEFAULT_FEATURES)
-        em_payload = dict(payload.get("em", {}))
-        if "seed" not in em_payload and "seed" in payload:
-            em_payload["seed"] = int(payload["seed"])
-        em = EmConfig(**em_payload)
-
-        def int_list(value) -> list[int]:
-            if isinstance(value, (int, float)):
-                return [int(value)]
-            return [int(v) for v in value]
-
-        return RunConfig(
-            scheme=scheme,
-            eval_features=(
-                tuple(payload["eval_features"]) if payload.get("eval_features") else None
-            ),
-            intervention_feature=payload.get("intervention_feature"),
-            subtypes=int_list(payload.get("subtypes", 1)),
-            states=int_list(payload.get("states", 1)),
-            left_to_right=bool(payload.get("left_to_right", False)),
-            terminal_intervention=bool(payload.get("terminal_intervention", False)),
-            train_fraction=float(payload.get("train_fraction", 0.8)),
-            prefix_fraction=float(payload.get("prefix_fraction", 0.7)),
-            seed=int(payload.get("seed", 0)),
-            em=em,
-            sim_patients=int(payload.get("simulate", {}).get("patients", 100)),
-            sim_missing_rate=float(payload.get("simulate", {}).get("missing_rate", 0.2)),
-            sim_mean_gap=float(payload.get("simulate", {}).get("mean_gap", 1.0)),
-            sim_min_observations=int(payload.get("simulate", {}).get("min_observations", 5)),
-            sim_max_observations=int(payload.get("simulate", {}).get("max_observations", 40)),
-        )
+        return RunConfig(**settings, em=EmConfig(**em), sim_times=ObservationTimeConfig(**times),
+                         **{f"sim_{key}": value for key, value in sim.items()})
     except SubtypingError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ParseError(f"bad configuration: {err}") from err
 
 
@@ -180,27 +174,26 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
             if column not in reader.fieldnames:
                 raise UnknownColumn(f"{path}: missing required column {column!r}")
 
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             pid = (row.get("patient_id") or "").strip()
             if not pid:
-                raise ParseError(f"{path}:{line_no}: empty patient_id")
+                raise ParseError(f"{path}:{reader.line_num}: empty patient_id")
             try:
                 t = float(row["time"])
             except (TypeError, ValueError):
                 raise ParseError(
-                    f"{path}:{line_no}: time {row.get('time')!r} is not a number"
+                    f"{path}:{reader.line_num}: time {row.get('time')!r} is not a number"
                 ) from None
             if not math.isfinite(t):
-                raise ParseError(f"{path}:{line_no}: time {t} is not finite")
+                raise ParseError(f"{path}:{reader.line_num}: time {t} is not finite")
             rows.extend((patients.setdefault(pid, len(patients)), t))
             for feature in scheme.features:
                 raw = (row.get(feature.name) or "").strip()
                 try:
                     rows.append(float(raw) if raw else math.nan)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}:{line_no}: feature {feature.name!r} value {raw!r} is not a number"
-                    ) from None
+                    raise ParseError(f"{path}:{reader.line_num}: feature {feature.name!r} "
+                                     f"value {raw!r} is not a number") from None
 
     if not patients:
         raise EmptyCohort(f"{path}: no data rows")
@@ -265,13 +258,13 @@ def restrict_features(
 
 
 def _model_payload(mixture: MixtureModel) -> dict:
-    payload = {
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "prior": mixture.prior.tolist(),
         "assignments": mixture.assignments.tolist(),
         "objective_trace": list(mixture.objective_trace),
-        "scheme": None,
+        "scheme": None if mixture.scheme is None else [asdict(f) for f in mixture.scheme.features],
         "models": [
             {
                 "initial": model.initial.tolist(),
@@ -282,12 +275,6 @@ def _model_payload(mixture: MixtureModel) -> dict:
             for model in mixture.models
         ],
     }
-    if mixture.scheme is not None:
-        payload["scheme"] = [
-            {"name": f.name, "lower": f.lower, "upper": f.upper, "bins": f.bins}
-            for f in mixture.scheme.features
-        ]
-    return payload
 
 
 def save_model(mixture: MixtureModel, path: str | Path) -> None:
@@ -316,19 +303,7 @@ def load_model(path: str | Path) -> MixtureModel:
             f"{path}: file version {version!r}, this build reads version {MODEL_VERSION}"
         )
     try:
-        scheme = None
-        if payload.get("scheme") is not None:
-            scheme = BinningScheme(
-                tuple(
-                    FeatureBinning(
-                        name=f["name"],
-                        lower=float(f["lower"]),
-                        upper=float(f["upper"]),
-                        bins=int(f["bins"]),
-                    )
-                    for f in payload["scheme"]
-                )
-            )
+        scheme = None if payload.get("scheme") is None else _scheme(payload["scheme"])
         models = []
         for entry in payload["models"]:
             generator = GeneratorMatrix(

@@ -37,10 +37,6 @@ class DimensionMismatch(SubtypingError):
     pass
 
 
-class DegenerateOccupancy(SubtypingError):
-    pass
-
-
 class TooFewPatients(SubtypingError):
     pass
 

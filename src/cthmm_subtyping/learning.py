@@ -29,7 +29,6 @@ from .ctmc import (
 )
 from .emissions import EmissionTable, stacked_columns
 from .errors import (
-    DegenerateOccupancy,
     DimensionMismatch,
     ImpossibleTrajectory,
     InvariantViolation,
@@ -364,6 +363,8 @@ def _prepare_cohort(
         bin_counts = tuple(int(m) + 1 for m in np.maximum(observed_max, 1))
     if len(bin_counts) != observed_max.size or np.any(observed_max >= bin_counts):
         raise DimensionMismatch(f"bin counts {bin_counts} miss observed bin indices {observed_max}")
+    if not np.isfinite(config.smoothing * max(bin_counts, default=0)):
+        raise InvariantViolation(f"smoothing {config.smoothing} overflows over {bin_counts} bins")
     if config.delta_quantization is not None:
         trajectories = quantize_gaps(trajectories, config.delta_quantization)
     return trajectories, tuple(bin_counts)
@@ -397,7 +398,7 @@ def _fit_prepared(
         if best is None or diag.log_likelihood > best[1].log_likelihood:
             best = (model, diag)
     if best is None:
-        raise failure if failure is not None else DegenerateOccupancy("all restarts failed")
+        raise failure  # every restart failed
     best[1].restart_scores = scores
     return best
 

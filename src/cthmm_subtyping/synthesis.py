@@ -34,7 +34,7 @@ class ObservationTimeConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.min_observations <= self.max_observations:
             raise InvariantViolation("observation count range is empty")
-        if self.mean_gap <= 0:
+        if not self.mean_gap > 0:  # also rejects NaN
             raise InvariantViolation("mean gap must be positive")
 
 

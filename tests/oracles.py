@@ -53,7 +53,8 @@ def load_cohort_by_cell(path, scheme) -> list[Trajectory]:
                 raise UnknownColumn(f"{path}: missing required column {column!r}")
 
         rows: dict[str, list[tuple[float, list[int]]]] = {}
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num  # physical line, blank lines included
             pid = (row.get("patient_id") or "").strip()
             if not pid:
                 raise ParseError(f"{path}:{line_no}: empty patient_id")

@@ -246,6 +246,7 @@ class TestErrorSurface:
             ("patient_id,subtype\np00000,0\n", "ParseError", "'p00001'"),
             ("patient_id,hidden_state\np00000,0\n", "UnknownColumn", "'subtype'"),
             ("patient_id,subtype\np00000,0\np00001,one\n", "ParseError", ":3:"),
+            ("patient_id,subtype\np00000,0\n\np00001,one\n", "ParseError", ":4:"),
             ("patient_id,subtype\np00000,99999999999999999999999\n", "ParseError", ":2:"),
             ("", "UnknownColumn", "'patient_id'"),
         ],
@@ -535,6 +536,44 @@ class TestRunSettings:
         assert code == 1
         assert len(err) == 1
         assert err[0].startswith("error InvariantViolation: ")
+
+    @pytest.mark.parametrize(
+        "em, features",
+        [({"terminal_intervention_feature": 1}, "heart_rate,flag"), ({"smoothing": 1e308}, None)],
+    )
+    def test_bad_em_setting_fails_fit_before_writing(self, tmp_path, em, features):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_INTERVENTION_CONFIG))
+        cohort = str(tmp_path / "cohort.csv")
+        assert _run_cli(["simulate", "--config", str(good), "--out", cohort])[0] == 0
+        config = dict(_INTERVENTION_CONFIG, terminal_intervention=False)
+        config["em"] = {**config["em"], **em}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        model = tmp_path / "model.json"
+        argv = ["fit", "--config", str(bad), "--data", cohort, "--out", str(model)]
+        if features:
+            argv += ["--features", features]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "grid", "forecast"])
+    def test_bad_simulate_section_fails_at_load(self, tmp_path, command):
+        config = dict(_INTERVENTION_CONFIG, simulate={"min_observations": 9,
+                                                      "max_observations": 4})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        # The data and model files do not exist: only a load-time check can fire first.
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        if command != "simulate":
+            argv += ["--data", str(tmp_path / "absent.csv")]
+        if command == "forecast":
+            argv += ["--model", str(tmp_path / "absent.json")]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
 
 
 def _assert_clean_exit(code, err):

@@ -224,6 +224,14 @@ class TestLoadCohort:
             load_cohort(path, simple_scheme())
         assert ":3:" in str(excinfo.value)
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text(
+            "patient_id,time,heart_rate,systolic_bp\np,1.0,70,100\n\np,oops,80,110\n"
+        )
+        with pytest.raises(ParseError, match=":4: time 'oops'"):
+            load_cohort(path, simple_scheme())
+
     def test_all_missing_rows_retained(self, tmp_path):
         path = tmp_path / "cohort.csv"
         path.write_text(
@@ -429,6 +437,14 @@ class TestRunConfig:
         assert config.train_fraction == 0.8
         assert config.prefix_fraction == 0.7
         assert config.em.smoothing == 1e-3
+
+    def test_empty_file_gives_the_dataclass_defaults(self):
+        assert config_from_dict({}) == RunConfig()
+
+    def test_left_to_right_key_sets_the_em_structure(self):
+        config = config_from_dict({"left_to_right": True, "em": {"structure": "full"}})
+        assert config.em.structure == "left-to-right"
+        assert config.em_config() == config.em
 
     def test_from_json(self, tmp_path):
         payload = {

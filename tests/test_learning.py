@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -482,6 +483,18 @@ class TestEmConfig:
 
     def test_boundary_settings_accepted(self):
         assert EmConfig(smoothing=0.0).smoothing == 0.0
+
+    def test_smoothing_that_overflows_the_bin_sums_rejected(self):
+        rng = np.random.default_rng(6)
+        cohort = [
+            Trajectory(f"p{i}", random_times(rng, 5), random_observations(rng, 5, (5, 5)))
+            for i in range(10)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="smoothing"):
+                fit_disease_model(cohort, 2, EmConfig(smoothing=1e308, restarts=1))
+            fit_disease_model(cohort, 2, EmConfig(smoothing=1e307, restarts=1, max_iterations=2))
 
     def test_numpy_integers_accepted(self):
         config = EmConfig(

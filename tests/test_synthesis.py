@@ -169,3 +169,5 @@ class TestSampleCohort:
             ObservationTimeConfig(min_observations=5, max_observations=4)
         with pytest.raises(InvariantViolation):
             ObservationTimeConfig(mean_gap=0.0)
+        with pytest.raises(InvariantViolation):
+            ObservationTimeConfig(mean_gap=float("nan"))
