@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -140,15 +141,51 @@ def _label_accuracy(assigned: np.ndarray, truth: np.ndarray, n_subtypes: int) ->
 
     Truth labels outside ``range(n_subtypes)`` can never be matched.
     """
-    # Imported here: scipy.optimize adds ~0.3 s and ~20 MB to start-up,
-    # and only ``fit --truth`` needs it.
-    from scipy.optimize import linear_sum_assignment
-
     confusion = np.zeros((n_subtypes, n_subtypes))
     valid = (truth >= 0) & (truth < n_subtypes)
     np.add.at(confusion, (assigned[valid], truth[valid]), 1.0)
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    return float(confusion[rows, cols].sum() / len(assigned))
+    cols = _best_matching(confusion)
+    return float(confusion[np.arange(n_subtypes), cols].sum() / len(assigned))
+
+
+def _best_matching(weights: np.ndarray) -> np.ndarray:
+    """The column matched to each row by a maximum-weight assignment.
+
+    Kuhn-Munkres with row and column potentials on a square matrix, in
+    O(M^3): each row joins through a shortest augmenting path over the
+    reduced costs.  Rows and columns below count from 1; column 0 is the
+    root each search starts from.
+    """
+    cost = (-np.asarray(weights, dtype=float)).tolist()
+    n = len(cost)
+    row_pot, col_pot = [0.0] * (n + 1), [0.0] * (n + 1)
+    owner = [0] * (n + 1)  # row holding each column, 0 for none
+    for row in range(1, n + 1):
+        owner[0], col = row, 0
+        slack, back, done = [math.inf] * (n + 1), [0] * (n + 1), [False] * (n + 1)
+        while owner[col]:
+            done[col] = True
+            i, delta, nearest = owner[col], math.inf, 0
+            for j in range(1, n + 1):
+                if not done[j]:
+                    reduced = cost[i - 1][j - 1] - row_pot[i] - col_pot[j]
+                    if reduced < slack[j]:
+                        slack[j], back[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nearest = slack[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    row_pot[owner[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nearest
+        while col:
+            owner[col] = owner[back[col]]
+            col = back[col]
+    matched = np.empty(n, dtype=int)
+    matched[np.array(owner[1:]) - 1] = np.arange(n)
+    return matched
 
 
 def _read_truth(path: str | Path, patient_ids: list[str]) -> np.ndarray:

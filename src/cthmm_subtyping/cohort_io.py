@@ -13,6 +13,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,12 @@ class RunConfig:
                 raise InvariantViolation(f"need {flag} counts, each >= 1, got {counts}")
         if self.seed < 0:
             raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
+        if self.sim_patients < 1:
+            raise InvariantViolation(f"simulate.patients must be >= 1, got {self.sim_patients}")
+        if not 0 <= self.sim_missing_rate <= 1:
+            raise InvariantViolation(
+                f"simulate.missing_rate must lie in [0, 1], got {self.sim_missing_rate}"
+            )
         if self.em.terminal_intervention_feature is not None:
             raise InvariantViolation("em.terminal_intervention_feature is not a run setting;"
                                      " pin a feature by its intervention_feature name")
@@ -106,10 +113,19 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(payload)
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, (int, float)):
-        return [int(value)]
-    return [int(v) for v in value]
+def _integer(key: str):
+    """Parser of an integer setting; anything else, a bool too, is a ParseError naming ``key``."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ParseError(f"bad configuration: {key} must be an integer, got {value!r}")
+        return value
+    return parse
+
+
+def _counts(key: str):
+    """Parser of a count setting: one integer or a list of them."""
+    one = _integer(key)
+    return lambda value: [one(v) for v in (value if isinstance(value, list) else [value])]
 
 
 def _present(section: dict, parsers: dict) -> dict:
@@ -128,9 +144,9 @@ def config_from_dict(payload: dict) -> RunConfig:
     """A :class:`RunConfig` from parsed JSON; absent keys keep its defaults."""
     try:
         settings = _present(payload, {
-            "intervention_feature": lambda name: name, "subtypes": _int_list,
-            "states": _int_list, "terminal_intervention": bool, "train_fraction": float,
-            "prefix_fraction": float, "seed": int,
+            "intervention_feature": lambda name: name, "subtypes": _counts("subtypes"),
+            "states": _counts("states"), "terminal_intervention": bool, "train_fraction": float,
+            "prefix_fraction": float, "seed": _integer("seed"),
         })
         if payload.get("features"):
             settings["scheme"] = _scheme(payload["features"])
@@ -142,10 +158,12 @@ def config_from_dict(payload: dict) -> RunConfig:
         if payload.get("left_to_right"):
             em["structure"] = "left-to-right"
         simulate = payload.get("simulate", {})
-        sim = _present(simulate, {"patients": int, "missing_rate": float})
-        times = _present(
-            simulate, {"mean_gap": float, "min_observations": int, "max_observations": int}
-        )
+        sim = _present(simulate, {"patients": _integer("simulate.patients"),
+                                  "missing_rate": float})
+        times = _present(simulate, {
+            "mean_gap": float, "min_observations": _integer("simulate.min_observations"),
+            "max_observations": _integer("simulate.max_observations"),
+        })
         return RunConfig(**settings, em=EmConfig(**em), sim_times=ObservationTimeConfig(**times),
                          **{f"sim_{key}": value for key, value in sim.items()})
     except SubtypingError:

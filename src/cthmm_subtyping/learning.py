@@ -101,6 +101,11 @@ class EmConfig:
             raise InvariantViolation("quantization step must be positive")
         if not 0 <= self.smoothing < np.inf:
             raise InvariantViolation(f"smoothing must be finite and >= 0, got {self.smoothing}")
+        if self.terminal_intervention_feature is not None and not self.smoothing < 0.5:
+            # The smoothing is the pinned table's epsilon; from 0.5 up the pin inverts.
+            raise InvariantViolation(
+                f"smoothing must be below 0.5 with a pinned intervention, got {self.smoothing}"
+            )
 
 
 @dataclass
@@ -122,18 +127,31 @@ def structure_mask(kind: str, n_states: int) -> np.ndarray:
 
 
 def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajectory]:
-    """Snap inter-observation gaps to a grid, keeping the first timestamp.
+    """Snap inter-observation gaps to a grid, keeping the first timestamps.
 
     Gaps round to the nearest multiple of ``step`` but never below one
-    step, so timestamps stay strictly increasing.  Applying this before
-    training bounds the number of distinct gaps (and therefore matrix
-    exponentials) without touching the data files themselves.
+    step, so timestamps stay strictly increasing.  Every quantized time
+    sits on one lattice of a power-of-two ``unit`` shared by the cohort:
+    the ulp of the largest quantized time, with one bit of headroom.  The
+    step snaps to a whole number of units (at least one), so sums and
+    differences of times are exact and equal tick counts give bitwise
+    equal gaps in every trajectory.  Applying this before training leaves
+    one matrix exponential per grid value without touching the data
+    files themselves.  First timestamps move to the lattice, by at most
+    half a unit.
     """
+    # Bounds every quantized |time|; the doubling is the headroom bit.
+    reach = max((abs(t.times[0]) + t.times[-1] - t.times[0] + (t.length - 1) * step
+                 for t in trajectories), default=step)
+    unit = np.spacing(2.0 * max(reach, step))
+    step_units = max(np.rint(step / unit), 1.0)
     out = []
     for traj in trajectories:
-        gaps = np.diff(traj.times)
-        ticks = np.maximum(np.rint(gaps / step), 1.0)
-        times = traj.times[0] + np.concatenate([[0.0], np.cumsum(ticks * step)])
+        # Count ticks against the snapped step: below the time resolution
+        # the requested one would inflate every gap.
+        ticks = np.maximum(np.rint(np.diff(traj.times) / (step_units * unit)), 1.0)
+        offsets = np.concatenate([[0.0], np.cumsum(ticks * step_units)])
+        times = (np.rint(traj.times[0] / unit) + offsets) * unit
         out.append(
             Trajectory(
                 patient_id=traj.patient_id,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import cthmm_subtyping
 from cthmm_subtyping import (
@@ -28,7 +29,7 @@ from cthmm_subtyping import (
     save_cohort,
     save_model,
 )
-from cthmm_subtyping.cli import _label_accuracy, main
+from cthmm_subtyping.cli import _best_matching, _label_accuracy, main
 
 from conftest import best_permutation_accuracy, separated_mixture, simple_scheme
 
@@ -559,6 +560,40 @@ class TestRunSettings:
         assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
         assert not model.exists()
 
+    def test_smoothing_that_inverts_the_pin_fails_fit_before_writing(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_INTERVENTION_CONFIG))
+        cohort = str(tmp_path / "cohort.csv")
+        assert _run_cli(["simulate", "--config", str(good), "--out", cohort])[0] == 0
+        config = dict(_INTERVENTION_CONFIG, em={**_INTERVENTION_CONFIG["em"], "smoothing": 0.7})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        model = tmp_path / "model.json"
+        code, err = _run_cli(["fit", "--config", str(bad), "--data", cohort, "--out", str(model)])
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
+        assert "smoothing" in err[0]
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "grid", "forecast"])
+    @pytest.mark.parametrize(
+        "simulate", [{"missing_rate": 7}, {"missing_rate": float("nan")}, {"patients": 0}],
+        ids=["rate_7", "rate_nan", "no_patients"],
+    )
+    def test_bad_simulate_rate_or_size_fails_at_load(self, tmp_path, command, simulate):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(_INTERVENTION_CONFIG, simulate=simulate)))
+        # The data and model files do not exist: only a load-time check can fire first.
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        if command != "simulate":
+            argv += ["--data", str(tmp_path / "absent.csv")]
+        if command == "forecast":
+            argv += ["--model", str(tmp_path / "absent.json")]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error InvariantViolation: simulate")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "fit", "grid", "forecast"])
     def test_bad_simulate_section_fails_at_load(self, tmp_path, command):
         config = dict(_INTERVENTION_CONFIG, simulate={"min_observations": 9,
@@ -737,6 +772,22 @@ def test_label_accuracy_matches_permutation_search():
     start = time.perf_counter()
     assert _label_accuracy(assigned, (assigned + 4) % 9, 9) == 1.0
     assert time.perf_counter() - start < 0.5
+
+
+def test_best_matching_is_optimal():
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        for trial in range(25):
+            if trial % 2:
+                weights = rng.integers(0, 4, size=(n, n)).astype(float)  # counts with ties
+            else:
+                weights = rng.normal(scale=10.0, size=(n, n))
+            cols = _best_matching(weights)
+            assert sorted(cols.tolist()) == list(range(n))
+            rows, expected = linear_sum_assignment(weights, maximize=True)
+            assert weights[np.arange(n), cols].sum() == pytest.approx(
+                weights[rows, expected].sum(), rel=1e-12, abs=1e-9
+            )
 
 
 def test_console_entry_point_runs():

@@ -490,11 +490,33 @@ class TestRunConfig:
             {"subtypes": [-1]},
             {"seed": -1},
             {"train_fraction": float("nan")},
+            {"sim_missing_rate": 7.0},
+            {"sim_missing_rate": -0.1},
+            {"sim_missing_rate": float("nan")},
+            {"sim_patients": 0},
         ],
     )
     def test_invalid_settings_rejected(self, settings):
         with pytest.raises(InvariantViolation):
             RunConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"seed": 3.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"subtypes": 2.5}, "subtypes"),
+            ({"subtypes": [2, False]}, "subtypes"),
+            ({"states": [2.9]}, "states"),
+            ({"states": "3"}, "states"),
+            ({"simulate": {"patients": 4.2}}, "simulate.patients"),
+            ({"simulate": {"min_observations": 2.0}}, "simulate.min_observations"),
+            ({"simulate": {"max_observations": 9.9}}, "simulate.max_observations"),
+        ],
+    )
+    def test_non_integer_count_is_parse_error_naming_the_key(self, payload, key):
+        with pytest.raises(ParseError, match=rf"\b{key} must be an integer"):
+            config_from_dict(payload)
 
     def test_negative_em_seed_in_file_rejected(self):
         with pytest.raises(InvariantViolation, match="seed"):

@@ -18,6 +18,7 @@ from cthmm_subtyping import (
     e_step,
     end_conditioned_stats,
     fit_disease_model,
+    forward_backward_batch,
     full_mask,
     left_to_right_mask,
     m_step_emissions,
@@ -457,6 +458,80 @@ class TestFitDiseaseModel:
         assert np.all(np.diff(q.times) == 0.5)
 
 
+class TestGapLattice:
+    """``quantize_gaps`` puts a cohort's times on one exact lattice."""
+
+    @staticmethod
+    def _cohort(seed, n=200, step=0.05):
+        mixture = separated_mixture(
+            [np.array([[0, 0], [1, 1], [2, 2]]), np.array([[4, 4], [3, 3], [1, 0]])],
+            [[0.5, 0.3], [0.25, 0.6]],
+        )
+        from cthmm_subtyping import ObservationTimeConfig
+
+        cohort = sample_cohort(
+            mixture,
+            n,
+            ObservationTimeConfig(min_observations=15, max_observations=25),
+            missing_rate=0.2,
+            seed=seed,
+        ).trajectories
+        return cohort, quantize_gaps(cohort, step)
+
+    @staticmethod
+    def _ticks(trajectories, step):
+        return np.concatenate([np.maximum(np.rint(np.diff(t.times) / step), 1.0)
+                               for t in trajectories])
+
+    def test_equal_ticks_give_bitwise_equal_gaps(self):
+        raw, quantized = self._cohort(seed=1)
+        ticks = self._ticks(raw, 0.05)
+        gaps = np.concatenate([np.diff(t.times) for t in quantized])
+        for tick in np.unique(ticks):
+            assert np.unique(gaps[ticks == tick]).size == 1
+        assert np.unique(gaps).size == np.unique(ticks).size
+
+    def test_one_kernel_per_grid_value(self):
+        raw, quantized = self._cohort(seed=0)
+        model = random_model(np.random.default_rng(0), 3, (5, 5))
+        posteriors = forward_backward_batch(model, quantized)
+        assert posteriors.gaps.size == np.unique(self._ticks(raw, 0.05)).size
+        assert posteriors.gaps.size < 0.05 * sum(t.length - 1 for t in raw)
+
+    @pytest.mark.parametrize("t0", [0.0, 1.7e9, -1.7e9, -3.0])
+    @pytest.mark.parametrize("step", [0.05, 0.3, 1e-20])
+    def test_order_offsets_and_gap_bounds(self, t0, step):
+        rng = np.random.default_rng(12)
+        raw = [
+            Trajectory(f"p{i}", t0 + random_times(rng, n), np.full((n, 1), -1))
+            for i, n in enumerate([2, 7, 15, 1, 30])
+        ]
+        quantized = quantize_gaps(raw, step)
+        # The time resolution: a few ulps of the largest time bound the lattice unit.
+        resolution = 4 * max(np.spacing(np.abs(t.times).max()) for t in raw)
+        for before, after in zip(raw, quantized):
+            assert after.patient_id == before.patient_id
+            assert after.times[0] == pytest.approx(before.times[0], rel=1e-15, abs=0.0)
+            gaps = np.diff(after.times)
+            assert np.all(gaps > 0)
+            # At least one step (snapped to the lattice), at most one step past the raw gap.
+            assert np.all(gaps >= step - resolution / 2)
+            assert np.all(gaps <= np.diff(before.times) + max(step, resolution))
+            # Exact lattice: the gaps sum back to the span without round-off.
+            assert after.times[-1] - after.times[0] == gaps.sum()
+
+    def test_tiny_step_keeps_the_times(self):
+        t = Trajectory("p", np.array([1.0, 1.25, 2.0, 2.5]), np.full((4, 1), -1))
+        (q,) = quantize_gaps([t], 1e-20)
+        assert np.array_equal(q.times, t.times)
+
+    def test_empty_and_single_observation_cohorts(self):
+        assert quantize_gaps([], 0.05) == []
+        single = Trajectory("p", np.array([0.0]), np.full((1, 1), -1))
+        (q,) = quantize_gaps([single], 0.05)
+        assert np.array_equal(q.times, [0.0])
+
+
 class TestEmConfig:
     @pytest.mark.parametrize(
         "settings",
@@ -475,6 +550,8 @@ class TestEmConfig:
             {"seed": "1"},
             {"terminal_intervention_feature": 0.5},
             {"terminal_intervention_feature": "0"},
+            {"smoothing": 0.5, "terminal_intervention_feature": 0},
+            {"smoothing": 3.0, "terminal_intervention_feature": 0},
         ],
     )
     def test_invalid_settings_rejected(self, settings):
@@ -483,6 +560,11 @@ class TestEmConfig:
 
     def test_boundary_settings_accepted(self):
         assert EmConfig(smoothing=0.0).smoothing == 0.0
+
+    def test_large_smoothing_needs_no_pin(self):
+        # Only a pinned table uses the smoothing as its epsilon.
+        assert EmConfig(smoothing=3.0).smoothing == 3.0
+        assert EmConfig(smoothing=0.49, terminal_intervention_feature=0).smoothing == 0.49
 
     def test_smoothing_that_overflows_the_bin_sums_rejected(self):
         rng = np.random.default_rng(6)
