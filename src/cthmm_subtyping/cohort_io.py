@@ -122,6 +122,15 @@ def _integer(key: str):
     return parse
 
 
+def _boolean(key: str):
+    """Parser of a switch: only JSON true or false; anything else is a ParseError naming ``key``."""
+    def parse(value):
+        if not isinstance(value, bool):
+            raise ParseError(f"bad configuration: {key} must be true or false, got {value!r}")
+        return value
+    return parse
+
+
 def _counts(key: str):
     """Parser of a count setting: one integer or a list of them."""
     one = _integer(key)
@@ -145,8 +154,8 @@ def config_from_dict(payload: dict) -> RunConfig:
     try:
         settings = _present(payload, {
             "intervention_feature": lambda name: name, "subtypes": _counts("subtypes"),
-            "states": _counts("states"), "terminal_intervention": bool, "train_fraction": float,
-            "prefix_fraction": float, "seed": _integer("seed"),
+            "states": _counts("states"), "terminal_intervention": _boolean("terminal_intervention"),
+            "train_fraction": float, "prefix_fraction": float, "seed": _integer("seed"),
         })
         if payload.get("features"):
             settings["scheme"] = _scheme(payload["features"])
@@ -155,7 +164,7 @@ def config_from_dict(payload: dict) -> RunConfig:
         em = dict(payload.get("em", {}))
         if "seed" in settings:
             em.setdefault("seed", settings["seed"])
-        if payload.get("left_to_right"):
+        if _boolean("left_to_right")(payload.get("left_to_right", False)):
             em["structure"] = "left-to-right"
         simulate = payload.get("simulate", {})
         sim = _present(simulate, {"patients": _integer("simulate.patients"),

@@ -4,10 +4,18 @@ Generator matrices, interval transition probabilities via the matrix
 exponential, and end-conditioned expectations of transition counts and
 state sojourn times over an interval.  These are the quantities the EM
 learner consumes; everything here is a pure function of its inputs.
+
+Both exponentials come in closed form from one eigendecomposition per
+generator (Liu et al. 2015; Hobolth & Jensen 2011).  A generator whose
+eigenvector basis is singular or ill-conditioned, as a defective
+(Jordan-block) one is, goes through scipy's scaling-and-squaring Pade
+``expm`` instead.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,10 @@ RATE_MAX = 1e3
 
 # Conditioning probabilities below this floor are treated as unreachable.
 P_FLOOR = 1e-12
+
+# An eigenvector basis V serves as a closed form only while its 1-norm
+# condition number ||V|| ||V^-1|| stays at or below this bound.
+EIGEN_COND_MAX = 100.0
 
 _ROW_SUM_TOL = 1e-12
 _ROW_SUM_MAX = 1e-8
@@ -170,22 +182,80 @@ def validate_generator(raw: np.ndarray, mask: np.ndarray) -> GeneratorMatrix:
     return GeneratorMatrix(rates=rates, mask=mask)
 
 
+def _eigensystem(
+    rates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and their inverse for a (M, K, K) stack.
+
+    One batched ``eig`` and one batched ``inv``; returns complex ``values``
+    (M, K), ``vectors`` V and ``inverse`` V^-1 (M, K, K), and ``usable``
+    (M,): V and V^-1 are finite and ||V||_1 ||V^-1||_1 <= EIGEN_COND_MAX.
+    A singular V (or a non-finite generator) marks its generator unusable
+    and never raises.  ``eig`` returns real arrays when every eigenvalue
+    is real; casting them keeps one arithmetic, and so one cost, for every
+    spectrum.
+    """
+    finite = np.isfinite(rates).all(axis=(1, 2))
+    values, vectors = np.linalg.eig(np.where(finite[:, None, None], rates, 0.0))
+    values, vectors = values.astype(complex), vectors.astype(complex)
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:  # some basis is exactly singular
+        inverse = np.full_like(vectors, np.nan)
+        for m, basis in enumerate(vectors):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inverse[m] = np.linalg.inv(basis)
+    cond = np.abs(vectors).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
+    usable = finite & np.isfinite(inverse).all(axis=(1, 2)) & (cond <= EIGEN_COND_MAX)
+    return values, vectors, inverse, usable
+
+
+def _matmul(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``stack @ matrix`` for complex arrays, as one real product.
+
+    A complex row read as (re_0, im_0, re_1, im_1, ...) times the real
+    form of ``matrix`` (each entry a + ib spread over the 2 x 2 block
+    [[a, b], [-b, a]]) is the complex product's row, read the same way;
+    numpy's own complex ``@`` is several times slower on these shapes.
+    One (K, K) ``matrix`` multiplies every row of the stack in a single
+    product; a stack of matrices pairs up with ``stack`` as ``@`` does.
+    """
+    real = np.empty(matrix.shape[:-2] + (2 * matrix.shape[-2], 2 * matrix.shape[-1]))
+    real[..., 0::2, 0::2] = real[..., 1::2, 1::2] = matrix.real
+    real[..., 0::2, 1::2] = matrix.imag
+    real[..., 1::2, 0::2] = -matrix.imag
+    rows = np.ascontiguousarray(stack, dtype=complex).view(float)
+    if matrix.ndim > 2:
+        return (rows @ real).view(complex)
+    product = rows.reshape(-1, rows.shape[-1]) @ real
+    return product.view(complex).reshape(stack.shape[:-1] + matrix.shape[-1:])
+
+
 def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Interval transition probabilities ``expm(gap * Q)`` for every pair.
 
     ``rates`` holds M generator matrices, shape (M, K, K), and ``gaps``
-    G intervals; the result has shape (M, G, K, K) and comes from one
-    stacked exponential.  Rows are renormalised when a row sum drifts from
-    one by more than 1e-12 but less than 1e-8; larger drift (or NaN)
-    anywhere in the stack raises :class:`ExpmInaccuracy` since it signals
-    an ill-conditioned ``gap * Q`` product.
+    G intervals; the result has shape (M, G, K, K).  A generator with a
+    usable eigensystem gets V diag(exp(gap * values)) V^-1 for all gaps in
+    one batched product; the others share one stacked ``expm`` call.  A
+    zero gap gives exactly the identity.  Rows are renormalised when a row
+    sum drifts from one by more than 1e-12 but less than 1e-8; larger
+    drift (or NaN) anywhere in the stack raises :class:`ExpmInaccuracy`
+    since it signals an ill-conditioned ``gap * Q`` product.
     """
     rates = np.asarray(rates, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     bad = ~((gaps >= 0) & (gaps < np.inf))
     if np.any(bad):
         raise NonPositiveInterval(f"interval must be finite and >= 0, got {gaps[bad][0]}")
-    probs = expm(rates[:, None] * gaps[:, None, None])
+    values, vectors, inverse, usable = _eigensystem(rates)
+    probs = np.empty(rates.shape[:1] + gaps.shape + rates.shape[1:])
+    growth = np.exp(values[usable][:, None, :] * gaps[:, None])
+    probs[usable] = _matmul(vectors[usable][:, None] * growth[..., None, :],
+                            inverse[usable][:, None]).real
+    if not np.all(usable):
+        probs[~usable] = expm(rates[~usable][:, None] * gaps[:, None, None])
+    probs[:, gaps == 0] = np.eye(rates.shape[-1])
     drift = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
     broken = ~(drift <= _ROW_SUM_MAX) | (probs.min(axis=(-2, -1)) < -_ROW_SUM_MAX)
     if np.any(broken):
@@ -217,12 +287,47 @@ def _interval_integral(
 ) -> np.ndarray:
     """integral over s in (0, delta_i) of expm(s Q) B_i expm((delta_i - s) Q).
 
-    ``blocks`` has shape (B, n, n) and ``intervals`` shape (B,).  Each
-    integral is the upper-right block of the exponential of the augmented
-    matrix [[Q, B_i], [0, Q]] * delta_i, which avoids any
-    diagonalisability assumption on Q; all B exponentials are one stacked
-    ``expm`` call.
+    ``blocks`` has shape (B, n, n) and ``intervals`` shape (B,).  With a
+    usable eigensystem Q = V diag(values) V^-1 each integral is
+    V [(V^-1 B_i V) * Phi_i] V^-1, where Phi_i[j, k] integrates
+    exp(s values_j + (delta_i - s) values_k) over (0, delta_i).  Otherwise
+    each is the upper-right block of the exponential of the augmented
+    matrix [[Q, B_i], [0, Q]] * delta_i, which needs no diagonalisability;
+    all B exponentials are then one stacked ``expm`` call.
     """
+    values, vectors, inverse, usable = _eigensystem(rates[None])
+    if usable[0]:
+        values, vectors, inverse = values[0], vectors[0], inverse[0]
+        # For j != k, Phi_jk is the divided difference (E_j - E_k) /
+        # (values_j - values_k) of E = exp(values delta), which is also
+        # delta E_k expm1(z) / z with z = (values_j - values_k) delta.  Where
+        # |z| < 0.1 the difference would cancel, so Phi_jk takes the Taylor
+        # series of expm1(z) / z there (eleven terms, error below 1e-18);
+        # the diagonal is delta E_j.  Only E needs a complex exp: numpy's
+        # complex exp and expm1 are scalar loops that run faster on real
+        # arguments, so the fewer of them, the less a fit's cost depends on
+        # its spectrum.  Phi is symmetric.
+        n = len(values)
+        growth = np.exp(np.multiply.outer(intervals, values))
+        j, k = np.triu_indices(n, 1)
+        split = values[j] - values[k]
+        z = np.multiply.outer(intervals, split)
+        near = np.abs(z) < 0.1
+        z = np.where(near, z, 0.0)  # the series is kept only there
+        series = np.full_like(z, 1 / math.factorial(11))
+        for m in range(10, 0, -1):
+            series *= z
+            series += 1 / math.factorial(m)
+        reciprocal = np.divide(1.0, split, out=np.zeros_like(split), where=split != 0)
+        pairs = np.where(near, intervals[:, None] * growth[:, k] * series,
+                         (growth[:, j] - growth[:, k]) * reciprocal)
+        phi = np.empty((len(intervals), n, n), dtype=complex)
+        phi[:, j, k] = phi[:, k, j] = pairs
+        phi[:, range(n), range(n)] = intervals[:, None] * growth
+        # Left products go through transposes: U X = (X^T U^T)^T.
+        eigenbasis = _matmul(_matmul(blocks, vectors).swapaxes(1, 2), inverse.T).swapaxes(1, 2)
+        weighted = _matmul(eigenbasis * phi, inverse)
+        return _matmul(weighted.swapaxes(1, 2), vectors.T).swapaxes(1, 2).real
     # The integral is linear in B_i.  Scaling each block to unit size keeps
     # a huge block from forcing extra squarings, which would cost the Q
     # blocks their relative accuracy.

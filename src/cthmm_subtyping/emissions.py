@@ -166,11 +166,14 @@ class EmissionTable:
     def bin_counts(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tables)
 
-    @property
+    @cached_property
     def stacked(self) -> np.ndarray:
         """Every feature's table side by side, in the layout of
-        :func:`stacked_columns`; the final (MISSING) column is all ones."""
-        return np.concatenate([*self.tables, np.ones((self.n_states, 1))], axis=1)
+        :func:`stacked_columns`; the final (MISSING) column is all ones.
+        Built once per table and read-only."""
+        stacked = np.concatenate([*self.tables, np.ones((self.n_states, 1))], axis=1)
+        stacked.flags.writeable = False
+        return stacked
 
     @cached_property
     def _log_stacked(self) -> np.ndarray:

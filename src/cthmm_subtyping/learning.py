@@ -237,7 +237,7 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
     over the per-gap pair counts.  With A = counts / P(gap) (zero where P
     is below ``P_FLOOR``), the upper-right block D of
     expm([[Q, A^T], [0, Q]] gap) gives the sojourn times on its diagonal
-    and the jumps as Q * D^T; one stacked exponential covers every
+    and the jumps as Q * D^T; one ``_interval_integral`` call covers every
     distinct gap.  P(gap) is the E-step's kernel when ``stats`` carry one.
     """
     previous = stats.generator

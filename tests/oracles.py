@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the library.
 
-Everything here recomputes results from first principles: truncated
-series for the matrix exponential, exhaustive enumeration over hidden
-sequences for posteriors, vectorised path simulation for
-end-conditioned expectations, and cell-by-cell CSV ingest.  None of it
-calls back into the package code paths it verifies.
+Everything here recomputes results from first principles: a truncated
+series and a 40-digit mpmath exponential for the matrix exponential,
+exhaustive enumeration over hidden sequences for posteriors, vectorised
+path simulation for end-conditioned expectations, and cell-by-cell CSV
+ingest.  None of it calls back into the package code paths it verifies.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -103,6 +104,22 @@ def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
         term = term @ matrix / n
         total = total + term
     return total
+
+
+def mp_kernel_and_integral(
+    rates: np.ndarray, block: np.ndarray, gap: float, digits: int = 40
+) -> tuple[np.ndarray, np.ndarray]:
+    """expm(gap Q) and the integral of expm(s Q) B expm((gap - s) Q) over
+    (0, gap), both rounded from one ``mpmath.expm`` of the augmented matrix
+    [[Q, B], [0, Q]] * gap at ``digits`` significant digits."""
+    n = rates.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = aug[n:, n:] = rates
+    aug[:n, n:] = block
+    with mpmath.workdps(digits):
+        scaled = mpmath.matrix(aug.tolist()) * mpmath.mpf(float(gap))
+        full = np.array(mpmath.expm(scaled).tolist(), dtype=float)
+    return full[:n, :n], full[:n, n:]
 
 
 def emission_log_likelihood(table, state: int, observation: np.ndarray) -> float:

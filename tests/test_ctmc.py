@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -22,7 +24,12 @@ from cthmm_subtyping import (
 from cthmm_subtyping import ctmc
 
 from conftest import random_generator
-from oracles import conditioned_moments, mc_end_conditioned, taylor_expm
+from oracles import (
+    conditioned_moments,
+    mc_end_conditioned,
+    mp_kernel_and_integral,
+    taylor_expm,
+)
 
 
 class TestValidateGenerator:
@@ -145,12 +152,17 @@ class TestTransitionMatrix:
                 transition_matrix(q, delta)
 
     def test_expm_drift_raises(self, monkeypatch):
-        q = validate_generator(np.array([[0.0, 0.77], [0.0, 0.0]]), full_mask(2))
+        # Equal exit rates make a Jordan block: the eigensystem is unusable,
+        # so every kernel comes from the stacked ``expm`` fallback.
+        q = validate_generator(
+            np.array([[0.0, 0.77, 0.0], [0.0, 0.0, 0.77], [0.0, 0.0, 0.0]]),
+            left_to_right_mask(3),
+        )
         rates = np.stack([q.rates, 2.0 * q.rates])
         gaps = np.array([0.5, 1.0, 2.0])
         for bad in (
-            np.array([[0.9, 0.2], [0.1, 0.7]]),  # row sums far from 1
-            np.full((2, 2), np.nan),  # e.g. an overflowed exponential
+            np.array([[0.9, 0.2, 0.0], [0.1, 0.7, 0.0], [0.0, 0.0, 1.0]]),  # row sums far from 1
+            np.full((3, 3), np.nan),  # e.g. an overflowed exponential
         ):
             monkeypatch.setattr(ctmc, "expm", lambda a: np.broadcast_to(bad, a.shape).copy())
             with pytest.raises(ExpmInaccuracy):
@@ -160,11 +172,40 @@ class TestTransitionMatrix:
 
             def one_drifts(a):
                 out = expm(a)
-                out.reshape(-1, 2, 2)[4] = bad
+                out.reshape(-1, 3, 3)[4] = bad
                 return out
 
             # One drifting matrix in the middle of the stack fails the call.
             monkeypatch.setattr(ctmc, "expm", one_drifts)
+            with pytest.raises(ExpmInaccuracy, match="interval 1.0"):
+                transition_kernels(rates, gaps)
+
+    def test_eigen_drift_raises(self, monkeypatch):
+        q = validate_generator(np.array([[0.0, 0.77], [0.0, 0.0]]), full_mask(2))
+        rates = np.stack([q.rates, 2.0 * q.rates])
+        gaps = np.array([0.0, 1.0, 2.0])
+        eigensystem = ctmc._eigensystem
+        for bad in (
+            np.array([[0.9, 0.2], [0.1, 0.7]]),  # row sums far from 1
+            np.full((2, 2), np.nan),  # e.g. an overflowed exponential
+        ):
+            def drifting(which):
+                # V = bad, V^-1 = I and zero eigenvalues give ``bad`` for
+                # every nonzero gap of the chosen generators.
+                def fake(stack):
+                    values, vectors, inverse, usable = eigensystem(stack)
+                    assert usable.all()
+                    values[which], vectors[which], inverse[which] = 0.0, bad, np.eye(2)
+                    return values, vectors, inverse, usable
+                return fake
+
+            monkeypatch.setattr(ctmc, "_eigensystem", drifting(slice(None)))
+            with pytest.raises(ExpmInaccuracy):
+                transition_matrix(q, 1.0)
+            with pytest.raises(ExpmInaccuracy):
+                transition_kernels(rates, gaps)
+            # One drifting generator fails the call at its first nonzero gap.
+            monkeypatch.setattr(ctmc, "_eigensystem", drifting(1))
             with pytest.raises(ExpmInaccuracy, match="interval 1.0"):
                 transition_kernels(rates, gaps)
 
@@ -185,6 +226,142 @@ class TestTransitionMatrix:
         for gaps in ([0.5, np.nan], [np.inf], [1.0, -1e-3]):
             with pytest.raises(NonPositiveInterval):
                 transition_kernels(q.rates[None], np.array(gaps))
+
+
+class TestExponentialPath:
+    """Which route builds a kernel: the eigensystem or the ``expm`` fallback."""
+
+    def test_equal_rate_chain_falls_back_and_matches_erlang(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(ctmc, "expm", counted)
+        r, k = 0.77, 5
+        q = validate_generator(np.diag(np.full(k - 1, r), 1), left_to_right_mask(k))
+        gaps = np.array([0.3, 1.0, 4.0, 12.0])
+        kernels = transition_kernels(q.rates[None], gaps)[0]
+        assert len(calls) == 1
+        # P_0j(t) = exp(-r t) (r t)^j / j! for every transient state j.
+        j = np.arange(k - 1)
+        factorials = np.array([math.factorial(i) for i in j], dtype=float)
+        for t, p in zip(gaps, kernels):
+            erlang = np.exp(-r * t) * (r * t) ** j / factorials
+            assert np.abs(p[0, :-1] - erlang).max() <= 1e-12
+        ctmc._interval_integral(q.rates, np.eye(k)[None], np.array([1.0]))
+        assert len(calls) == 2
+
+    def test_well_conditioned_generator_never_calls_expm(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("expm fallback used")
+
+        monkeypatch.setattr(ctmc, "expm", refuse)
+        rng = np.random.default_rng(17)
+        q = random_generator(rng, 4)
+        transition_kernels(q.rates[None], np.array([0.0, 0.4, 3.0]))
+        end_conditioned_stats(q, 1.3)
+
+    def test_singular_basis_is_unusable_not_an_error(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        rates = np.stack([random_generator(rng, 3).rates for _ in range(2)])
+        gaps = np.array([0.5, 2.0])
+        eig = np.linalg.eig
+
+        def singular_first(stack):
+            values, vectors = eig(stack)
+            vectors[0] = 1.0  # rank one: LU meets an exact zero pivot
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", singular_first)
+        assert ctmc._eigensystem(rates)[3].tolist() == [False, True]
+        kernels = transition_kernels(rates, gaps)
+        monkeypatch.undo()
+        for m, g in np.ndindex(2, 2):
+            assert np.abs(kernels[m, g] - expm(rates[m] * gaps[g])).max() <= 1e-12
+
+    def test_real_spectrum_gets_a_complex_eigensystem(self):
+        # One arithmetic for every spectrum: a fit then costs the same
+        # whether or not its generators have complex eigenvalues.
+        rng = np.random.default_rng(20)
+        q = random_generator(rng, 4, mask=left_to_right_mask(4))
+        values, vectors, inverse, usable = ctmc._eigensystem(q.rates[None])
+        assert usable[0] and np.all(values.imag == 0)
+        assert values.dtype == vectors.dtype == inverse.dtype == np.complex128
+
+    def test_non_finite_rates_fail_the_drift_guard(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ExpmInaccuracy):
+                transition_kernels(np.array([[[-1.0, 1.0], [bad, 0.0]]]), np.array([1.0]))
+
+    def test_left_to_right_kernels_zero_below_diagonal(self):
+        rng = np.random.default_rng(18)
+        gaps = np.array([0.0, 1e-3, 0.7, 25.0, 1e4])
+        for k in range(2, 9):
+            q = random_generator(rng, k, mask=left_to_right_mask(k))
+            kernels = transition_kernels(q.rates[None], gaps)
+            assert np.all(np.tril(kernels, -1) == 0.0)
+
+
+def _mpmath_cases(count=300, seed=2024):
+    """Seeded generators (K 2..8, full and left-to-right, every fifth with
+    equal rates) with log-uniform rates in [1e-6, 1e3], gaps in [1e-6, 1e4]
+    and a nonnegative block for the interval integral."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(2, 9))
+        mask = full_mask(k) if i % 2 else left_to_right_mask(k)
+        raw = 10.0 ** rng.uniform(-6, 3, size=(k, k))
+        if i % 5 == 0:
+            raw = np.full((k, k), raw[0, 1])
+        yield (
+            validate_generator(raw * mask, mask),
+            10.0 ** rng.uniform(-6, 4),
+            rng.uniform(0.0, 1.0, size=(k, k)),
+        )
+
+
+@pytest.fixture(scope="module")
+def mpmath_errors():
+    """Per case: ||Q gap||_1, whether the eigensystem is usable, the
+    kernel's absolute error and the integral's error relative to its
+    largest entry, both against the 40-digit reference."""
+    rows = []
+    for q, gap, block in _mpmath_cases():
+        kernel, integral = mp_kernel_and_integral(q.rates, block, gap)
+        ours = transition_kernels(q.rates[None], np.array([gap]))[0, 0]
+        ours_integral = ctmc._interval_integral(q.rates, block[None], np.array([gap]))[0]
+        rows.append((
+            np.abs(q.rates * gap).sum(axis=0).max(),
+            ctmc._eigensystem(q.rates[None])[3][0],
+            np.abs(ours - kernel).max(),
+            np.abs(ours_integral - integral).max() / np.abs(integral).max(),
+        ))
+    return np.array(rows)
+
+
+class TestMpmathOracle:
+    """Both exponential routes against a 40-digit ``mpmath.expm``; the
+    tolerance grows with ||Q gap||_1, since eigenvalue and squaring errors
+    scale with it."""
+
+    @staticmethod
+    def _tolerance(norms):
+        return np.where(norms < 1e3, 1e-12, 5e-9)
+
+    def test_cases_cover_both_routes(self, mpmath_errors):
+        norms, usable = mpmath_errors[:, 0], mpmath_errors[:, 1].astype(bool)
+        for side in (norms < 1e3, norms >= 1e3):
+            assert usable[side].any() and not usable[side].all()
+
+    def test_kernels_match(self, mpmath_errors):
+        norms, errors = mpmath_errors[:, 0], mpmath_errors[:, 2]
+        assert np.all(errors <= self._tolerance(norms))
+
+    def test_interval_integrals_match(self, mpmath_errors):
+        norms, errors = mpmath_errors[:, 0], mpmath_errors[:, 3]
+        assert np.all(errors <= self._tolerance(norms))
 
 
 class TestEndConditionedStats:

@@ -133,6 +133,15 @@ class TestEmissionTable:
                 tables=(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
             )
 
+    def test_stacked_is_built_once_and_read_only(self):
+        table = EmissionTable(tables=(np.array([[0.2, 0.8], [0.5, 0.5]]), np.eye(2)))
+        assert table.stacked is table.stacked
+        assert np.array_equal(
+            table.stacked, [[0.2, 0.8, 1.0, 0.0, 1.0], [0.5, 0.5, 0.0, 1.0, 1.0]]
+        )
+        with pytest.raises(ValueError):
+            table.stacked[0, 0] = 1.0
+
 
 class TestEmissionLogLikelihood:
     def setup_method(self):

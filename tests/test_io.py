@@ -518,6 +518,17 @@ class TestRunConfig:
         with pytest.raises(ParseError, match=rf"\b{key} must be an integer"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["terminal_intervention", "left_to_right"])
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None, []])
+    def test_non_boolean_switch_is_parse_error_naming_the_key(self, key, value):
+        with pytest.raises(ParseError, match=rf"\b{key} must be true or false"):
+            config_from_dict({key: value})
+
+    def test_false_switches_stay_off(self):
+        config = config_from_dict({"terminal_intervention": False, "left_to_right": False})
+        assert not config.terminal_intervention
+        assert config.em.structure == RunConfig().em.structure
+
     def test_negative_em_seed_in_file_rejected(self):
         with pytest.raises(InvariantViolation, match="seed"):
             config_from_dict({"seed": -3})
