@@ -80,6 +80,8 @@ class GeneratorMatrix:
         mask = np.asarray(self.mask, dtype=bool)
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise InvariantViolation("generator rates must be square")
+        if rates.shape[0] < 1:
+            raise InvariantViolation("generator needs at least one state")
         if mask.shape != rates.shape:
             raise InvariantViolation("structure mask shape differs from rates")
         if not np.all(np.isfinite(rates)):

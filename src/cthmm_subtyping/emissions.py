@@ -104,6 +104,11 @@ def discretize(values, feature: int | str, scheme: BinningScheme) -> np.ndarray:
     return np.where(inside, index, MISSING).astype(int)
 
 
+def _feature_starts(bin_counts: tuple[int, ...]) -> np.ndarray:
+    """First stacked column of each feature: ``sum(bin_counts[:d])``."""
+    return np.cumsum((0, *bin_counts[:-1]))
+
+
 def stacked_columns(observations: np.ndarray, bin_counts: tuple[int, ...]) -> np.ndarray:
     """Column of each cell of an (n, D) bin-index array in the stacked layout.
 
@@ -116,8 +121,31 @@ def stacked_columns(observations: np.ndarray, bin_counts: tuple[int, ...]) -> np
     if np.any(bad):
         d = int(np.argmax(bad))
         raise DimensionMismatch(f"feature {d}: bin index out of range for {bin_counts[d]} bins")
-    offsets = np.cumsum((0, *bin_counts[:-1]))
+    offsets = _feature_starts(bin_counts)
     return np.where(observations == MISSING, sum(bin_counts), observations + offsets)
+
+
+def feature_totals(stacked: np.ndarray, bin_counts: tuple[int, ...]) -> np.ndarray:
+    """Each feature's total over a stacked (..., C) array, C = sum(bin_counts).
+
+    Returns the same shape: every column holds the sum of its own
+    feature's columns, so ``stacked / feature_totals(stacked, bin_counts)``
+    normalises each feature separately.
+    """
+    starts = _feature_starts(bin_counts)
+    # A zero ahead of each feature makes reduceat add a feature's columns
+    # in the order ``.sum(axis=-1)`` adds them alone, bit for bit.
+    led = np.insert(stacked, starts, 0.0, axis=-1)
+    totals = np.add.reduceat(led, starts + np.arange(len(bin_counts)), axis=-1)
+    return np.repeat(totals, bin_counts, axis=-1)
+
+
+def split_features(stacked: np.ndarray, bin_counts: tuple[int, ...]) -> list[np.ndarray]:
+    """Per-feature blocks (..., bin_counts[d]) of a stacked array.
+
+    Columns past the features, such as the MISSING column, are dropped.
+    """
+    return np.split(stacked, np.cumsum(bin_counts), axis=-1)[:-1]
 
 
 @dataclass(frozen=True)
@@ -143,8 +171,8 @@ class EmissionTable:
                 n_states = table.shape[0]
             elif table.shape[0] != n_states:
                 raise InvariantViolation("emission tables disagree on state count")
-            if table.shape[1] < 1:
-                raise InvariantViolation(f"feature {d}: no bins")
+            if table.shape[0] < 1 or table.shape[1] < 1:
+                raise InvariantViolation(f"feature {d}: emission table needs states and bins")
             if not np.all(table >= 0):
                 raise InvariantViolation(f"feature {d}: negative or NaN emission probability")
             if np.abs(table.sum(axis=1) - 1.0).max() > 1e-12:
@@ -184,15 +212,21 @@ class EmissionTable:
         return rows
 
 
-def log_emission_matrix(table: EmissionTable, observations: np.ndarray) -> np.ndarray:
-    """Log emission likelihoods for every (timepoint, state) pair.
+def log_emission_matrix(tables: list[EmissionTable], observations: np.ndarray) -> np.ndarray:
+    """Log emission likelihoods for every (table, timepoint, state) triple.
 
+    ``tables`` are M emission tables with the same bin counts and
     ``observations`` is an (n, D) integer array with MISSING entries;
-    returns an (n, K) array of summed per-feature log-probabilities.
-    Raises :class:`DimensionMismatch` for a bin index outside its
-    feature's range.
+    returns an (M, n, K) array of summed per-feature log-probabilities.
+    Raises :class:`DimensionMismatch` when the tables disagree on bin
+    counts or for a bin index outside its feature's range.
     """
-    return table._log_stacked[stacked_columns(observations, table.bin_counts).T].sum(axis=0)
+    bin_counts = tables[0].bin_counts
+    if any(table.bin_counts != bin_counts for table in tables):
+        raise DimensionMismatch("emission tables disagree on feature bins")
+    columns = stacked_columns(observations, bin_counts)
+    logs = np.stack([table._log_stacked for table in tables])
+    return logs[:, columns.T].sum(axis=1)
 
 
 def expected_feature_value(

@@ -24,6 +24,7 @@ from .emissions import (
     EmissionTable,
     expected_feature_value,
     log_emission_matrix,
+    split_features,
 )
 from .errors import (
     DimensionMismatch,
@@ -48,7 +49,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
-        obs = np.asarray(self.observations, dtype=int)
+        obs = np.asarray(self.observations)
         if times.ndim != 1 or times.size < 1:
             raise InvariantViolation("trajectory needs at least one timestamp")
         if not np.all(np.isfinite(times)):
@@ -61,8 +62,21 @@ class Trajectory:
             raise InvariantViolation(
                 f"patient {self.patient_id!r}: observations must be (n_times, n_features)"
             )
+        if obs.dtype.kind != "i":
+            # Whole numbers in the int64 range are bin indices too; NaN,
+            # inf, fractions and booleans are not.
+            whole = obs.dtype.kind in "uf" and np.all(
+                np.isfinite(obs) & (obs == np.trunc(obs)) & (np.abs(obs) < 2.0**63)
+            )
+            if not whole:
+                raise InvariantViolation(
+                    f"patient {self.patient_id!r}: bin indices must be integers"
+                )
+        obs = obs.astype(int, copy=False)
         if np.any(obs < MISSING):
-            raise InvariantViolation("bin indices must be >= 0 or the missing marker")
+            raise InvariantViolation(
+                f"patient {self.patient_id!r}: bin indices must be >= 0 or the missing marker"
+            )
         times = np.ascontiguousarray(times)
         times.flags.writeable = False
         obs = np.ascontiguousarray(obs)
@@ -216,9 +230,9 @@ def _emission_weights(
     Each row's log weights are shifted by their maximum before
     exponentiation so very unlikely observations cannot underflow.
     """
+    tables = [model.emissions for model in models]
     log_b = np.empty((len(models), observations.shape[0], models[0].n_states))
-    for m, model in enumerate(models):
-        log_b[m, packing.rows] = log_emission_matrix(model.emissions, observations)
+    log_b[:, packing.rows] = log_emission_matrix(tables, observations)
     shift = log_b.max(axis=-1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     return np.exp(log_b - shift[..., None]), shift
@@ -394,7 +408,7 @@ def predictive_bin_distributions(
         )
     _, filtered = forward_filter([model], [prefix])
     predicted = propagate_filter(model, filtered[0, 0], future_times - t_end)
-    return [np.split(row, np.cumsum(model.emissions.bin_counts))[:-1] for row in predicted]
+    return [split_features(row, model.emissions.bin_counts) for row in predicted]
 
 
 @dataclass(frozen=True)

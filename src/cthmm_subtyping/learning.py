@@ -27,7 +27,7 @@ from .ctmc import (
     transition_kernels,
     validate_generator,
 )
-from .emissions import EmissionTable, stacked_columns
+from .emissions import EmissionTable, feature_totals, split_features, stacked_columns
 from .errors import (
     DimensionMismatch,
     ImpossibleTrajectory,
@@ -46,6 +46,8 @@ class SufficientStats:
     ``gaps`` holds the sorted distinct inter-observation gaps (shape G) and
     ``pair_counts[g]`` the K x K posterior counts of (state before, state
     after) pairs at gap ``gaps[g]`` (shape G x K x K).
+    ``emission_counts`` holds the posterior counts of every (state, bin)
+    pair (K x C) in the stacked layout of ``bin_counts``, C being their sum.
     ``generator`` is the generator the statistics were accumulated under,
     the one the generator update revises, and ``transition_probs[g]`` its
     P(``gaps[g]``) from the E-step.  Statistics built by hand may leave the
@@ -55,11 +57,14 @@ class SufficientStats:
     gaps: np.ndarray
     pair_counts: np.ndarray
     gamma_initial: np.ndarray
-    emission_counts: tuple[np.ndarray, ...]
+    emission_counts: np.ndarray
+    bin_counts: tuple[int, ...]
     generator: GeneratorMatrix | None = None
     transition_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.emission_counts.shape[-1] != sum(self.bin_counts):
+            raise InvariantViolation("emission counts do not match their bin counts")
         if self.generator is None and self.transition_probs is not None:
             raise InvariantViolation("transition kernels need the generator they came from")
 
@@ -185,16 +190,14 @@ def e_step(
     columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
     counts = np.zeros((sum(bin_counts) + 1, model.n_states))
     np.add.at(counts, columns, posteriors.gamma[:, None, :])
-    emission_counts = tuple(
-        np.ascontiguousarray(block.T) for block in np.split(counts[:-1], np.cumsum(bin_counts[:-1]))
-    )
     pair_counts = np.zeros(posteriors.kernels.shape)
     np.add.at(pair_counts, posteriors.gap_index, posteriors.xi)
     stats = SufficientStats(
         gaps=posteriors.gaps,
         pair_counts=pair_counts,
         gamma_initial=posteriors.gamma[posteriors.starts].sum(axis=0),
-        emission_counts=emission_counts,
+        emission_counts=np.ascontiguousarray(counts[:-1].T),
+        bin_counts=bin_counts,
         generator=model.generator,
         transition_probs=posteriors.kernels,
     )
@@ -204,19 +207,17 @@ def e_step(
 def m_step_emissions(stats: SufficientStats, smoothing: float) -> EmissionTable:
     """Closed-form emission update: smoothed ratio of posterior counts.
 
-    With smoothing zero and an all-zero count row the ratio is undefined;
-    that row falls back to uniform so the table stays a valid distribution.
+    With smoothing zero and a feature's counts all zero in a state the
+    ratio is undefined; that feature falls back to uniform in that state
+    so the table stays a valid distribution.
     """
-    tables = []
-    for counts in stats.emission_counts:
-        j = counts.shape[1]
-        totals = counts.sum(axis=1, keepdims=True)
-        smoothed = counts + smoothing
-        denom = totals + j * smoothing
-        table = np.where(denom > 0, smoothed / np.where(denom > 0, denom, 1.0), 1.0 / j)
-        table = table / table.sum(axis=1, keepdims=True)
-        tables.append(table)
-    return EmissionTable(tables=tuple(tables))
+    counts, bin_counts = stats.emission_counts, stats.bin_counts
+    bins = np.repeat(bin_counts, bin_counts)  # bin count of each column's feature
+    smoothed = counts + smoothing
+    denom = feature_totals(counts, bin_counts) + bins * smoothing
+    table = np.where(denom > 0, smoothed / np.where(denom > 0, denom, 1.0), 1.0 / bins)
+    table = table / feature_totals(table, bin_counts)
+    return EmissionTable(tables=tuple(split_features(table, bin_counts)))
 
 
 def m_step_initial(stats: SufficientStats) -> np.ndarray:
@@ -283,11 +284,12 @@ def m_step_generator(stats: SufficientStats) -> tuple[GeneratorMatrix, tuple[int
 
 def _empirical_bin_frequencies(
     trajectories: list[Trajectory], bin_counts: tuple[int, ...], smoothing: float
-) -> list[np.ndarray]:
+) -> np.ndarray:
+    """Smoothed observed frequency of every bin (C,), normalised per feature."""
     columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
     seen = np.bincount(columns.ravel(), minlength=sum(bin_counts) + 1)[:-1]
-    smoothed = np.split(seen + max(smoothing, 1e-6), np.cumsum(bin_counts[:-1]))
-    return [counts / counts.sum() for counts in smoothed]
+    smoothed = seen + max(smoothing, 1e-6)
+    return smoothed / feature_totals(smoothed, bin_counts)
 
 
 def _apply_terminal_intervention(
@@ -308,18 +310,17 @@ def _random_start(
     bin_counts: tuple[int, ...],
     config: EmConfig,
     rng: np.random.Generator,
-    base_freqs: list[np.ndarray],
+    base_freqs: np.ndarray,
 ) -> SubtypeModel:
     pi = rng.dirichlet(np.ones(n_states))
     mask = structure_mask(config.structure, n_states)
     raw = rng.uniform(0.01, 1.0, size=(n_states, n_states)) * mask
     generator = validate_generator(raw, mask)
-    tables = []
-    for d, j in enumerate(bin_counts):
-        noise = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=(n_states, j))
-        table = base_freqs[d][None, :] * noise
-        tables.append(table / table.sum(axis=1, keepdims=True))
-    emissions = EmissionTable(tables=tuple(tables))
+    # One draw per feature, in feature order, keeps the seeded stream.
+    noise = np.hstack([rng.uniform(-1.0, 1.0, size=(n_states, j)) for j in bin_counts])
+    table = base_freqs * (1.0 + 0.2 * noise)
+    table = table / feature_totals(table, bin_counts)
+    emissions = EmissionTable(tables=tuple(split_features(table, bin_counts)))
     if config.terminal_intervention_feature is not None:
         emissions = _apply_terminal_intervention(
             emissions, config.terminal_intervention_feature, config.smoothing

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emissions import BinningScheme, stacked_columns
+from .emissions import BinningScheme, feature_totals, stacked_columns
 from .errors import InvariantViolation, TooFewPatients
 from .inference import SubtypeModel, Trajectory, forward_filter
 from .learning import EmConfig, FitDiagnostics, _fit_prepared, _prepare_cohort, _run_em
@@ -102,8 +102,8 @@ def _bin_histograms(trajectories: list[Trajectory], bin_counts: tuple[int, ...])
     patient = np.repeat(np.arange(len(trajectories)), [t.length for t in trajectories])
     counts = np.zeros((len(trajectories), sum(bin_counts) + 1))
     np.add.at(counts, (patient[:, None], columns), 1.0)
-    features = np.split(counts[:, :-1], np.cumsum(bin_counts[:-1]), axis=1)
-    return np.hstack([h / np.maximum(h.sum(axis=1, keepdims=True), 1) for h in features])
+    counts = counts[:, :-1]
+    return counts / np.maximum(feature_totals(counts, bin_counts), 1)
 
 
 def _initial_partition(

@@ -135,6 +135,67 @@ def emission_log_likelihood(table, state: int, observation: np.ndarray) -> float
     return total
 
 
+def m_step_emissions_by_feature(
+    counts: list[np.ndarray], smoothing: float
+) -> list[np.ndarray]:
+    """Emission update one feature at a time: the smoothed ratio of each
+    (K, j) count block, uniform where a row's denominator is zero."""
+    tables = []
+    for block in counts:
+        j = block.shape[1]
+        totals = block.sum(axis=1, keepdims=True)
+        smoothed = block + smoothing
+        denom = totals + j * smoothing
+        table = np.where(denom > 0, smoothed / np.where(denom > 0, denom, 1.0), 1.0 / j)
+        tables.append(table / table.sum(axis=1, keepdims=True))
+    return tables
+
+
+def bin_frequencies_by_feature(
+    trajectories: list[Trajectory], bin_counts: tuple[int, ...], smoothing: float
+) -> list[np.ndarray]:
+    """Smoothed observed bin frequencies, one bincount per feature."""
+    out = []
+    for d, j in enumerate(bin_counts):
+        column = np.concatenate([t.observations[:, d] for t in trajectories])
+        seen = np.bincount(column[column != -1], minlength=j)
+        smoothed = seen + max(smoothing, 1e-6)
+        out.append(smoothed / smoothed.sum())
+    return out
+
+
+def bin_histograms_by_feature(
+    trajectories: list[Trajectory], bin_counts: tuple[int, ...]
+) -> np.ndarray:
+    """Per-patient observed-bin frequencies, one feature at a time,
+    features side by side; a feature never observed stays all zero."""
+    rows = []
+    for t in trajectories:
+        row = []
+        for d, j in enumerate(bin_counts):
+            column = t.observations[:, d]
+            h = np.bincount(column[column != -1], minlength=j).astype(float)
+            row.append(h / max(h.sum(), 1))
+        rows.append(np.concatenate(row))
+    return np.array(rows)
+
+
+def random_emission_tables(
+    n_states: int,
+    bin_counts: tuple[int, ...],
+    rng: np.random.Generator,
+    base_freqs: list[np.ndarray],
+) -> list[np.ndarray]:
+    """A restart's emission tables, drawn and normalised one feature at a
+    time: the base frequencies times 1 + 0.2 U(-1, 1) noise."""
+    tables = []
+    for d, j in enumerate(bin_counts):
+        noise = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=(n_states, j))
+        table = base_freqs[d][None, :] * noise
+        tables.append(table / table.sum(axis=1, keepdims=True))
+    return tables
+
+
 def emission_probs(tables: list[np.ndarray], observations: np.ndarray) -> np.ndarray:
     """Per-(timepoint, state) likelihoods; missing entries (-1) are skipped."""
     n = observations.shape[0]

@@ -56,6 +56,12 @@ class TestValidateGenerator:
                 validate_generator(raw, full_mask(2))
             with pytest.raises(InvariantViolation):
                 GeneratorMatrix(rates=[[bad, bad], [0.5, -0.5]], mask=full_mask(2))
+        # No states at all: nothing to reduce over, still a typed error.
+        empty = np.zeros((0, 0))
+        with pytest.raises(InvariantViolation, match="one state"):
+            validate_generator(empty, empty.astype(bool))
+        with pytest.raises(InvariantViolation, match="one state"):
+            GeneratorMatrix(rates=empty, mask=empty.astype(bool))
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareInput):

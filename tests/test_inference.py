@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,20 @@ class TestTrajectory:
         for times in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan]):
             with pytest.raises(InvariantViolation):
                 Trajectory("x", np.array(times), np.zeros((len(times), 1), dtype=int))
+
+    def test_requires_integral_bins(self):
+        too_big = np.array([[2**64 - 1]], dtype=np.uint64)  # would wrap to MISSING
+        bad = ([[1.5]], [[True]], [[np.nan]], [[np.inf]], [[-np.inf]], [[1e300]], too_big)
+        for observations in bad:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvariantViolation, match="'x'"):
+                    Trajectory("x", np.array([0.0]), np.array(observations))
+        whole = Trajectory("x", np.array([0.0, 1.0]), np.array([[2.0], [-1.0]]))
+        assert whole.observations.tolist() == [[2], [-1]]
+        assert whole.observations.dtype.kind == "i"
+        narrow = Trajectory("x", np.array([0.0]), np.array([[3]], dtype=np.uint8))
+        assert narrow.observations.dtype == np.int64
 
     def test_single_point_is_legal(self):
         t = Trajectory("p", np.array([3.0]), np.array([[MISSING]]))
@@ -322,6 +338,14 @@ class TestBatchedPasses:
         models = [random_model(rng, 2, (3,)), random_model(rng, 3, (3,))]
         cohort = _ragged_cohort(rng, [3], (3,))
         with pytest.raises(InvariantViolation):
+            forward_filter(models, cohort)
+
+    def test_forward_filter_needs_one_bin_layout(self):
+        # Same feature count, different bins: the stacked columns differ.
+        rng = np.random.default_rng(42)
+        models = [random_model(rng, 2, (3, 2)), random_model(rng, 2, (2, 3))]
+        cohort = _ragged_cohort(rng, [3, 2], (2, 2))
+        with pytest.raises(DimensionMismatch, match="bins"):
             forward_filter(models, cohort)
 
 

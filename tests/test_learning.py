@@ -29,7 +29,14 @@ from cthmm_subtyping import (
     transition_matrix,
     validate_generator,
 )
-from cthmm_subtyping.learning import _run_em, generator_update_terms, structure_mask
+from cthmm_subtyping.learning import (
+    _empirical_bin_frequencies,
+    _random_start,
+    _run_em,
+    generator_update_terms,
+    structure_mask,
+)
+from cthmm_subtyping.mixture import _bin_histograms
 
 from conftest import (
     chain_model,
@@ -38,6 +45,7 @@ from conftest import (
     random_times,
     separated_mixture,
 )
+import oracles
 from oracles import enumerate_posteriors
 
 
@@ -68,7 +76,7 @@ class TestEStep:
         for t in trajectories:
             seen = t.observations[t.observations[:, 0] != -1, 0]
             raw += np.bincount(seen, minlength=3)
-        assert stats.emission_counts[0][0] == pytest.approx(raw, abs=1e-10)
+        assert stats.emission_counts[0, :3] == pytest.approx(raw, abs=1e-10)
 
     def test_single_pair_sums_to_one(self):
         rng = np.random.default_rng(1)
@@ -151,7 +159,8 @@ class TestMStepEmissions:
             gaps=np.empty(0),
             pair_counts=np.empty((0, counts.shape[0], counts.shape[0])),
             gamma_initial=np.ones(counts.shape[0]),
-            emission_counts=(counts,),
+            emission_counts=counts,
+            bin_counts=(counts.shape[1],),
         )
 
     def test_plain_ratio_without_smoothing(self):
@@ -179,7 +188,8 @@ class TestMStepInitial:
             gaps=np.empty(0),
             pair_counts=np.empty((0, k, k)),
             gamma_initial=np.asarray(gamma_initial, dtype=float),
-            emission_counts=(np.zeros((len(gamma_initial), 2)),),
+            emission_counts=np.zeros((k, 2)),
+            bin_counts=(2,),
         )
 
     def test_normalisation(self):
@@ -230,7 +240,8 @@ class TestMStepGenerator:
             gaps=np.array([1.0]),
             pair_counts=np.array([[[1.0, 0.0], [0.0, 0.0]]]),
             gamma_initial=np.array([1.0, 0.0]),
-            emission_counts=(np.zeros((2, 2)),),
+            emission_counts=np.zeros((2, 2)),
+            bin_counts=(2,),
             generator=previous,
         )
         updated, _ = m_step_generator(stats)
@@ -242,7 +253,8 @@ class TestMStepGenerator:
             gaps=np.array([0.5]),
             pair_counts=np.array([[[3.0]]]),
             gamma_initial=np.array([1.0]),
-            emission_counts=(np.zeros((1, 2)),),
+            emission_counts=np.zeros((1, 2)),
+            bin_counts=(2,),
             generator=previous,
         )
         updated, _ = m_step_generator(stats)
@@ -256,7 +268,8 @@ class TestMStepGenerator:
             gaps=np.array([1.0]),
             pair_counts=np.array([[[0.0, 0.0], [0.0, 1.0]]]),
             gamma_initial=np.array([0.0, 1.0]),
-            emission_counts=(np.zeros((2, 2)),),
+            emission_counts=np.zeros((2, 2)),
+            bin_counts=(2,),
             generator=previous,
         )
         kept, degenerate = m_step_generator(stats)
@@ -283,7 +296,8 @@ class TestMStepGenerator:
                 gaps=np.array([1.0]),
                 pair_counts=np.ones((1, 2, 2)),
                 gamma_initial=np.ones(2),
-                emission_counts=(np.zeros((2, 2)),),
+                emission_counts=np.zeros((2, 2)),
+                bin_counts=(2,),
                 transition_probs=np.full((1, 2, 2), 0.5),
             )
 
@@ -298,7 +312,8 @@ class TestMStepGenerator:
             gaps=gaps,
             pair_counts=rng.uniform(0.0, 5.0, (gaps.size, n_states, n_states)),
             gamma_initial=np.ones(n_states),
-            emission_counts=(np.zeros((n_states, 2)),),
+            emission_counts=np.zeros((n_states, 2)),
+            bin_counts=(2,),
             generator=previous,
         )
         numer = np.zeros((n_states, n_states))
@@ -315,6 +330,75 @@ class TestMStepGenerator:
         scale = max(np.abs(numer).max(), np.abs(denom).max())
         assert np.abs(batched_numer - numer).max() <= 1e-10 * scale
         assert np.abs(batched_denom - denom).max() <= 1e-10 * scale
+
+
+def _within_ulps(actual, expected, ulps=4):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    bound = ulps * np.spacing(np.maximum(np.abs(actual), np.abs(expected)))
+    return actual.shape == expected.shape and bool(np.all(np.abs(actual - expected) <= bound))
+
+
+class TestStackedLayoutOracle:
+    """The stacked (K, C) updates against their per-feature references.
+
+    Each case uses every bin count from 2 to 9 (8 and up take numpy's
+    unrolled pairwise sum), in a seeded feature order.
+    """
+
+    def _case(self, n_states):
+        rng = np.random.default_rng(200 + n_states)
+        bin_counts = tuple(int(j) for j in rng.permutation(np.arange(2, 10)))
+        cohort = [
+            Trajectory(f"p{i}", random_times(rng, n), random_observations(rng, n, bin_counts, 0.4))
+            for i, n in enumerate(rng.integers(1, 7, size=12))
+        ]
+        return rng, bin_counts, cohort
+
+    @pytest.mark.parametrize("n_states", range(1, 9))
+    @pytest.mark.parametrize("smoothing", [0.0, 1e-3])
+    def test_m_step_matches_per_feature_loop(self, n_states, smoothing):
+        rng, bin_counts, _ = self._case(n_states)
+        counts = rng.uniform(0.0, 50.0, (n_states, sum(bin_counts)))
+        blocks = np.split(counts, np.cumsum(bin_counts)[:-1], axis=1)
+        for block in blocks:
+            block[rng.random(n_states) < 0.3] = 0.0  # views: zero rows in `counts` too
+        stats = SufficientStats(
+            gaps=np.empty(0),
+            pair_counts=np.empty((0, n_states, n_states)),
+            gamma_initial=np.ones(n_states),
+            emission_counts=counts,
+            bin_counts=bin_counts,
+        )
+        table = m_step_emissions(stats, smoothing)
+        expected = oracles.m_step_emissions_by_feature(blocks, smoothing)
+        assert len(table.tables) == len(expected)
+        for got, want in zip(table.tables, expected):
+            assert _within_ulps(got, want)
+
+    @pytest.mark.parametrize("n_states", range(1, 9))
+    @pytest.mark.parametrize("smoothing", [0.0, 1e-3])
+    def test_frequencies_and_histograms_match_per_feature_counts(self, n_states, smoothing):
+        _, bin_counts, cohort = self._case(n_states)
+        frequencies = _empirical_bin_frequencies(cohort, bin_counts, smoothing)
+        expected = np.concatenate(oracles.bin_frequencies_by_feature(cohort, bin_counts, smoothing))
+        assert _within_ulps(frequencies, expected)
+        histograms = _bin_histograms(cohort, bin_counts)
+        assert _within_ulps(histograms, oracles.bin_histograms_by_feature(cohort, bin_counts))
+
+    @pytest.mark.parametrize("n_states", range(1, 9))
+    def test_random_start_draws_like_the_per_feature_loop(self, n_states):
+        _, bin_counts, cohort = self._case(n_states)
+        base = oracles.bin_frequencies_by_feature(cohort, bin_counts, 1e-3)
+        model = _random_start(
+            n_states, bin_counts, EmConfig(), np.random.default_rng(n_states), np.concatenate(base)
+        )
+        rng = np.random.default_rng(n_states)
+        rng.dirichlet(np.ones(n_states))  # the initial law and the generator come first
+        rng.uniform(0.01, 1.0, size=(n_states, n_states))
+        expected = oracles.random_emission_tables(n_states, bin_counts, rng, base)
+        assert len(model.emissions.tables) == len(expected)
+        for got, want in zip(model.emissions.tables, expected):
+            assert np.array_equal(got, want)
 
 
 class TestFitDiseaseModel:
