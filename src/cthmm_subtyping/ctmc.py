@@ -3,10 +3,12 @@
 Generator matrices, interval transition probabilities via the matrix
 exponential, and end-conditioned expectations of transition counts and
 state sojourn times over an interval.  These are the quantities the EM
-learner consumes; everything here is a pure function of its inputs.
+learner consumes.  Every result is a function of its inputs alone; the
+one thing kept between calls is a generator's eigensystem, built at
+first use and cached on its frozen :class:`GeneratorMatrix`.
 
-Both exponentials come in closed form from one eigendecomposition per
-generator (Liu et al. 2015; Hobolth & Jensen 2011).  A generator whose
+Both exponentials come in closed form from that one eigendecomposition
+per generator (Liu et al. 2015; Hobolth & Jensen 2011).  A generator whose
 eigenvector basis is singular or ill-conditioned, as a defective
 (Jordan-block) one is, goes through scipy's scaling-and-squaring Pade
 ``expm`` instead.
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -105,6 +109,17 @@ class GeneratorMatrix:
     @property
     def size(self) -> int:
         return self.rates.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """This generator's :func:`_eigensystem`, read-only, with a leading axis of one.
+
+        Built at first use and kept for the object's lifetime, so every
+        kernel and interval integral of one generator shares one
+        eigendecomposition; a new generator (each M-step makes one) gets
+        its own.
+        """
+        return tuple(_frozen(a) for a in _eigensystem(self.rates[None]))
 
 
 @dataclass(frozen=True)
@@ -246,11 +261,25 @@ def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     since it signals an ill-conditioned ``gap * Q`` product.
     """
     rates = np.asarray(rates, dtype=float)
+    return _kernels(rates, _eigensystem(rates), gaps)
+
+
+def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) -> np.ndarray:
+    """:func:`transition_kernels` of M generator objects, from their cached spectra."""
+    if len(generators) == 1:
+        return _kernels(generators[0].rates[None], generators[0].spectrum, gaps)
+    spectra = zip(*(generator.spectrum for generator in generators))
+    return _kernels(np.stack([generator.rates for generator in generators]),
+                    tuple(np.concatenate(parts) for parts in spectra), gaps)
+
+
+def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray:
+    """:func:`transition_kernels` given the :func:`_eigensystem` of ``rates``."""
     gaps = np.asarray(gaps, dtype=float)
     bad = ~((gaps >= 0) & (gaps < np.inf))
     if np.any(bad):
         raise NonPositiveInterval(f"interval must be finite and >= 0, got {gaps[bad][0]}")
-    values, vectors, inverse, usable = _eigensystem(rates)
+    values, vectors, inverse, usable = spectrum
     probs = np.empty(rates.shape[:1] + gaps.shape + rates.shape[1:])
     growth = np.exp(values[usable][:, None, :] * gaps[:, None])
     probs[usable] = _matmul(vectors[usable][:, None] * growth[..., None, :],
@@ -280,16 +309,18 @@ def transition_matrix(generator: GeneratorMatrix, interval: float) -> Transition
     renormalisation and drift guard.
     """
     interval = float(interval)
-    probs = transition_kernels(generator.rates[None], np.array([interval]))[0, 0]
+    probs = _generator_kernels([generator], np.array([interval]))[0, 0]
     return TransitionMatrix(probs=probs, interval=interval)
 
 
 def _interval_integral(
-    rates: np.ndarray, blocks: np.ndarray, intervals: np.ndarray
+    rates: np.ndarray, spectrum: tuple, blocks: np.ndarray, intervals: np.ndarray
 ) -> np.ndarray:
     """integral over s in (0, delta_i) of expm(s Q) B_i expm((delta_i - s) Q).
 
-    ``blocks`` has shape (B, n, n) and ``intervals`` shape (B,).  With a
+    ``rates`` is one generator Q, ``spectrum`` its ``_eigensystem(rates[None])``
+    (a generator's cached :attr:`GeneratorMatrix.spectrum`), ``blocks``
+    has shape (B, n, n) and ``intervals`` shape (B,).  With a
     usable eigensystem Q = V diag(values) V^-1 each integral is
     V [(V^-1 B_i V) * Phi_i] V^-1, where Phi_i[j, k] integrates
     exp(s values_j + (delta_i - s) values_k) over (0, delta_i).  Otherwise
@@ -297,7 +328,7 @@ def _interval_integral(
     matrix [[Q, B_i], [0, Q]] * delta_i, which needs no diagonalisability;
     all B exponentials are then one stacked ``expm`` call.
     """
-    values, vectors, inverse, usable = _eigensystem(rates[None])
+    values, vectors, inverse, usable = spectrum
     if usable[0]:
         values, vectors, inverse = values[0], vectors[0], inverse[0]
         # For j != k, Phi_jk is the divided difference (E_j - E_k) /
@@ -366,7 +397,7 @@ def end_conditioned_stats(generator: GeneratorMatrix, interval: float) -> EndCon
     # block E_cd per (c, d).  Its c == d slices are the sojourn integrands,
     # and scaled by q_cd the others are the jump integrands.
     units = np.eye(n * n).reshape(n * n, n, n)
-    joint = _interval_integral(rates, units, np.full(n * n, interval))
+    joint = _interval_integral(rates, generator.spectrum, units, np.full(n * n, interval))
     joint = joint.reshape(n, n, n, n).transpose(2, 3, 0, 1)
     joint_sojourn = np.einsum("abcc->abc", joint)
     joint_transitions = joint * np.where(np.eye(n, dtype=bool), 0.0, rates)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, left_to_right_mask, sojourn_expectation, transition_kernels
+from .ctmc import GeneratorMatrix, _generator_kernels, left_to_right_mask, sojourn_expectation
 from .emissions import (
     MISSING,
     BinningScheme,
@@ -32,6 +32,19 @@ from .errors import (
     NonCausalQuery,
     StructureNotChain,
 )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` frozen and C-contiguous, never freezing the caller's own array.
+
+    A writable array may be the caller's, so it is copied first; an
+    already read-only contiguous one, such as a slice of another
+    trajectory's arrays, is kept without a copy.
+    """
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -77,12 +90,8 @@ class Trajectory:
             raise InvariantViolation(
                 f"patient {self.patient_id!r}: bin indices must be >= 0 or the missing marker"
             )
-        times = np.ascontiguousarray(times)
-        times.flags.writeable = False
-        obs = np.ascontiguousarray(obs)
-        obs.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "times", _read_only(times))
+        object.__setattr__(self, "observations", _read_only(obs))
 
     @property
     def length(self) -> int:
@@ -295,8 +304,7 @@ def forward_filter(
         raise InvariantViolation("models disagree on state count")
     observations = _observations(models, trajectories)
     packing = _pack(trajectories)
-    rates = np.stack([model.generator.rates for model in models])
-    kernels = transition_kernels(rates, packing.gaps)
+    kernels = _generator_kernels([model.generator for model in models], packing.gaps)
     b, shift = _emission_weights(models, observations, packing)
     initial = np.stack([model.initial for model in models])
     scale, alpha = _forward(initial, kernels, b, packing)
@@ -317,7 +325,7 @@ def forward_backward_batch(
     """
     observations = _observations([model], trajectories)
     packing = _pack(trajectories)
-    kernels = transition_kernels(model.generator.rates[None], packing.gaps)[0]
+    kernels = _generator_kernels([model.generator], packing.gaps)[0]
     b, shift = _emission_weights([model], observations, packing)
     scale, alpha = _forward(model.initial[None], kernels[None], b, packing)
     log_scale, log_likelihood = _log_likelihood(scale, shift, packing)
@@ -380,7 +388,7 @@ def propagate_filter(model: SubtypeModel, filtered: np.ndarray, gaps: np.ndarray
     The gaps' kernels come from one stacked exponential; returns a (gaps,
     columns) array in the layout of :func:`~.emissions.stacked_columns`.
     """
-    states = filtered @ transition_kernels(model.generator.rates[None], gaps)[0]
+    states = filtered @ _generator_kernels([model.generator], gaps)[0]
     return states @ model.emissions.stacked
 
 

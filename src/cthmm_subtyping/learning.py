@@ -21,10 +21,10 @@ from .ctmc import (
     RATE_MAX,
     RATE_MIN,
     GeneratorMatrix,
+    _generator_kernels,
     _interval_integral,
     full_mask,
     left_to_right_mask,
-    transition_kernels,
     validate_generator,
 )
 from .emissions import EmissionTable, feature_totals, split_features, stacked_columns
@@ -246,11 +246,11 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
         raise InvariantViolation("statistics carry no generator to update")
     probs = stats.transition_probs
     if probs is None:
-        probs = transition_kernels(previous.rates[None], stats.gaps)[0]
+        probs = _generator_kernels([previous], stats.gaps)[0]
     reachable = probs >= P_FLOOR
     weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
     integral = _interval_integral(
-        previous.rates, weights.transpose(0, 2, 1), stats.gaps
+        previous.rates, previous.spectrum, weights.transpose(0, 2, 1), stats.gaps
     ).sum(axis=0)
     numer = np.clip(previous.mask * previous.rates * integral.T, 0.0, None)
     denom = np.clip(np.diag(integral), 0.0, None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from cthmm_subtyping import (
     BinningScheme,
@@ -14,6 +15,7 @@ from cthmm_subtyping import (
     left_to_right_mask,
     validate_generator,
 )
+from cthmm_subtyping import ctmc
 
 
 def random_generator(rng, n_states, lo=0.2, hi=1.5, mask=None):
@@ -122,3 +124,17 @@ def best_permutation_accuracy(assigned, truth, n_subtypes):
         if acc > best:
             best, best_perm = acc, perm
     return best, best_perm
+
+
+@pytest.fixture
+def eigensystem_calls(monkeypatch):
+    """List that grows by one entry (the stack size) per ``ctmc._eigensystem`` call."""
+    calls = []
+    eigensystem = ctmc._eigensystem
+
+    def spy(rates):
+        calls.append(len(rates))
+        return eigensystem(rates)
+
+    monkeypatch.setattr(ctmc, "_eigensystem", spy)
+    return calls

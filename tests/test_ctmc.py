@@ -187,14 +187,16 @@ class TestTransitionMatrix:
                 transition_kernels(rates, gaps)
 
     def test_eigen_drift_raises(self, monkeypatch):
-        q = validate_generator(np.array([[0.0, 0.77], [0.0, 0.0]]), full_mask(2))
-        rates = np.stack([q.rates, 2.0 * q.rates])
         gaps = np.array([0.0, 1.0, 2.0])
         eigensystem = ctmc._eigensystem
         for bad in (
             np.array([[0.9, 0.2], [0.1, 0.7]]),  # row sums far from 1
             np.full((2, 2), np.nan),  # e.g. an overflowed exponential
         ):
+            # A fresh generator each time: its cached spectrum is this fake's.
+            q = validate_generator(np.array([[0.0, 0.77], [0.0, 0.0]]), full_mask(2))
+            rates = np.stack([q.rates, 2.0 * q.rates])
+
             def drifting(which):
                 # V = bad, V^-1 = I and zero eigenvalues give ``bad`` for
                 # every nonzero gap of the chosen generators.
@@ -256,7 +258,7 @@ class TestExponentialPath:
         for t, p in zip(gaps, kernels):
             erlang = np.exp(-r * t) * (r * t) ** j / factorials
             assert np.abs(p[0, :-1] - erlang).max() <= 1e-12
-        ctmc._interval_integral(q.rates, np.eye(k)[None], np.array([1.0]))
+        ctmc._interval_integral(q.rates, q.spectrum, np.eye(k)[None], np.array([1.0]))
         assert len(calls) == 2
 
     def test_well_conditioned_generator_never_calls_expm(self, monkeypatch):
@@ -310,6 +312,51 @@ class TestExponentialPath:
             assert np.all(np.tril(kernels, -1) == 0.0)
 
 
+class TestCachedSpectrum:
+    """A generator's eigensystem is built once, on the object, and read-only."""
+
+    @staticmethod
+    def _generators():
+        rng = np.random.default_rng(24)
+        usable = random_generator(rng, 4)
+        # Equal rates make a Jordan block: the ``expm`` fallback.
+        jordan = validate_generator(np.diag(np.full(3, 0.77), 1), left_to_right_mask(4))
+        return usable, jordan
+
+    def test_routes_are_bitwise_equal(self):
+        usable, jordan = self._generators()
+        assert usable.spectrum[3].tolist() == [True]
+        assert jordan.spectrum[3].tolist() == [False]
+        gaps = np.array([0.0, 0.3, 1.0, 7.5])
+        for generators in ([usable], [jordan], [usable, jordan]):
+            raw = transition_kernels(np.stack([g.rates for g in generators]), gaps)
+            assert np.array_equal(ctmc._generator_kernels(generators, gaps), raw)
+        rng = np.random.default_rng(25)
+        blocks, intervals = rng.uniform(size=(3, 4, 4)), np.array([0.2, 1.0, 4.0])
+        for q in (usable, jordan):
+            fresh = ctmc._eigensystem(q.rates[None])
+            assert np.array_equal(
+                ctmc._interval_integral(q.rates, q.spectrum, blocks, intervals),
+                ctmc._interval_integral(q.rates, fresh, blocks, intervals),
+            )
+
+    def test_spectrum_is_read_only(self):
+        for q in self._generators():
+            assert len(q.spectrum) == 4
+            for array in q.spectrum:
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_one_eigensystem_per_generator(self, eigensystem_calls):
+        usable, jordan = self._generators()
+        end_conditioned_stats(usable, 1.3)
+        assert eigensystem_calls == [1]
+        transition_matrix(usable, 0.4)
+        ctmc._generator_kernels([usable, jordan], np.array([0.5, 2.0]))
+        end_conditioned_stats(jordan, 0.8)
+        assert eigensystem_calls == [1, 1]
+
+
 def _mpmath_cases(count=300, seed=2024):
     """Seeded generators (K 2..8, full and left-to-right, every fifth with
     equal rates) with log-uniform rates in [1e-6, 1e3], gaps in [1e-6, 1e4]
@@ -337,7 +384,8 @@ def mpmath_errors():
     for q, gap, block in _mpmath_cases():
         kernel, integral = mp_kernel_and_integral(q.rates, block, gap)
         ours = transition_kernels(q.rates[None], np.array([gap]))[0, 0]
-        ours_integral = ctmc._interval_integral(q.rates, block[None], np.array([gap]))[0]
+        ours_integral = ctmc._interval_integral(
+            q.rates, q.spectrum, block[None], np.array([gap]))[0]
         rows.append((
             np.abs(q.rates * gap).sum(axis=0).max(),
             ctmc._eigensystem(q.rates[None])[3][0],

@@ -13,6 +13,7 @@ from cthmm_subtyping import (
     ObservationTimeConfig,
     SubtypeModel,
     Trajectory,
+    assign_subtype,
     fit_disease_model,
     forecast_cross_entropy,
     forecast_report,
@@ -193,6 +194,19 @@ class TestForecastCrossEntropy:
         t = Trajectory("zed", np.arange(6.0), np.array([[0], [1], [1], [1], [1], [1]]))
         with pytest.raises(ImpossibleTrajectory, match="zed"):
             forecast_cross_entropy(mixture, t, 0.7)
+
+
+    def test_scoring_patients_diagonalises_each_subtype_once(self, eigensystem_calls):
+        mixture = separated_mixture(
+            [np.array([[0], [3], [1]]), np.array([[4], [1], [2]]), np.array([[2], [0], [4]])],
+            [[0.6, 0.3], [1.1, 0.4], [0.2, 0.9]],
+        )
+        cohort = _simple_cohort(np.random.default_rng(12), 20, lengths=(6, 12), missing=0.0)
+        for n_scored, t in enumerate(cohort, start=1):
+            assign_subtype(mixture, t)
+            forecast_cross_entropy(mixture, t, 0.7)
+            if n_scored in (1, len(cohort)):
+                assert eigensystem_calls == [1] * mixture.n_subtypes
 
 
 class TestForecastReport:

@@ -24,6 +24,7 @@ from cthmm_subtyping import (
     full_mask,
     left_to_right_mask,
     predictive_bin_distributions,
+    prefix_split,
     progression_trajectory,
     sojourn_expectation,
     trajectory_log_likelihood,
@@ -79,6 +80,20 @@ class TestTrajectory:
     def test_single_point_is_legal(self):
         t = Trajectory("p", np.array([3.0]), np.array([[MISSING]]))
         assert t.length == 1
+
+    def test_caller_arrays_stay_writable(self):
+        times, observations = np.array([0.0, 1.0, 2.5]), np.array([[0], [1], [MISSING]])
+        t = Trajectory("p", times, observations)
+        assert times.flags.writeable and observations.flags.writeable
+        assert not (t.times.flags.writeable or t.observations.flags.writeable)
+        times[0], observations[0, 0] = -1.0, 2
+        assert t.times[0] == 0.0 and t.observations[0, 0] == 0
+
+    def test_prefix_of_a_trajectory_shares_its_arrays(self):
+        t = Trajectory("p", np.array([0.0, 1.0, 2.5, 4.0]), np.array([[0], [1], [1], [2]]))
+        prefix, _, _ = prefix_split(t, 0.5)
+        assert np.shares_memory(prefix.times, t.times)
+        assert np.shares_memory(prefix.observations, t.observations)
 
 
 class TestSubtypeModel:

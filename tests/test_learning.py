@@ -232,6 +232,14 @@ class TestMStepGenerator:
         updated, _ = m_step_generator(stats)
         assert updated.rates[0, 1] == pytest.approx(0.5, rel=0.10)
 
+    def test_em_iteration_diagonalises_the_generator_once(self, eigensystem_calls):
+        rng = np.random.default_rng(13)
+        model, trajectories = _cohort(rng, 6, 3, (3, 2))
+        stats, _ = e_step(model, trajectories)
+        assert eigensystem_calls == [1]
+        m_step_generator(stats)
+        assert eigensystem_calls == [1]
+
     def test_zero_transitions_clamp_to_rate_floor(self):
         previous = validate_generator(
             np.array([[0.0, 0.7], [0.0, 0.0]]), left_to_right_mask(2)
