@@ -61,8 +61,16 @@ def left_to_right_mask(n_states: int) -> np.ndarray:
     return mask
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` frozen and C-contiguous, never freezing the caller's own array.
+
+    Every frozen dataclass stores its arrays through this.  A writable
+    array may be the caller's, so it is copied first; an already
+    read-only contiguous one, such as a slice of another frozen object's
+    arrays, is kept without a copy.
+    """
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -103,8 +111,8 @@ class GeneratorMatrix:
         nz = rates[mask][rates[mask] > 0]
         if nz.size and (nz.min() < RATE_MIN * (1 - 1e-12) or nz.max() > RATE_MAX * (1 + 1e-12)):
             raise InvariantViolation("off-diagonal rate outside allowed bounds")
-        object.__setattr__(self, "rates", _frozen(rates))
-        object.__setattr__(self, "mask", _frozen(mask))
+        object.__setattr__(self, "rates", _read_only(rates))
+        object.__setattr__(self, "mask", _read_only(mask))
 
     @property
     def size(self) -> int:
@@ -119,7 +127,7 @@ class GeneratorMatrix:
         eigendecomposition; a new generator (each M-step makes one) gets
         its own.
         """
-        return tuple(_frozen(a) for a in _eigensystem(self.rates[None]))
+        return tuple(_read_only(a) for a in _eigensystem(self.rates[None]))
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class TransitionMatrix:
     interval: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _frozen(np.asarray(self.probs, dtype=float)))
+        object.__setattr__(self, "probs", _read_only(np.asarray(self.probs, dtype=float)))
 
     @property
     def size(self) -> int:
@@ -154,9 +162,9 @@ class EndConditionedStats:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "expected_transitions", _frozen(self.expected_transitions)
+            self, "expected_transitions", _read_only(self.expected_transitions)
         )
-        object.__setattr__(self, "expected_sojourn", _frozen(self.expected_sojourn))
+        object.__setattr__(self, "expected_sojourn", _read_only(self.expected_sojourn))
 
 
 def validate_generator(raw: np.ndarray, mask: np.ndarray) -> GeneratorMatrix:

@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .ctmc import _read_only
 from .errors import DimensionMismatch, InvariantViolation, UnknownFeature
 
 #: Bin index marking a missing observation.
@@ -177,9 +178,7 @@ class EmissionTable:
                 raise InvariantViolation(f"feature {d}: negative or NaN emission probability")
             if np.abs(table.sum(axis=1) - 1.0).max() > 1e-12:
                 raise InvariantViolation(f"feature {d}: emission rows must sum to 1")
-            table = np.ascontiguousarray(table)
-            table.flags.writeable = False
-            frozen.append(table)
+            frozen.append(_read_only(table))
         object.__setattr__(self, "tables", tuple(frozen))
 
     @property
@@ -190,7 +189,7 @@ class EmissionTable:
     def n_features(self) -> int:
         return len(self.tables)
 
-    @property
+    @cached_property
     def bin_counts(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tables)
 
@@ -212,21 +211,25 @@ class EmissionTable:
         return rows
 
 
-def log_emission_matrix(tables: list[EmissionTable], observations: np.ndarray) -> np.ndarray:
-    """Log emission likelihoods for every (table, timepoint, state) triple.
+def log_emission_matrix(
+    tables: list[EmissionTable], observations: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Log emission likelihoods of every timepoint under its own table.
 
-    ``tables`` are M emission tables with the same bin counts and
-    ``observations`` is an (n, D) integer array with MISSING entries;
-    returns an (M, n, K) array of summed per-feature log-probabilities.
-    Raises :class:`DimensionMismatch` when the tables disagree on bin
-    counts or for a bin index outside its feature's range.
+    ``tables`` are M emission tables with the same bin counts,
+    ``observations`` is an (n, D) integer array with MISSING entries and
+    ``owner`` the (n,) index of each row's table; returns an (n, K) array
+    of summed per-feature log-probabilities, so no row is evaluated under
+    a table it does not use.  Raises :class:`DimensionMismatch` when the
+    tables disagree on bin counts or for a bin index outside its
+    feature's range.
     """
     bin_counts = tables[0].bin_counts
     if any(table.bin_counts != bin_counts for table in tables):
         raise DimensionMismatch("emission tables disagree on feature bins")
     columns = stacked_columns(observations, bin_counts)
     logs = np.stack([table._log_stacked for table in tables])
-    return logs[:, columns.T].sum(axis=1)
+    return logs[owner, columns.T].sum(axis=0)
 
 
 def expected_feature_value(

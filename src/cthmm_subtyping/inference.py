@@ -5,19 +5,29 @@ the transition kernel between consecutive observations is the matrix
 exponential of the gap times the generator.  The recursions are scaled
 (per-step normalisation) which keeps them stable for trajectories of
 tens of thousands of points and yields the log-likelihood as the sum of
-log scaling constants.  They run over batches packed time-major: one
-Python loop over time steps serves every trajectory (and, forward-only,
-every model) at once, with the kernels for all distinct gaps built in
-one stacked exponential.
+log scaling constants.  Forward-backward and the forward-only filter
+run over one pair-packed layout: a batch is a list of (model,
+trajectory) pairs packed time-major, and one Python loop over time steps
+serves every pair at once, each row reading its own model's emission
+table and kernels.  So one pass covers the restarts of one cohort, the
+subtypes of a mixture on their member sets, or every subtype against
+every trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, _generator_kernels, left_to_right_mask, sojourn_expectation
+from .ctmc import (
+    GeneratorMatrix,
+    _generator_kernels,
+    _read_only,
+    left_to_right_mask,
+    sojourn_expectation,
+)
 from .emissions import (
     MISSING,
     BinningScheme,
@@ -32,19 +42,6 @@ from .errors import (
     NonCausalQuery,
     StructureNotChain,
 )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a`` frozen and C-contiguous, never freezing the caller's own array.
-
-    A writable array may be the caller's, so it is copied first; an
-    already read-only contiguous one, such as a slice of another
-    trajectory's arrays, is kept without a copy.
-    """
-    if a.flags.writeable or not a.flags.c_contiguous:
-        a = np.array(a, order="C")
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,7 @@ class SubtypeModel:
             raise InvariantViolation("initial distribution size differs from state count")
         if self.emissions.n_states != self.generator.size:
             raise InvariantViolation("emission table state count differs from generator")
-        initial = np.ascontiguousarray(initial)
-        initial.flags.writeable = False
-        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "initial", _read_only(initial))
 
     @property
     def n_states(self) -> int:
@@ -151,14 +146,15 @@ class PosteriorSummary:
 
 @dataclass(frozen=True)
 class CohortPosteriors:
-    """Forward-backward output for a batch of B trajectories.
+    """Forward-backward output for a batch of B (model, trajectory) pairs.
 
-    Rows follow the trajectories in batch order, one per timestamp (N in
-    all); trajectory b's rows start at ``starts[b]``.  ``xi`` has one row
-    per consecutive pair, in the same order as the concatenated gaps;
-    ``gaps`` holds the batch's sorted distinct gaps, ``gap_index`` the
-    index of each pair's gap into it and ``kernels[g]`` the transition
-    matrix for ``gaps[g]``.
+    Rows follow the pairs in batch order, one per timestamp (N in all);
+    pair b's rows start at ``starts[b]``.  ``xi`` has one row per
+    consecutive pair of timestamps, in the same order.  Model m's sorted
+    distinct gaps are ``gaps[gap_starts[m]:gap_starts[m + 1]]``;
+    ``gap_index`` holds the index of each ``xi`` row's gap into ``gaps``
+    and ``kernels[g]`` the transition matrix for ``gaps[g]`` under the
+    model that owns it.
     """
 
     log_likelihood: np.ndarray  # (B,)
@@ -167,29 +163,45 @@ class CohortPosteriors:
     log_scale: np.ndarray  # (N,)
     starts: np.ndarray  # (B,)
     gaps: np.ndarray  # (G,)
+    gap_starts: np.ndarray  # (M + 1,)
     gap_index: np.ndarray  # (N - B,)
     kernels: np.ndarray  # (G, K, K)
 
 
 @dataclass(frozen=True)
 class _Packing:
-    """Time-major layout of a batch, longest trajectories first.
+    """Time-major layout of a batch of (model, trajectory) pairs.
 
-    Step i holds the ``sizes[i]`` trajectories longer than i, always in the
-    same order, so those alive at a step are a prefix of those alive at
-    the step before; packed row ``offsets[i] + r`` is step i of the r-th
-    of them.  ``rows[n]`` is the packed row of concatenated row n,
-    ``pair_rows[j]`` the packed row that ends concatenated pair j, and
-    ``slot[p]`` the gap index of the pair ending at packed row p (rows of
-    the first step end no pair).
+    Model m pairs with ``trajectories[i]`` for each i in its member list;
+    the pairs run model by model (``pair_model``, ``pair_member``), and
+    so do their rows ("batch order").  The packed layout puts the longest
+    pairs first: step i holds the ``sizes[i]`` pairs longer than i, always
+    in the same order, so those alive at a step are a prefix of those
+    alive at the step before; packed row ``offsets[i] + r`` is step i of
+    the r-th of them.  ``rows[n]`` is the packed row of batch row n,
+    ``pair_rows[j]`` the packed row that ends batch pair j and
+    ``pair_before[j]`` the one that starts it.  Packed row p belongs to
+    model ``row_model[p]``, reads cohort observation row ``source[p]``,
+    and ends a pair with gap ``gaps[slot[p]]`` (rows of the first step end
+    no pair).  Model m's sorted distinct gaps are
+    ``gaps[gap_starts[m]:gap_starts[m + 1]]``; consecutive models with the
+    same members form a run, from model ``runs[r]`` to ``runs[r + 1]``,
+    whose blocks repeat one set of gaps.
     """
 
+    trajectories: list[Trajectory]
+    pair_model: np.ndarray  # (B,)
+    pair_member: np.ndarray  # (B,)
     sizes: np.ndarray  # (T,)
     offsets: np.ndarray  # (T,)
     rows: np.ndarray  # (N,)
     starts: np.ndarray  # (B,)
     ends: np.ndarray  # (B,)
+    row_model: np.ndarray  # (N,)
+    source: np.ndarray  # (N,)
     gaps: np.ndarray  # (G,)
+    gap_starts: np.ndarray  # (M + 1,)
+    runs: list[int]
     pair_rows: np.ndarray  # (N - B,)
     slot: np.ndarray  # (N,)
 
@@ -197,9 +209,20 @@ class _Packing:
         """(first row of the step before, first row, size) of steps 1 .. T-1."""
         return list(zip(self.offsets, self.offsets[1:], self.sizes[1:]))
 
+    @cached_property
+    def pair_before(self) -> np.ndarray:
+        """The packed row that starts each batch pair (N - B,); forward-backward only."""
+        return np.delete(self.rows, self.ends - 1)
 
-def _pack(trajectories: list[Trajectory]) -> _Packing:
-    lengths = np.array([t.length for t in trajectories])
+
+def _pack(trajectories: list[Trajectory], members: list[np.ndarray]) -> _Packing:
+    """Pack model m with ``trajectories[i]`` for every i in ``members[m]``."""
+    if not all(len(group) for group in members):
+        raise InvariantViolation("need at least one trajectory")
+    cohort_lengths = np.array([t.length for t in trajectories])
+    pair_model = np.repeat(np.arange(len(members)), [len(group) for group in members])
+    pair_member = np.concatenate(members)
+    lengths = cohort_lengths[pair_member]
     ends = np.cumsum(lengths)
     starts = ends - lengths
     rank = np.empty_like(lengths)
@@ -208,84 +231,128 @@ def _pack(trajectories: list[Trajectory]) -> _Packing:
     offsets = np.cumsum(sizes) - sizes
     step = np.arange(ends[-1]) - np.repeat(starts, lengths)
     rows = offsets[step] + np.repeat(rank, lengths)
-    gaps, gap_index = np.unique(
-        np.concatenate([np.diff(t.times) for t in trajectories]), return_inverse=True
-    )
-    pair_rows = rows[step > 0]
+    runs = [m for m in range(len(members)) if m == 0 or not (
+        members[m] is members[m - 1] or np.array_equal(members[m], members[m - 1]))]
+    runs.append(len(members))
+    blocks, gap_index, gap_starts = [], [], [0]
+    for first, stop in zip(runs, runs[1:]):
+        diffs = [np.diff(trajectories[i].times) for i in members[first]]
+        gaps, index = np.unique(np.concatenate(diffs), return_inverse=True)
+        for _ in range(first, stop):
+            blocks.append(gaps)
+            gap_index.append(index + gap_starts[-1])
+            gap_starts.append(gap_starts[-1] + gaps.size)
+    paired = np.nonzero(step > 0)[0]
+    pair_rows = rows[paired]
     slot = np.zeros_like(rows)
-    slot[pair_rows] = gap_index
-    return _Packing(sizes, offsets, rows, starts, ends, gaps, pair_rows, slot)
+    slot[pair_rows] = np.concatenate(gap_index)
+    row_model, source = np.empty_like(rows), np.empty_like(rows)
+    row_model[rows] = np.repeat(pair_model, lengths)
+    cohort_starts = np.cumsum(cohort_lengths) - cohort_lengths
+    source[rows] = np.repeat(cohort_starts[pair_member], lengths) + step
+    return _Packing(
+        trajectories=trajectories,
+        pair_model=pair_model,
+        pair_member=pair_member,
+        sizes=sizes,
+        offsets=offsets,
+        rows=rows,
+        starts=starts,
+        ends=ends,
+        row_model=row_model,
+        source=source,
+        gaps=np.concatenate(blocks),
+        gap_starts=np.array(gap_starts),
+        runs=runs,
+        pair_rows=pair_rows,
+        slot=slot,
+    )
 
 
-def _observations(models: list[SubtypeModel], trajectories: list[Trajectory]) -> np.ndarray:
-    """All observation rows of the batch, checked for every model's feature count."""
-    if not trajectories:
-        raise InvariantViolation("need at least one trajectory")
-    for trajectory in trajectories:
-        for model in models:
-            if trajectory.n_features != model.n_features:
-                raise DimensionMismatch(
-                    f"patient {trajectory.patient_id!r} has {trajectory.n_features} "
-                    f"features, model expects {model.n_features}"
-                )
+def _observations(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
+    """The cohort's observation rows, checked for each pair's model feature count."""
+    trajectories = packing.trajectories
+    if len({t.n_features for t in trajectories} | {model.n_features for model in models}) > 1:
+        features = np.array([t.n_features for t in trajectories])[packing.pair_member]
+        expected = np.array([model.n_features for model in models])[packing.pair_model]
+        bad = np.nonzero(features != expected)[0]
+        if bad.size:
+            b = bad[0]
+            raise DimensionMismatch(
+                f"patient {trajectories[packing.pair_member[b]].patient_id!r} has "
+                f"{features[b]} features, model expects {expected[b]}"
+            )
     return np.concatenate([t.observations for t in trajectories])
+
+
+def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
+    """Each model's kernels for its own distinct gaps, in the order of ``packing.gaps``.
+
+    A run of models with the same members (every model of a forward
+    filter, the restarts on one cohort) shares one stacked exponential;
+    no model is evaluated at a gap it does not own.
+    """
+    n_states = models[0].n_states
+    kernels = [
+        _generator_kernels(
+            [model.generator for model in models[first:stop]],
+            packing.gaps[packing.gap_starts[first] : packing.gap_starts[first + 1]],
+        ).reshape(-1, n_states, n_states)
+        for first, stop in zip(packing.runs, packing.runs[1:])
+    ]
+    return kernels[0] if len(kernels) == 1 else np.concatenate(kernels)
 
 
 def _emission_weights(
     models: list[SubtypeModel], observations: np.ndarray, packing: _Packing
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted emission likelihoods (M, N, K) and the shifts (M, N), packed.
+    """Shifted emission likelihoods (N, K) and the shifts (N,), packed.
 
-    Each row's log weights are shifted by their maximum before
-    exponentiation so very unlikely observations cannot underflow.
+    Each row is weighed under its own model.  Its log weights are shifted
+    by their maximum before exponentiation so very unlikely observations
+    cannot underflow.
     """
-    tables = [model.emissions for model in models]
-    log_b = np.empty((len(models), observations.shape[0], models[0].n_states))
-    log_b[:, packing.rows] = log_emission_matrix(tables, observations)
+    log_b = log_emission_matrix(
+        [model.emissions for model in models], observations[packing.source], packing.row_model
+    )
     shift = log_b.max(axis=-1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    return np.exp(log_b - shift[..., None]), shift
+    return np.exp(log_b - shift[:, None]), shift
 
 
 def _forward(
-    initial: np.ndarray, kernels: np.ndarray, b: np.ndarray, packing: _Packing
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled forward recursion for M models over a packed batch at once.
+    models: list[SubtypeModel], packing: _Packing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled forward recursion over a packed batch of pairs.
 
-    ``initial`` is (M, K), ``kernels`` (M, G, K, K) and ``b`` (M, N, K).
-    Returns the packed scaling constants (M, N) and scaled alphas
-    (M, N, K).  A zero scale (an impossible step) makes alpha NaN from
-    there on.
+    All models must share the state count.  Returns the kernels (G, K, K),
+    the packed emission weights b (N, K), scaling constants (N) and
+    scaled alphas (N, K), and the log scaling constants (N,) in batch
+    order with their per-pair sums (B,).  A zero scale (an impossible
+    step) makes alpha NaN from there on, and the pair's log-likelihood
+    -inf.
     """
+    observations = _observations(models, packing)
+    kernels = _pair_kernels(models, packing)
+    b, shift = _emission_weights(models, observations, packing)
     n_first = packing.sizes[0]
-    scale = np.empty(b.shape[:-1])
+    scale = np.empty(b.shape[0])
     alpha = np.empty(b.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        forward = initial[:, None, :] * b[:, :n_first]
-        scale[:, :n_first] = forward.sum(axis=-1)
-        alpha[:, :n_first] = forward / scale[:, :n_first, None]
+        initial = np.stack([model.initial for model in models])[packing.row_model[:n_first]]
+        forward = initial * b[:n_first]
+        scale[:n_first] = forward.sum(axis=-1)
+        alpha[:n_first] = forward / scale[:n_first, None]
         for before, start, size in packing.steps():
             here = slice(start, start + size)
-            step = kernels[:, packing.slot[here]]
-            forward = (alpha[:, before : before + size, None, :] @ step)[..., 0, :] * b[:, here]
-            scale[:, here] = forward.sum(axis=-1)
-            alpha[:, here] = forward / scale[:, here, None]
-    return scale, alpha
-
-
-def _log_likelihood(
-    scale: np.ndarray, shift: np.ndarray, packing: _Packing
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log scaling constants (M, N) in batch order and their per-trajectory sums (M, B).
-
-    A trajectory with any non-positive scale has probability zero under
-    the model; its log-likelihood is -inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_scale = (np.log(scale) + shift)[:, packing.rows]
-    possible = np.logical_and.reduceat(scale[:, packing.rows] > 0, packing.starts, axis=1)
-    total = np.add.reduceat(log_scale, packing.starts, axis=1)
-    return log_scale, np.where(possible, total, -np.inf)
+            step = kernels[packing.slot[here]]
+            forward = (alpha[before : before + size, None, :] @ step)[:, 0, :] * b[here]
+            scale[here] = forward.sum(axis=-1)
+            alpha[here] = forward / scale[here, None]
+        log_scale = (np.log(scale) + shift)[packing.rows]
+    possible = np.logical_and.reduceat(scale[packing.rows] > 0, packing.starts)
+    total = np.add.reduceat(log_scale, packing.starts)
+    return kernels, b, scale, alpha, log_scale, np.where(possible, total, -np.inf)
 
 
 def forward_filter(
@@ -293,48 +360,33 @@ def forward_filter(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward-only pass of every model over every trajectory.
 
-    All models must share the state count.  The kernels for the batch's
-    distinct gaps under all models come from one stacked exponential and
-    one time loop runs the scaled forward recursion for all (model,
-    trajectory) pairs.  Returns the log-likelihoods (M, B), -inf for an
-    impossible trajectory, and the filtered state laws at each
-    trajectory's last timestamp (M, B, K).
+    All models must share the state count.  Every (model, trajectory)
+    pair is one row of a pair-packed batch: one stacked exponential
+    builds the kernels for the distinct gaps under all models and one
+    time loop runs the scaled forward recursion for all pairs.  Returns
+    the log-likelihoods (M, B), -inf for an impossible trajectory, and
+    the filtered state laws at each trajectory's last timestamp (M, B, K).
     """
     if len({model.n_states for model in models}) != 1:
         raise InvariantViolation("models disagree on state count")
-    observations = _observations(models, trajectories)
-    packing = _pack(trajectories)
-    kernels = _generator_kernels([model.generator for model in models], packing.gaps)
-    b, shift = _emission_weights(models, observations, packing)
-    initial = np.stack([model.initial for model in models])
-    scale, alpha = _forward(initial, kernels, b, packing)
-    _, log_likelihood = _log_likelihood(scale, shift, packing)
-    return log_likelihood, alpha[:, packing.rows[packing.ends - 1]]
+    packing = _pack(trajectories, [np.arange(len(trajectories))] * len(models))
+    _, _, _, alpha, _, log_likelihood = _forward(models, packing)
+    shape = (len(models), len(trajectories))
+    return log_likelihood.reshape(shape), alpha[packing.rows[packing.ends - 1]].reshape(
+        shape + alpha.shape[-1:]
+    )
 
 
-def forward_backward_batch(
-    model: SubtypeModel, trajectories: list[Trajectory]
-) -> CohortPosteriors:
-    """Scaled forward-backward pass over a batch of trajectories.
+def _forward_backward(models: list[SubtypeModel], packing: _Packing) -> CohortPosteriors:
+    """Scaled forward-backward pass over a packed batch of pairs.
 
-    One stacked exponential builds the kernels for the batch's distinct
-    gaps; the forward and backward recursions each loop over time steps
-    with all trajectories still running at that step, and the pairwise
-    posteriors need no loop.  A trajectory with probability zero has
-    log-likelihood -inf and NaN posteriors from the impossible step onward.
+    The forward recursion of :func:`_forward`, then one backward loop over
+    time steps; each row uses the kernels of its own model.  The pairwise
+    posteriors need no loop and are built in place, in batch order.
     """
-    observations = _observations([model], trajectories)
-    packing = _pack(trajectories)
-    kernels = _generator_kernels([model.generator], packing.gaps)[0]
-    b, shift = _emission_weights([model], observations, packing)
-    scale, alpha = _forward(model.initial[None], kernels[None], b, packing)
-    log_scale, log_likelihood = _log_likelihood(scale, shift, packing)
-    b, scale, alpha = b[0], scale[0], alpha[0]
-
+    kernels, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
     # Dividing by NaN where a scale is zero propagates the impossibility.
     live_scale = np.where(scale > 0, scale, np.nan)
-    n_first = packing.sizes[0]
-    pairs = slice(n_first, None)
     beta = np.ones(b.shape)
     for before, start, size in reversed(packing.steps()):
         here = slice(start, start + size)
@@ -342,22 +394,37 @@ def forward_backward_batch(
         behind = (step @ (b[here] * beta[here])[..., None])[..., 0]
         beta[before : before + size] = behind / live_scale[here, None]
 
-    previous = np.arange(n_first, b.shape[0]) - np.repeat(packing.sizes[:-1], packing.sizes[1:])
-    xi = (
-        alpha[previous, :, None]
-        * kernels[packing.slot[pairs]]
-        * (b[pairs] * beta[pairs])[:, None, :]
-    ) / live_scale[pairs, None, None]
+    ends = packing.pair_rows
+    xi = kernels[packing.slot[ends]]
+    xi *= alpha[packing.pair_before, :, None]
+    xi *= (b[ends] * beta[ends])[:, None, :]
+    xi /= live_scale[ends, None, None]
     return CohortPosteriors(
-        log_likelihood=log_likelihood[0],
+        log_likelihood=log_likelihood,
         gamma=(alpha * beta)[packing.rows],
-        xi=xi[packing.pair_rows - n_first],
-        log_scale=log_scale[0],
+        xi=xi,
+        log_scale=log_scale,
         starts=packing.starts,
         gaps=packing.gaps,
-        gap_index=packing.slot[packing.pair_rows],
+        gap_starts=packing.gap_starts,
+        gap_index=packing.slot[ends],
         kernels=kernels,
     )
+
+
+def forward_backward_batch(
+    model: SubtypeModel, trajectories: list[Trajectory]
+) -> CohortPosteriors:
+    """Scaled forward-backward pass over a batch of trajectories.
+
+    The one-model case of the pair-packed pass: one stacked exponential
+    builds the kernels for the batch's distinct gaps; the forward and
+    backward recursions each loop over time steps with all trajectories
+    still running at that step, and the pairwise posteriors need no loop.
+    A trajectory with probability zero has log-likelihood -inf and NaN
+    posteriors from the impossible step onward.
+    """
+    return _forward_backward([model], _pack(trajectories, [np.arange(len(trajectories))]))
 
 
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:

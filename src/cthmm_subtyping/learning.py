@@ -1,12 +1,17 @@
-"""EM training of one subtype model over a set of trajectories.
+"""EM training of subtype models, many fits in lockstep.
 
-The E-step runs one batched forward-backward over the cohort and
-accumulates three sufficient statistics: posterior-weighted emission
-counts, initial-state posteriors, and pairwise hidden-state counts per
-distinct time gap between consecutive observations.  The M-step has
-closed forms for all three parameter blocks; the generator update
-divides end-conditioned expected jump counts by end-conditioned
+A fit is a start model and the member trajectories it is fitted to:
+the seeded restarts of one subtype share a cohort, and the subtypes of
+a mixture have disjoint member sets.  Every iteration runs one
+pair-packed forward-backward pass over the fits still running and
+accumulates, per fit, three sufficient statistics: posterior-weighted
+emission counts, initial-state posteriors, and pairwise hidden-state
+counts per distinct time gap between consecutive observations.  The
+M-step has closed forms for all three parameter blocks; the generator
+update divides end-conditioned expected jump counts by end-conditioned
 expected sojourn times, both aggregated over the per-gap pair counts.
+Each fit keeps its own stopping rule, so its iterates are those of a
+run on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (
     InvariantViolation,
     SubtypingError,
 )
-from .inference import SubtypeModel, Trajectory, forward_backward_batch
+from .inference import SubtypeModel, Trajectory, _forward_backward, _pack, _Packing
 
 _OCCUPANCY_FLOOR = 1e-10
 
@@ -167,6 +172,61 @@ def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajector
     return out
 
 
+def _e_steps(
+    packing: _Packing, models: list[SubtypeModel]
+) -> list[tuple[SufficientStats, float] | ImpossibleTrajectory]:
+    """One E-step per model from one pair-packed forward-backward pass.
+
+    Model m's statistics cover only its own members and its own distinct
+    gaps, so they equal those of an E-step run on it alone.  A model under
+    which a member has probability zero gets an
+    :class:`ImpossibleTrajectory` in place of its statistics; the others
+    are untouched.
+    """
+    posteriors = _forward_backward(models, packing)
+    trajectories = packing.trajectories
+    pair_bounds = np.searchsorted(packing.pair_model, np.arange(len(models) + 1))
+    row_bounds = np.append(posteriors.starts, posteriors.gamma.shape[0])[pair_bounds]
+    out: list[tuple[SufficientStats, float] | ImpossibleTrajectory] = []
+    for m, model in enumerate(models):
+        pairs = slice(pair_bounds[m], pair_bounds[m + 1])
+        members = packing.pair_member[pairs]
+        log_likelihood = posteriors.log_likelihood[pairs]
+        impossible = np.nonzero(~np.isfinite(log_likelihood))[0]
+        if impossible.size:
+            b = impossible[0]
+            out.append(ImpossibleTrajectory(
+                f"patient {trajectories[members[b]].patient_id!r} has log-likelihood "
+                f"{log_likelihood[b]} under the current model"
+            ))
+            continue
+        rows = slice(row_bounds[m], row_bounds[m + 1])
+        # xi has one row fewer per pair than gamma.
+        steps = slice(row_bounds[m] - pairs.start, row_bounds[m + 1] - pairs.stop)
+        own = slice(posteriors.gap_starts[m], posteriors.gap_starts[m + 1])
+        gamma = posteriors.gamma[rows]
+        bin_counts = model.emissions.bin_counts
+        columns = stacked_columns(
+            np.concatenate([trajectories[i].observations for i in members]), bin_counts
+        )
+        counts = np.zeros((sum(bin_counts) + 1, model.n_states))
+        np.add.at(counts, columns, gamma[:, None, :])
+        kernels = posteriors.kernels[own]
+        pair_counts = np.zeros(kernels.shape)
+        np.add.at(pair_counts, posteriors.gap_index[steps] - own.start, posteriors.xi[steps])
+        stats = SufficientStats(
+            gaps=posteriors.gaps[own],
+            pair_counts=pair_counts,
+            gamma_initial=gamma[posteriors.starts[pairs] - rows.start].sum(axis=0),
+            emission_counts=np.ascontiguousarray(counts[:-1].T),
+            bin_counts=bin_counts,
+            generator=model.generator,
+            transition_probs=kernels,
+        )
+        out.append((stats, float(log_likelihood.sum())))
+    return out
+
+
 def e_step(
     model: SubtypeModel, trajectories: list[Trajectory]
 ) -> tuple[SufficientStats, float]:
@@ -178,30 +238,10 @@ def e_step(
     update.  Raises :class:`ImpossibleTrajectory` for a trajectory with
     probability zero under ``model``, whose posteriors are undefined.
     """
-    posteriors = forward_backward_batch(model, trajectories)
-    impossible = np.nonzero(~np.isfinite(posteriors.log_likelihood))[0]
-    if impossible.size:
-        b = impossible[0]
-        raise ImpossibleTrajectory(
-            f"patient {trajectories[b].patient_id!r} has log-likelihood "
-            f"{posteriors.log_likelihood[b]} under the current model"
-        )
-    bin_counts = model.emissions.bin_counts
-    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
-    counts = np.zeros((sum(bin_counts) + 1, model.n_states))
-    np.add.at(counts, columns, posteriors.gamma[:, None, :])
-    pair_counts = np.zeros(posteriors.kernels.shape)
-    np.add.at(pair_counts, posteriors.gap_index, posteriors.xi)
-    stats = SufficientStats(
-        gaps=posteriors.gaps,
-        pair_counts=pair_counts,
-        gamma_initial=posteriors.gamma[posteriors.starts].sum(axis=0),
-        emission_counts=np.ascontiguousarray(counts[:-1].T),
-        bin_counts=bin_counts,
-        generator=model.generator,
-        transition_probs=posteriors.kernels,
-    )
-    return stats, float(posteriors.log_likelihood.sum())
+    (result,) = _e_steps(_pack(trajectories, [np.arange(len(trajectories))]), [model])
+    if isinstance(result, ImpossibleTrajectory):
+        raise result
+    return result
 
 
 def m_step_emissions(stats: SufficientStats, smoothing: float) -> EmissionTable:
@@ -328,38 +368,77 @@ def _random_start(
     return SubtypeModel(initial=pi, generator=generator, emissions=emissions)
 
 
+def _m_step(stats: SufficientStats, config: EmConfig) -> tuple[SubtypeModel, tuple[int, ...]]:
+    """All three closed-form updates; also returns the degenerate states."""
+    emissions = m_step_emissions(stats, config.smoothing)
+    if config.terminal_intervention_feature is not None:
+        emissions = _apply_terminal_intervention(
+            emissions, config.terminal_intervention_feature, config.smoothing
+        )
+    pi = m_step_initial(stats)
+    generator, degenerate = m_step_generator(stats)
+    return SubtypeModel(initial=pi, generator=generator, emissions=emissions), degenerate
+
+
 def _run_em(
     trajectories: list[Trajectory],
-    model: SubtypeModel,
+    fits: list[tuple[np.ndarray, SubtypeModel]],
     config: EmConfig,
-) -> tuple[SubtypeModel, FitDiagnostics]:
-    diag = FitDiagnostics()
-    previous_ll = None
-    for _ in range(config.max_iterations):
-        stats, ll = e_step(model, trajectories)
-        diag.trace.append(ll)
-        if previous_ll is not None and abs(ll - previous_ll) / (abs(ll) + 1.0) < config.tolerance:
-            diag.converged = True
-            break
-        previous_ll = ll
-        diag.iterations += 1
+) -> list[tuple[SubtypeModel, FitDiagnostics] | SubtypingError]:
+    """EM for every fit in lockstep; fit f is (member indices, start model).
 
-        emissions = m_step_emissions(stats, config.smoothing)
-        if config.terminal_intervention_feature is not None:
-            emissions = _apply_terminal_intervention(
-                emissions, config.terminal_intervention_feature, config.smoothing
-            )
-        pi = m_step_initial(stats)
-        generator, degenerate = m_step_generator(stats)
-        diag.degenerate_events += len(degenerate)
-        model = SubtypeModel(initial=pi, generator=generator, emissions=emissions)
-    else:
-        # Ran out of iterations: score the final M-step output so the
-        # returned model matches the last trace entry.
-        _, ll = e_step(model, trajectories)
-        diag.trace.append(ll)
-    diag.log_likelihood = diag.trace[-1]
-    return model, diag
+    Each iteration is one pair-packed E-step over the fits still running.
+    A fit stops by its own tolerance test or after ``max_iterations``
+    M-steps, when one more E-step scores the final model so it matches
+    the last trace entry; the batch is repacked only when a fit leaves it.
+    Returns each fit's model and diagnostics, or the
+    :class:`SubtypingError` that ended it, which leaves the others alone.
+    """
+    models = [model for _, model in fits]
+    diagnostics = [FitDiagnostics() for _ in fits]
+    outcomes: list = [None] * len(fits)
+    active = list(range(len(fits)))
+    packing = None
+    while active:
+        if packing is None:
+            packing = _pack(trajectories, [fits[f][0] for f in active])
+        try:
+            results = _e_steps(packing, [models[f] for f in active])
+        except SubtypingError:
+            # An error of the shared pass (a kernel past its drift guard)
+            # belongs to one fit: pass the fits alone so it stays there.
+            results = []
+            for f in active:
+                try:
+                    results += _e_steps(_pack(trajectories, [fits[f][0]]), [models[f]])
+                except SubtypingError as err:
+                    results.append(err)
+        running = []
+        for f, result in zip(active, results):
+            if isinstance(result, SubtypingError):
+                outcomes[f] = result
+                continue
+            stats, ll = result
+            diag = diagnostics[f]
+            if diag.iterations < config.max_iterations and diag.trace:
+                diag.converged = abs(ll - diag.trace[-1]) / (abs(ll) + 1.0) < config.tolerance
+            diag.trace.append(ll)
+            if diag.converged or diag.iterations == config.max_iterations:
+                diag.log_likelihood = ll
+                outcomes[f] = (models[f], diag)
+                continue
+            try:
+                models[f], degenerate = _m_step(stats, config)
+            except SubtypingError as err:
+                outcomes[f] = err
+                continue
+            diag.iterations += 1
+            diag.degenerate_events += len(degenerate)
+            running.append(f)
+        if running != active:
+            packing = None
+        active = running
+    return outcomes
 
 
 def _prepare_cohort(
@@ -389,37 +468,55 @@ def _prepare_cohort(
     return trajectories, tuple(bin_counts)
 
 
+def _restarts(
+    trajectories: list[Trajectory],
+    members: np.ndarray,
+    n_states: int,
+    bin_counts: tuple[int, ...],
+    config: EmConfig,
+) -> list[tuple[np.ndarray, SubtypeModel]]:
+    """The seeded restart fits of one model on ``trajectories[members]``."""
+    if n_states < 1:
+        raise InvariantViolation("need at least one state")
+    base_freqs = _empirical_bin_frequencies(
+        [trajectories[i] for i in members], bin_counts, config.smoothing
+    )
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    return [
+        (members, _random_start(n_states, bin_counts, config, np.random.default_rng(seq),
+                                base_freqs))
+        for seq in seeds
+    ]
+
+
+def _best_restart(
+    outcomes: list[tuple[SubtypeModel, FitDiagnostics] | SubtypingError],
+) -> tuple[SubtypeModel, FitDiagnostics]:
+    """The restart with the highest final log-likelihood, first on ties.
+
+    A failed restart scores -inf in ``restart_scores``; when every
+    restart failed, the last one's error is raised.
+    """
+    fitted = [outcome for outcome in outcomes if not isinstance(outcome, SubtypingError)]
+    if not fitted:
+        raise outcomes[-1]
+    best = max(fitted, key=lambda outcome: outcome[1].log_likelihood)
+    best[1].restart_scores = [
+        -np.inf if isinstance(outcome, SubtypingError) else outcome[1].log_likelihood
+        for outcome in outcomes
+    ]
+    return best
+
+
 def _fit_prepared(
     trajectories: list[Trajectory],
     n_states: int,
     bin_counts: tuple[int, ...],
     config: EmConfig,
 ) -> tuple[SubtypeModel, FitDiagnostics]:
-    """EM with seeded restarts on a prepared cohort."""
-    if n_states < 1:
-        raise InvariantViolation("need at least one state")
-
-    base_freqs = _empirical_bin_frequencies(trajectories, bin_counts, config.smoothing)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best: tuple[SubtypeModel, FitDiagnostics] | None = None
-    scores: list[float] = []
-    failure: SubtypingError | None = None
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        start = _random_start(n_states, bin_counts, config, rng, base_freqs)
-        try:
-            model, diag = _run_em(trajectories, start, config)
-        except SubtypingError as err:
-            failure = err
-            scores.append(-np.inf)
-            continue
-        scores.append(diag.log_likelihood)
-        if best is None or diag.log_likelihood > best[1].log_likelihood:
-            best = (model, diag)
-    if best is None:
-        raise failure  # every restart failed
-    best[1].restart_scores = scores
-    return best
+    """EM with seeded restarts on a prepared cohort, all restarts in lockstep."""
+    fits = _restarts(trajectories, np.arange(len(trajectories)), n_states, bin_counts, config)
+    return _best_restart(_run_em(trajectories, fits, config))
 
 
 def fit_disease_model(

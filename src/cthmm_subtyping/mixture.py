@@ -2,8 +2,9 @@
 
 Each patient is assigned the subtype maximising the joint score
 log prior + trajectory log-likelihood, then each subtype's model is
-refit on its assigned patients.  The alternation stops as soon as no
-assignment changes, which is an exact fixed point of the procedure.
+refit on its assigned patients, all subtypes' fits in one lockstep EM
+run.  The alternation stops as soon as no assignment changes, which is
+an exact fixed point of the procedure.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emissions import BinningScheme, feature_totals, stacked_columns
-from .errors import InvariantViolation, TooFewPatients
+from .errors import InvariantViolation, SubtypingError, TooFewPatients
 from .inference import SubtypeModel, Trajectory, forward_filter
-from .learning import EmConfig, FitDiagnostics, _fit_prepared, _prepare_cohort, _run_em
+from .learning import EmConfig, _best_restart, _prepare_cohort, _restarts, _run_em
 
 
 @dataclass
@@ -204,23 +205,34 @@ def fit_mixture(
     assignments = _initial_partition(trajectories, n_subtypes, rng, bin_counts)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
 
-    models: list[SubtypeModel | None] = [None] * n_subtypes
-    diagnostics: list[FitDiagnostics | None] = [None] * n_subtypes
+    models: list[SubtypeModel] = []
     trace: list[float] = []
 
     for _ in range(config.mixture_iterations):
-        # Refit every subtype on its current members.
-        for m in range(n_subtypes):
-            members = [trajectories[i] for i in np.nonzero(assignments == m)[0]]
-            if models[m] is None:
-                models[m], diagnostics[m] = _fit_prepared(
-                    members, n_states, bin_counts, replace(config, seed=config.seed + m)
-                )
-            else:
-                models[m], diagnostics[m] = _run_em(members, models[m], config)
+        # Refit every subtype on its current members, all fits in lockstep:
+        # every restart of every subtype in the first round, then one warm
+        # refit per subtype.
+        groups = [np.nonzero(assignments == m)[0] for m in range(n_subtypes)]
+        if not models:
+            fits = [
+                fit
+                for m, members in enumerate(groups)
+                for fit in _restarts(trajectories, members, n_states, bin_counts,
+                                     replace(config, seed=config.seed + m))
+            ]
+            outcomes = _run_em(trajectories, fits, config)
+            per_subtype = config.restarts
+            fitted = [_best_restart(outcomes[m * per_subtype : (m + 1) * per_subtype])
+                      for m in range(n_subtypes)]
+        else:
+            fitted = _run_em(trajectories, list(zip(groups, models)), config)
+            for outcome in fitted:
+                if isinstance(outcome, SubtypingError):
+                    raise outcome  # the lowest failing subtype, as one at a time
+        models = [model for model, _ in fitted]
         with np.errstate(divide="ignore"):
             log_prior = float(np.log(prior)[assignments].sum())
-        trace.append(sum(d.log_likelihood for d in diagnostics) + log_prior)
+        trace.append(sum(diag.log_likelihood for _, diag in fitted) + log_prior)
 
         # Reassign every patient to its best-scoring subtype.
         mixture = MixtureModel(tuple(models), prior, assignments, trace, scheme)

@@ -4,7 +4,10 @@ Everything here recomputes results from first principles: a truncated
 series and a 40-digit mpmath exponential for the matrix exponential,
 exhaustive enumeration over hidden sequences for posteriors, vectorised
 path simulation for end-conditioned expectations, and cell-by-cell CSV
-ingest.  None of it calls back into the package code paths it verifies.
+ingest.  None of it calls back into the package code paths it verifies,
+save the serial EM loops at the end: they run the package's own E- and
+M-steps one fit at a time, as the fits ran before they were batched, and
+so pin the lockstep scheduler that replaced them, not the steps.
 """
 
 from __future__ import annotations
@@ -18,12 +21,19 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
+from dataclasses import replace
+
 from cthmm_subtyping import (
     DuplicateTimestamp,
     EmptyCohort,
+    MixtureModel,
     ParseError,
+    SubtypeModel,
+    SubtypingError,
     Trajectory,
     UnknownColumn,
+    learning,
+    mixture,
 )
 
 
@@ -390,3 +400,93 @@ def conditioned_moments(sample: dict, end_state: int):
         "mean_sojourn": sojourn.mean(axis=0),
         "se_sojourn": sojourn.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(sojourn[0]),
     }
+
+
+# --------------------------------------------------------------------------
+# Serial EM: one fit at a time, one E-step call per iteration.
+
+
+def serial_run_em(trajectories, model, config):
+    """EM of one model on its own members; raises what ends the fit."""
+    diag = learning.FitDiagnostics()
+    previous_ll = None
+    for _ in range(config.max_iterations):
+        stats, ll = learning.e_step(model, trajectories)
+        diag.trace.append(ll)
+        if previous_ll is not None and abs(ll - previous_ll) / (abs(ll) + 1.0) < config.tolerance:
+            diag.converged = True
+            break
+        previous_ll = ll
+        diag.iterations += 1
+
+        emissions = learning.m_step_emissions(stats, config.smoothing)
+        if config.terminal_intervention_feature is not None:
+            emissions = learning._apply_terminal_intervention(
+                emissions, config.terminal_intervention_feature, config.smoothing
+            )
+        pi = learning.m_step_initial(stats)
+        generator, degenerate = learning.m_step_generator(stats)
+        diag.degenerate_events += len(degenerate)
+        model = SubtypeModel(initial=pi, generator=generator, emissions=emissions)
+    else:
+        _, ll = learning.e_step(model, trajectories)
+        diag.trace.append(ll)
+    diag.log_likelihood = diag.trace[-1]
+    return model, diag
+
+
+def serial_fit_prepared(trajectories, n_states, bin_counts, config):
+    """Seeded restarts run one after another; the best by final log-likelihood."""
+    base_freqs = learning._empirical_bin_frequencies(trajectories, bin_counts, config.smoothing)
+    best, scores, failure = None, [], None
+    for seq in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        rng = np.random.default_rng(seq)
+        start = learning._random_start(n_states, bin_counts, config, rng, base_freqs)
+        try:
+            model, diag = serial_run_em(trajectories, start, config)
+        except SubtypingError as err:
+            failure = err
+            scores.append(-np.inf)
+            continue
+        scores.append(diag.log_likelihood)
+        if best is None or diag.log_likelihood > best[1].log_likelihood:
+            best = (model, diag)
+    if best is None:
+        raise failure
+    best[1].restart_scores = scores
+    return best
+
+
+def serial_fit_mixture(trajectories, n_subtypes, n_states, config, scheme=None):
+    """Hard-EM subtyping that refits the subtypes one after another."""
+    n = len(trajectories)
+    trajectories, bin_counts = learning._prepare_cohort(
+        trajectories, config, scheme.bin_counts if scheme is not None else None
+    )
+    rng = np.random.default_rng(config.seed)
+    assignments = mixture._initial_partition(trajectories, n_subtypes, rng, bin_counts)
+    prior = np.full(n_subtypes, 1.0 / n_subtypes)
+    models = [None] * n_subtypes
+    diagnostics = [None] * n_subtypes
+    trace = []
+    for _ in range(config.mixture_iterations):
+        for m in range(n_subtypes):
+            members = [trajectories[i] for i in np.nonzero(assignments == m)[0]]
+            if models[m] is None:
+                models[m], diagnostics[m] = serial_fit_prepared(
+                    members, n_states, bin_counts, replace(config, seed=config.seed + m)
+                )
+            else:
+                models[m], diagnostics[m] = serial_run_em(members, models[m], config)
+        with np.errstate(divide="ignore"):
+            log_prior = float(np.log(prior)[assignments].sum())
+        trace.append(sum(d.log_likelihood for d in diagnostics) + log_prior)
+        fitted = MixtureModel(tuple(models), prior, assignments, trace, scheme)
+        proposed, scores, _ = mixture.assign_subtypes(fitted, trajectories)
+        best_scores = scores[np.arange(n), proposed]
+        trace.append(float(best_scores.sum()))
+        proposed = mixture._repair_empty_subtypes(proposed, best_scores, n_subtypes)
+        if np.array_equal(proposed, assignments):
+            break
+        assignments = proposed
+    return replace(fitted, assignments=assignments), diagnostics

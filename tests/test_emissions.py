@@ -176,7 +176,7 @@ class TestEmissionLogLikelihood:
         obs = np.column_stack(
             [rng.integers(-1, 2, size=12), rng.integers(-1, 3, size=12)]
         )
-        (matrix,) = log_emission_matrix([self.table], obs)
+        matrix = log_emission_matrix([self.table], obs, np.zeros(12, dtype=int))
         for i in range(obs.shape[0]):
             for k in range(2):
                 assert matrix[i, k] == pytest.approx(
@@ -188,21 +188,23 @@ class TestEmissionLogLikelihood:
         # Feature 0 has 2 bins and feature 1 has 3; none may spill over.
         for row in ([2, 0], [0, 3], [-2, 0]):
             with pytest.raises(DimensionMismatch):
-                log_emission_matrix([self.table], np.array([[0, 0], row]))
+                log_emission_matrix([self.table], np.array([[0, 0], row]), np.zeros(2, dtype=int))
 
     def test_matrix_helper_rejects_mixed_bins(self):
         # Same feature count, different bins per feature.
         other = EmissionTable(tables=(np.full((2, 3), 1 / 3), np.full((2, 2), 0.5)))
         with pytest.raises(DimensionMismatch, match="bins"):
-            log_emission_matrix([self.table, other], np.array([[0, 0]]))
+            log_emission_matrix([self.table, other], np.array([[0, 0]]), np.array([0]))
 
-    def test_matrix_helper_stacks_tables(self):
+    def test_matrix_helper_takes_each_rows_table(self):
         other = EmissionTable(tables=(np.array([[0.9, 0.1], [0.3, 0.7]]), np.full((2, 3), 1 / 3)))
         obs = np.array([[0, 2], [MISSING, 1], [1, MISSING]])
-        both = log_emission_matrix([self.table, other], obs)
-        assert both.shape == (2, 3, 2)
+        owner = np.array([1, 0, 1])
+        mixed = log_emission_matrix([self.table, other], obs, owner)
+        assert mixed.shape == (3, 2)
         for m, table in enumerate((self.table, other)):
-            assert np.array_equal(both[m], log_emission_matrix([table], obs)[0])
+            alone = log_emission_matrix([table], obs, np.zeros(3, dtype=int))
+            assert np.array_equal(mixed[owner == m], alone[owner == m])
 
 
 class TestExpectedFeatureValue:

@@ -31,6 +31,7 @@ from cthmm_subtyping import (
     transition_matrix,
     validate_generator,
 )
+from cthmm_subtyping.ctmc import GeneratorMatrix, TransitionMatrix
 
 from conftest import chain_model, random_model, random_observations, random_times
 from oracles import enumerate_posteriors, enumerate_predictive, scaled_forward_backward
@@ -94,6 +95,39 @@ class TestTrajectory:
         prefix, _, _ = prefix_split(t, 0.5)
         assert np.shares_memory(prefix.times, t.times)
         assert np.shares_memory(prefix.observations, t.observations)
+
+
+class TestFrozenArrays:
+    """Every frozen dataclass freezes a copy of a writable input, never the input."""
+
+    @staticmethod
+    def _build(rates, initial, table, probs):
+        mask = full_mask(2)
+        generator = GeneratorMatrix(rates=rates, mask=mask)
+        emissions = EmissionTable(tables=(table,))
+        model = SubtypeModel(initial=initial, generator=generator, emissions=emissions)
+        kernel = TransitionMatrix(probs=probs, interval=1.0)
+        return generator.rates, model.initial, emissions.tables[0], kernel.probs
+
+    def test_caller_arrays_stay_writable(self):
+        inputs = (np.array([[-1.0, 1.0], [0.5, -0.5]]), np.array([0.25, 0.75]),
+                  np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        stored = self._build(*inputs)
+        for given, kept in zip(inputs, stored):
+            assert given.flags.writeable
+            assert not kept.flags.writeable
+            assert not np.shares_memory(given, kept)
+            given.fill(7.0)
+            assert not np.any(kept == 7.0)
+
+    def test_read_only_inputs_are_not_copied(self):
+        inputs = (np.array([[-1.0, 1.0], [0.5, -0.5]]), np.array([0.25, 0.75]),
+                  np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([[0.9, 0.1], [0.2, 0.8]]))
+        for a in inputs:
+            a.flags.writeable = False
+        stored = self._build(*inputs)
+        for given, kept in zip(inputs, stored):
+            assert kept is given
 
 
 class TestSubtypeModel:

@@ -149,8 +149,9 @@ class TestEStep:
         impossible = Trajectory("ghost", np.array([0.0, 1.0]), np.array([[0], [1]]))
         with pytest.raises(ImpossibleTrajectory, match="ghost"):
             e_step(model, [impossible])
-        with pytest.raises(ImpossibleTrajectory, match="ghost"):
-            _run_em([impossible], model, EmConfig())
+        (outcome,) = _run_em([impossible], [(np.arange(1), model)], EmConfig())
+        assert isinstance(outcome, ImpossibleTrajectory)
+        assert "ghost" in str(outcome)
 
 
 class TestMStepEmissions:

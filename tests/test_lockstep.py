@@ -1,0 +1,298 @@
+"""Lockstep EM and pair-packed passes against the serial runs they replaced.
+
+Every fit of a lockstep run must reproduce, bit for bit, the run it would
+have had on its own: the same models, traces, restart scores and mixture
+assignments, and the same errors.
+"""
+
+import numpy as np
+import pytest
+
+from cthmm_subtyping import (
+    EmConfig,
+    EmissionTable,
+    ExpmInaccuracy,
+    ImpossibleTrajectory,
+    InvariantViolation,
+    ObservationTimeConfig,
+    SubtypeModel,
+    Trajectory,
+    e_step,
+    fit_mixture,
+    forward_backward_batch,
+    inference,
+    learning,
+    mixture,
+    sample_cohort,
+)
+from cthmm_subtyping.inference import _forward_backward, _pack
+from cthmm_subtyping.learning import (
+    _best_restart,
+    _e_steps,
+    _fit_prepared,
+    _prepare_cohort,
+    _restarts,
+    _run_em,
+)
+
+from conftest import random_model, random_observations, random_times, separated_mixture
+from oracles import serial_fit_mixture, serial_fit_prepared, serial_run_em
+
+BINS = (3, 2)  # feature 1 is binary, so it can be a pinned intervention
+
+
+def _cohort(seed, lengths):
+    """Trajectories of the given lengths with raw (all distinct) gaps."""
+    rng = np.random.default_rng(seed)
+    return [
+        Trajectory(f"p{i}", random_times(rng, n), random_observations(rng, n, BINS))
+        for i, n in enumerate(lengths)
+    ]
+
+
+def _assert_same_model(model, reference):
+    assert np.array_equal(model.initial, reference.initial)
+    assert np.array_equal(model.generator.rates, reference.generator.rates)
+    for table, expected in zip(model.emissions.tables, reference.emissions.tables, strict=True):
+        assert np.array_equal(table, expected)
+
+
+def _assert_same_fit(outcome, reference):
+    (model, diag), (expected_model, expected_diag) = outcome, reference
+    _assert_same_model(model, expected_model)
+    assert diag == expected_diag
+
+
+MIXED_LENGTHS = [1, 2, 3, 5, 8, 13, 4, 9, 2, 6, 11, 7, 3, 10]
+
+
+class TestLockstepMatchesSerial:
+    @pytest.mark.parametrize("structure", ["full", "left-to-right"])
+    @pytest.mark.parametrize("pinned", [None, 1])
+    def test_restarts_and_subtypes_in_one_run(self, structure, pinned):
+        config = EmConfig(max_iterations=6, tolerance=3e-3, structure=structure, restarts=3,
+                          terminal_intervention_feature=pinned)
+        cohort = _cohort(3, MIXED_LENGTHS)
+        everyone = np.arange(len(cohort))
+        # Three restarts on the whole cohort, then two more models on
+        # member sets of unequal size; with raw gaps those sets share no gap.
+        fits = _restarts(cohort, everyone, 3, BINS, config)
+        fits += [(everyone[:4], fits[0][1]), (everyone[4:], fits[1][1])]
+        outcomes = _run_em(cohort, fits, config)
+        for (members, start), outcome in zip(fits, outcomes, strict=True):
+            reference = serial_run_em([cohort[i] for i in members], start, config)
+            _assert_same_fit(outcome, reference)
+        # Some fits stop by tolerance, others at the iteration cap.
+        assert {diag.converged for _, diag in outcomes} == {True, False}
+
+    @pytest.mark.parametrize("quantization", [None, 0.5])
+    def test_restart_search(self, quantization):
+        config = EmConfig(max_iterations=10, restarts=4, delta_quantization=quantization)
+        cohort, bins = _prepare_cohort(_cohort(8, MIXED_LENGTHS), config, BINS)
+        best = _fit_prepared(cohort, 3, bins, config)
+        reference = serial_fit_prepared(cohort, 3, bins, config)
+        _assert_same_fit(best, reference)
+        assert len(best[1].restart_scores) == 4
+
+    @pytest.mark.parametrize(
+        "structure, quantization, pinned",
+        [("left-to-right", None, None), ("full", 0.25, None), ("left-to-right", 0.25, 1)],
+    )
+    def test_mixture(self, structure, quantization, pinned):
+        truth = separated_mixture(
+            [np.array([[0, 0], [1, 1], [2, 1]]), np.array([[2, 1], [1, 0], [0, 0]]),
+             np.array([[1, 0], [2, 0], [0, 1]])],
+            [[0.5, 0.3], [0.25, 0.6], [0.4, 0.4]],
+            n_bins=3,
+        )
+        cohort = sample_cohort(
+            truth, 45, ObservationTimeConfig(min_observations=2, max_observations=14),
+            missing_rate=0.2, seed=5,
+        ).trajectories
+        # Feature 1 only ever shows bins 0 and 1, as a pinned binary needs.
+        cohort = [Trajectory(t.patient_id, t.times,
+                             np.column_stack([t.observations[:, 0],
+                                              np.minimum(t.observations[:, 1], 1)]))
+                  for t in cohort]
+        config = EmConfig(max_iterations=8, restarts=2, structure=structure, seed=2,
+                          delta_quantization=quantization, terminal_intervention_feature=pinned,
+                          mixture_iterations=4)
+        fitted = fit_mixture(cohort, 3, 3, config)
+        reference, _ = serial_fit_mixture(cohort, 3, 3, config)
+        assert np.array_equal(fitted.assignments, reference.assignments)
+        assert fitted.objective_trace == reference.objective_trace
+        for model, expected in zip(fitted.models, reference.models, strict=True):
+            _assert_same_model(model, expected)
+
+
+class TestPairPackedPass:
+    def test_posteriors_equal_one_pass_per_model(self):
+        rng = np.random.default_rng(11)
+        cohort = _cohort(4, MIXED_LENGTHS)
+        models = [random_model(rng, 3, BINS) for _ in range(4)]
+        members = [np.arange(14), np.array([0, 5, 6]), np.array([1, 2, 3, 4]), np.arange(7, 14)]
+        together = _forward_backward(models, _pack(cohort, members))
+        pair, row, step = 0, 0, 0
+        for m, (model, group) in enumerate(zip(models, members)):
+            alone = forward_backward_batch(model, [cohort[i] for i in group])
+            n_pairs, n_rows = len(group), alone.gamma.shape[0]
+            own = slice(together.gap_starts[m], together.gap_starts[m + 1])
+            assert np.array_equal(together.log_likelihood[pair : pair + n_pairs],
+                                  alone.log_likelihood)
+            assert np.array_equal(together.gamma[row : row + n_rows], alone.gamma)
+            assert np.array_equal(together.log_scale[row : row + n_rows], alone.log_scale)
+            assert np.array_equal(together.xi[step : step + n_rows - n_pairs], alone.xi)
+            assert np.array_equal(together.gaps[own], alone.gaps)
+            assert np.array_equal(together.kernels[own], alone.kernels)
+            assert np.array_equal(
+                together.gap_index[step : step + n_rows - n_pairs] - own.start, alone.gap_index
+            )
+            pair, row, step = pair + n_pairs, row + n_rows, step + n_rows - n_pairs
+
+    def test_statistics_cover_only_their_own_gaps(self):
+        rng = np.random.default_rng(12)
+        cohort = _cohort(5, MIXED_LENGTHS)
+        models = [random_model(rng, 2, BINS) for _ in range(2)]
+        members = [np.arange(6), np.arange(6, 14)]
+        results = _e_steps(_pack(cohort, members), models)
+        for model, group, (stats, ll) in zip(models, members, results, strict=True):
+            own = [cohort[i] for i in group]
+            expected, expected_ll = e_step(model, own)
+            assert ll == expected_ll
+            assert np.array_equal(stats.gaps,
+                                  np.unique(np.concatenate([np.diff(t.times) for t in own])))
+            for name in ("gaps", "pair_counts", "gamma_initial", "emission_counts",
+                         "transition_probs"):
+                assert np.array_equal(getattr(stats, name), getattr(expected, name)), name
+            assert stats.generator is model.generator
+
+
+def _impossible_model(rng):
+    """A model under which bin 0 of feature 0 never shows."""
+    model = random_model(rng, 2, BINS)
+    table = np.array([[0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])
+    emissions = EmissionTable(tables=(table, model.emissions.tables[1]))
+    return SubtypeModel(initial=model.initial, generator=model.generator, emissions=emissions)
+
+
+class TestFailureIsolation:
+    def test_impossible_restart_scores_minus_infinity(self):
+        rng = np.random.default_rng(21)
+        cohort = _cohort(6, MIXED_LENGTHS)
+        assert any(np.any(t.observations[:, 0] == 0) for t in cohort)
+        everyone = np.arange(len(cohort))
+        starts = [random_model(rng, 2, BINS), _impossible_model(rng), random_model(rng, 2, BINS)]
+        config = EmConfig(max_iterations=5)
+        outcomes = _run_em(cohort, [(everyone, start) for start in starts], config)
+        assert isinstance(outcomes[1], ImpossibleTrajectory)
+        for start, outcome in zip(starts[::2], outcomes[::2]):
+            _assert_same_fit(outcome, serial_run_em(cohort, start, config))
+        _, diag = _best_restart(outcomes)
+        assert diag.restart_scores[1] == -np.inf
+        assert np.isfinite(diag.restart_scores[0]) and np.isfinite(diag.restart_scores[2])
+
+    def test_kernel_error_of_one_restart_stays_with_it(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        cohort = _cohort(7, MIXED_LENGTHS)
+        everyone = np.arange(len(cohort))
+        starts = [random_model(rng, 2, BINS) for _ in range(3)]
+        config = EmConfig(max_iterations=4)
+        references = [serial_run_em(cohort, start, config) for start in starts[::2]]
+        # The restarts share a cohort, so their kernels come from one
+        # stacked call; the middle one's generator fails the drift guard.
+        generator_kernels = inference._generator_kernels
+
+        def drifting(generators, gaps):
+            if any(g is starts[1].generator for g in generators):
+                raise ExpmInaccuracy("matrix exponential row sums drifted")
+            return generator_kernels(generators, gaps)
+
+        monkeypatch.setattr(inference, "_generator_kernels", drifting)
+        outcomes = _run_em(cohort, [(everyone, start) for start in starts], config)
+        assert isinstance(outcomes[1], ExpmInaccuracy)
+        for outcome, reference in zip(outcomes[::2], references):
+            _assert_same_fit(outcome, reference)
+
+    def test_failing_warm_refit_raises_as_the_serial_loop(self, monkeypatch):
+        truth = separated_mixture(
+            [np.array([[0, 0], [1, 1]]), np.array([[2, 1], [1, 0]]), np.array([[1, 0], [2, 1]])],
+            [[0.5], [0.3], [0.4]],
+            n_bins=3,
+        )
+        cohort = sample_cohort(truth, 30, ObservationTimeConfig(min_observations=3,
+                                                                max_observations=9), seed=9).trajectories
+        config = EmConfig(max_iterations=4, restarts=2, mixture_iterations=3)
+        # After the first round, the warm refits of subtypes 1 and 2 fail at
+        # their first M-step, each naming itself.
+        first_round: dict[int, int] = {}
+        assign_subtypes, m_step_initial = mixture.assign_subtypes, learning.m_step_initial
+
+        def remember(fitted, trajectories):
+            if not first_round:
+                first_round.update((id(m.generator), i) for i, m in enumerate(fitted.models))
+            return assign_subtypes(fitted, trajectories)
+
+        def failing(stats):
+            subtype = first_round.get(id(stats.generator), 0)
+            if subtype:
+                raise InvariantViolation(f"subtype {subtype} cannot be refit")
+            return m_step_initial(stats)
+
+        monkeypatch.setattr(mixture, "assign_subtypes", remember)
+        monkeypatch.setattr(learning, "m_step_initial", failing)
+        with pytest.raises(InvariantViolation) as serial:
+            serial_fit_mixture(cohort, 3, 2, config)
+        first_round.clear()
+        with pytest.raises(InvariantViolation) as lockstep:
+            fit_mixture(cohort, 3, 2, config)
+        assert str(serial.value) == "subtype 1 cannot be refit"
+        assert type(lockstep.value) is type(serial.value)
+        assert str(lockstep.value) == str(serial.value)
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Calls of ``_pack`` and of the forward-backward pass, wherever they are bound."""
+    counts = {"pack": 0, "pass": 0}
+    pack, forward_backward = inference._pack, inference._forward_backward
+
+    def counted_pack(*args):
+        counts["pack"] += 1
+        return pack(*args)
+
+    def counted_pass(*args):
+        counts["pass"] += 1
+        return forward_backward(*args)
+
+    for module in (inference, learning):
+        monkeypatch.setattr(module, "_pack", counted_pack)
+        monkeypatch.setattr(module, "_forward_backward", counted_pass)
+    return counts
+
+
+def test_one_pack_per_active_set_and_one_pass_per_lockstep_iteration(pass_counts, monkeypatch):
+    truth = separated_mixture(
+        [np.array([[0, 0], [1, 1], [2, 2]]), np.array([[4, 4], [3, 3], [1, 0]])],
+        [[0.5, 0.3], [0.25, 0.6]],
+    )
+    cohort = sample_cohort(truth, 40, ObservationTimeConfig(min_observations=4,
+                                                            max_observations=12), seed=3).trajectories
+    config = EmConfig(max_iterations=15, tolerance=1e-5, restarts=2, delta_quantization=0.25)
+    rounds = []
+    run_em = mixture._run_em
+
+    def recorded(trajectories, fits, config):
+        outcomes = run_em(trajectories, fits, config)
+        rounds.append([len(diag.trace) for _, diag in outcomes])
+        return outcomes
+
+    monkeypatch.setattr(mixture, "_run_em", recorded)
+    fitted = fit_mixture(cohort, 2, 3, config)
+    assert len(rounds[0]) == 4  # two subtypes x two restarts in one lockstep
+    assert all(len(e_steps) == 2 for e_steps in rounds[1:])
+    assignment_passes = len(fitted.objective_trace) // 2
+    assert len(rounds) == assignment_passes
+    # Each distinct stopping point leaves a smaller active set to pack.
+    assert pass_counts["pack"] == sum(len(set(e)) for e in rounds) + assignment_passes
+    assert pass_counts["pass"] == sum(max(e) for e in rounds)
+    assert pass_counts["pass"] < sum(sum(e) for e in rounds)
