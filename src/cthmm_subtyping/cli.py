@@ -141,9 +141,9 @@ def _label_accuracy(assigned: np.ndarray, truth: np.ndarray, n_subtypes: int) ->
 
     Truth labels outside ``range(n_subtypes)`` can never be matched.
     """
-    confusion = np.zeros((n_subtypes, n_subtypes))
     valid = (truth >= 0) & (truth < n_subtypes)
-    np.add.at(confusion, (assigned[valid], truth[valid]), 1.0)
+    cells = assigned[valid] * n_subtypes + truth[valid]
+    confusion = np.bincount(cells, minlength=n_subtypes**2).reshape(n_subtypes, n_subtypes)
     cols = _best_matching(confusion)
     return float(confusion[np.arange(n_subtypes), cols].sum() / len(assigned))
 

@@ -194,32 +194,40 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
     rows = array("d")  # row-major (patient index, time, *features); empty cells are NaN
     patients: dict[str, int] = {}
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise EmptyCohort(f"{path}: no header row")
+        # A repeated column name reads its last field, as a dict of the row would.
+        index = {name: i for i, name in enumerate(header)}
         for column in ("patient_id", "time", *scheme.names):
-            if column not in reader.fieldnames:
+            if column not in index:
                 raise UnknownColumn(f"{path}: missing required column {column!r}")
+        at = [index[column] for column in ("patient_id", "time", *scheme.names)]
 
         for row in reader:
-            pid = (row.get("patient_id") or "").strip()
+            if not row:  # a blank line
+                continue
+            # The cells a short row leaves out are absent; extra cells are ignored.
+            pid, cell, *cells = [row[i] if i < len(row) else None for i in at]
+            pid = (pid or "").strip()
             if not pid:
                 raise ParseError(f"{path}:{reader.line_num}: empty patient_id")
             try:
-                t = float(row["time"])
+                t = float(cell)
             except (TypeError, ValueError):
                 raise ParseError(
-                    f"{path}:{reader.line_num}: time {row.get('time')!r} is not a number"
+                    f"{path}:{reader.line_num}: time {cell!r} is not a number"
                 ) from None
             if not math.isfinite(t):
                 raise ParseError(f"{path}:{reader.line_num}: time {t} is not finite")
             rows.extend((patients.setdefault(pid, len(patients)), t))
-            for feature in scheme.features:
-                raw = (row.get(feature.name) or "").strip()
+            for name, raw in zip(scheme.names, cells):
+                raw = (raw or "").strip()
                 try:
                     rows.append(float(raw) if raw else math.nan)
                 except ValueError:
-                    raise ParseError(f"{path}:{reader.line_num}: feature {feature.name!r} "
+                    raise ParseError(f"{path}:{reader.line_num}: feature {name!r} "
                                      f"value {raw!r} is not a number") from None
 
     if not patients:

@@ -288,13 +288,18 @@ def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray
     if np.any(bad):
         raise NonPositiveInterval(f"interval must be finite and >= 0, got {gaps[bad][0]}")
     values, vectors, inverse, usable = spectrum
-    probs = np.empty(rates.shape[:1] + gaps.shape + rates.shape[1:])
-    growth = np.exp(values[usable][:, None, :] * gaps[:, None])
-    probs[usable] = _matmul(vectors[usable][:, None] * growth[..., None, :],
-                            inverse[usable][:, None]).real
-    if not np.all(usable):
+    eigen = bool(np.all(usable))
+    if not eigen:
+        values, vectors, inverse = values[usable], vectors[usable], inverse[usable]
+    growth = np.exp(values[:, None, :] * gaps[:, None])
+    probs = _matmul(vectors[:, None] * growth[..., None, :], inverse[:, None]).real
+    if not eigen:
+        probs, closed = np.empty(rates.shape[:1] + gaps.shape + rates.shape[1:]), probs
+        probs[usable] = closed
         probs[~usable] = expm(rates[~usable][:, None] * gaps[:, None, None])
-    probs[:, gaps == 0] = np.eye(rates.shape[-1])
+    zero = gaps == 0
+    if np.any(zero):
+        probs[:, zero] = np.eye(rates.shape[-1])
     drift = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
     broken = ~(drift <= _ROW_SUM_MAX) | (probs.min(axis=(-2, -1)) < -_ROW_SUM_MAX)
     if np.any(broken):

@@ -212,22 +212,20 @@ class EmissionTable:
 
 
 def log_emission_matrix(
-    tables: list[EmissionTable], observations: np.ndarray, owner: np.ndarray
+    tables: list[EmissionTable], columns: np.ndarray, owner: np.ndarray
 ) -> np.ndarray:
     """Log emission likelihoods of every timepoint under its own table.
 
-    ``tables`` are M emission tables with the same bin counts,
-    ``observations`` is an (n, D) integer array with MISSING entries and
-    ``owner`` the (n,) index of each row's table; returns an (n, K) array
-    of summed per-feature log-probabilities, so no row is evaluated under
-    a table it does not use.  Raises :class:`DimensionMismatch` when the
-    tables disagree on bin counts or for a bin index outside its
-    feature's range.
+    ``tables`` are M emission tables with the same bin counts, ``columns``
+    the (n, D) :func:`stacked_columns` of the timepoints under those
+    counts and ``owner`` the (n,) index of each row's table; returns an
+    (n, K) array of summed per-feature log-probabilities, so no row is
+    evaluated under a table it does not use.  Raises
+    :class:`DimensionMismatch` when the tables disagree on bin counts.
     """
     bin_counts = tables[0].bin_counts
     if any(table.bin_counts != bin_counts for table in tables):
         raise DimensionMismatch("emission tables disagree on feature bins")
-    columns = stacked_columns(observations, bin_counts)
     logs = np.stack([table._log_stacked for table in tables])
     return logs[owner, columns.T].sum(axis=0)
 

@@ -16,7 +16,7 @@ every trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,7 @@ from .emissions import (
     expected_feature_value,
     log_emission_matrix,
     split_features,
+    stacked_columns,
 )
 from .errors import (
     DimensionMismatch,
@@ -183,7 +184,8 @@ class _Packing:
     ``pair_before[j]`` the one that starts it.  Packed row p belongs to
     model ``row_model[p]``, reads cohort observation row ``source[p]``,
     and ends a pair with gap ``gaps[slot[p]]`` (rows of the first step end
-    no pair).  Model m's sorted distinct gaps are
+    no pair); row p of :meth:`columns` is that observation, binned.
+    Model m's sorted distinct gaps are
     ``gaps[gap_starts[m]:gap_starts[m + 1]]``; consecutive models with the
     same members form a run, from model ``runs[r]`` to ``runs[r + 1]``,
     whose blocks repeat one set of gaps.
@@ -204,6 +206,7 @@ class _Packing:
     runs: list[int]
     pair_rows: np.ndarray  # (N - B,)
     slot: np.ndarray  # (N,)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def steps(self) -> list[tuple[int, int, int]]:
         """(first row of the step before, first row, size) of steps 1 .. T-1."""
@@ -213,6 +216,14 @@ class _Packing:
     def pair_before(self) -> np.ndarray:
         """The packed row that starts each batch pair (N - B,); forward-backward only."""
         return np.delete(self.rows, self.ends - 1)
+
+    def columns(self, bin_counts: tuple[int, ...]) -> np.ndarray:
+        """:func:`~.emissions.stacked_columns` of every packed row (N, D),
+        built on first use for these bin counts and kept for every pass."""
+        if bin_counts not in self._columns:
+            observations = np.concatenate([t.observations for t in self.trajectories])
+            self._columns[bin_counts] = stacked_columns(observations[self.source], bin_counts)
+        return self._columns[bin_counts]
 
 
 def _pack(trajectories: list[Trajectory], members: list[np.ndarray]) -> _Packing:
@@ -269,8 +280,8 @@ def _pack(trajectories: list[Trajectory], members: list[np.ndarray]) -> _Packing
     )
 
 
-def _observations(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
-    """The cohort's observation rows, checked for each pair's model feature count."""
+def _check_features(models: list[SubtypeModel], packing: _Packing) -> None:
+    """Raise :class:`DimensionMismatch` for a pair whose model expects other features."""
     trajectories = packing.trajectories
     if len({t.n_features for t in trajectories} | {model.n_features for model in models}) > 1:
         features = np.array([t.n_features for t in trajectories])[packing.pair_member]
@@ -282,7 +293,6 @@ def _observations(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
                 f"patient {trajectories[packing.pair_member[b]].patient_id!r} has "
                 f"{features[b]} features, model expects {expected[b]}"
             )
-    return np.concatenate([t.observations for t in trajectories])
 
 
 def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
@@ -304,7 +314,7 @@ def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
 
 
 def _emission_weights(
-    models: list[SubtypeModel], observations: np.ndarray, packing: _Packing
+    models: list[SubtypeModel], packing: _Packing
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shifted emission likelihoods (N, K) and the shifts (N,), packed.
 
@@ -312,8 +322,9 @@ def _emission_weights(
     by their maximum before exponentiation so very unlikely observations
     cannot underflow.
     """
+    tables = [model.emissions for model in models]
     log_b = log_emission_matrix(
-        [model.emissions for model in models], observations[packing.source], packing.row_model
+        tables, packing.columns(tables[0].bin_counts), packing.row_model
     )
     shift = log_b.max(axis=-1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
@@ -332,9 +343,9 @@ def _forward(
     step) makes alpha NaN from there on, and the pair's log-likelihood
     -inf.
     """
-    observations = _observations(models, packing)
+    _check_features(models, packing)
     kernels = _pair_kernels(models, packing)
-    b, shift = _emission_weights(models, observations, packing)
+    b, shift = _emission_weights(models, packing)
     n_first = packing.sizes[0]
     scale = np.empty(b.shape[0])
     alpha = np.empty(b.shape)

@@ -107,8 +107,10 @@ class EmConfig:
             raise InvariantViolation("need at least one restart")
         if self.mixture_iterations < 1:
             raise InvariantViolation("need at least one mixture iteration")
-        if self.delta_quantization is not None and not self.delta_quantization > 0:
-            raise InvariantViolation("quantization step must be positive")
+        if self.delta_quantization is not None and not 0 < self.delta_quantization < np.inf:
+            raise InvariantViolation(
+                f"delta_quantization must be finite and > 0, got {self.delta_quantization}"
+            )
         if not 0 <= self.smoothing < np.inf:
             raise InvariantViolation(f"smoothing must be finite and >= 0, got {self.smoothing}")
         if self.terminal_intervention_feature is not None and not self.smoothing < 0.5:
@@ -172,6 +174,19 @@ def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajector
     return out
 
 
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, length: int) -> np.ndarray:
+    """``out[index[i]] += rows[i]`` for every i, as one weighted ``np.bincount``.
+
+    ``rows`` broadcasts to ``index.shape + (w,)``; returns (length, w).
+    Each cell adds its terms in the order of i, as an unbuffered
+    scatter-add does, so the sums are bitwise those of ``np.add.at``.
+    """
+    width = rows.shape[-1]
+    cells = (index[..., None] * width + np.arange(width)).ravel()
+    weights = np.broadcast_to(rows, index.shape + (width,)).ravel()
+    return np.bincount(cells, weights, minlength=length * width).reshape(length, width)
+
+
 def _e_steps(
     packing: _Packing, models: list[SubtypeModel]
 ) -> list[tuple[SufficientStats, float] | ImpossibleTrajectory]:
@@ -206,17 +221,15 @@ def _e_steps(
         own = slice(posteriors.gap_starts[m], posteriors.gap_starts[m + 1])
         gamma = posteriors.gamma[rows]
         bin_counts = model.emissions.bin_counts
-        columns = stacked_columns(
-            np.concatenate([trajectories[i].observations for i in members]), bin_counts
-        )
-        counts = np.zeros((sum(bin_counts) + 1, model.n_states))
-        np.add.at(counts, columns, gamma[:, None, :])
+        columns = packing.columns(bin_counts)[packing.rows[rows]]
+        counts = _scatter_rows(columns, gamma[:, None, :], sum(bin_counts) + 1)
         kernels = posteriors.kernels[own]
-        pair_counts = np.zeros(kernels.shape)
-        np.add.at(pair_counts, posteriors.gap_index[steps] - own.start, posteriors.xi[steps])
+        pair_counts = _scatter_rows(posteriors.gap_index[steps] - own.start,
+                                    posteriors.xi[steps].reshape(-1, model.n_states**2),
+                                    len(kernels))
         stats = SufficientStats(
             gaps=posteriors.gaps[own],
-            pair_counts=pair_counts,
+            pair_counts=pair_counts.reshape(kernels.shape),
             gamma_initial=gamma[posteriors.starts[pairs] - rows.start].sum(axis=0),
             emission_counts=np.ascontiguousarray(counts[:-1].T),
             bin_counts=bin_counts,

@@ -100,10 +100,10 @@ def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.n
 def _bin_histograms(trajectories: list[Trajectory], bin_counts: tuple[int, ...]) -> np.ndarray:
     """Per-patient observed-bin frequency vectors, features concatenated."""
     columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
+    width = sum(bin_counts) + 1
     patient = np.repeat(np.arange(len(trajectories)), [t.length for t in trajectories])
-    counts = np.zeros((len(trajectories), sum(bin_counts) + 1))
-    np.add.at(counts, (patient[:, None], columns), 1.0)
-    counts = counts[:, :-1]
+    cells = (patient[:, None] * width + columns).ravel()
+    counts = np.bincount(cells, minlength=len(trajectories) * width).reshape(-1, width)[:, :-1]
     return counts / np.maximum(feature_totals(counts, bin_counts), 1)
 
 

@@ -190,6 +190,28 @@ def bin_histograms_by_feature(
     return np.array(rows)
 
 
+def scatter_counts(
+    gamma: np.ndarray,
+    columns: np.ndarray,
+    n_columns: int,
+    xi: np.ndarray,
+    gap_index: np.ndarray,
+    n_gaps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """E-step counts by unbuffered scatter-add, one row at a time.
+
+    ``gamma`` (n, K) and ``columns`` (n, D) are one fit's rows in batch
+    order, ``xi`` (s, K, K) its pair posteriors and ``gap_index`` (s,) their
+    gaps.  Returns the emission counts (K, n_columns), the MISSING column
+    dropped, and the pair counts (n_gaps, K, K).
+    """
+    counts = np.zeros((n_columns + 1, gamma.shape[1]))
+    np.add.at(counts, columns, gamma[:, None, :])
+    pair_counts = np.zeros((n_gaps,) + xi.shape[1:])
+    np.add.at(pair_counts, gap_index, xi)
+    return np.ascontiguousarray(counts[:-1].T), pair_counts
+
+
 def random_emission_tables(
     n_states: int,
     bin_counts: tuple[int, ...],

@@ -3,28 +3,11 @@
 Runs each workload of ``perfbench/workloads.py`` (set-up, job, checks)
 once in this process at the recorded seed and compares its outputs with
 ``perfbench/reference/``, so a change that the benchmark would report as
-incorrect fails here first.  Nothing under ``perfbench/`` is written.
+incorrect fails here first.  Nothing under ``perfbench/`` is written; the
+``workloads`` fixture that loads the module lives in ``conftest.py``.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
-
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 @pytest.mark.parametrize("name", ["em_continuous", "mixture_cli", "score_forecast"])

@@ -560,6 +560,23 @@ class TestRunSettings:
         assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "grid"])
+    def test_infinite_quantization_step_fails_at_load(self, tmp_path, command):
+        path = tmp_path / "config.json"
+        # json writes the infinite step as the bare token Infinity, which it also reads.
+        config = dict(_INTERVENTION_CONFIG, em={**_INTERVENTION_CONFIG["em"],
+                                                 "delta_quantization": float("inf")})
+        path.write_text(json.dumps(config))
+        assert "Infinity" in path.read_text()
+        # The data file does not exist: only a load-time check can fire first.
+        argv = [command, "--config", str(path), "--data", str(tmp_path / "absent.csv"),
+                "--out", str(tmp_path / "out.csv")]
+        code, err = _run_cli(argv)
+        assert code == 1
+        assert err == ["error InvariantViolation: delta_quantization must be finite and > 0, "
+                       "got inf"]
+        assert not (tmp_path / "out.csv").exists()
+
     def test_smoothing_that_inverts_the_pin_fails_fit_before_writing(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(_INTERVENTION_CONFIG))

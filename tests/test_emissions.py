@@ -12,11 +12,16 @@ from cthmm_subtyping import (
     EmissionTable,
     FeatureBinning,
     InvariantViolation,
+    SubtypeModel,
+    Trajectory,
     UnknownFeature,
     discretize,
     expected_feature_value,
+    forward_filter,
+    full_mask,
+    validate_generator,
 )
-from cthmm_subtyping.emissions import log_emission_matrix
+from cthmm_subtyping.emissions import log_emission_matrix, stacked_columns
 
 from oracles import discretize_value, emission_log_likelihood
 
@@ -176,7 +181,8 @@ class TestEmissionLogLikelihood:
         obs = np.column_stack(
             [rng.integers(-1, 2, size=12), rng.integers(-1, 3, size=12)]
         )
-        matrix = log_emission_matrix([self.table], obs, np.zeros(12, dtype=int))
+        columns = stacked_columns(obs, self.table.bin_counts)
+        matrix = log_emission_matrix([self.table], columns, np.zeros(12, dtype=int))
         for i in range(obs.shape[0]):
             for k in range(2):
                 assert matrix[i, k] == pytest.approx(
@@ -185,10 +191,19 @@ class TestEmissionLogLikelihood:
 
 
     def test_matrix_helper_rejects_out_of_range_bins(self):
-        # Feature 0 has 2 bins and feature 1 has 3; none may spill over.
+        # Feature 0 has 2 bins and feature 1 has 3; none may spill over.  The
+        # helper's columns come from stacked_columns, which checks every bin,
+        # and so does each pass that reads them.
+        model = SubtypeModel(initial=np.array([0.5, 0.5]),
+                             generator=validate_generator(np.ones((2, 2)), full_mask(2)),
+                             emissions=self.table)
         for row in ([2, 0], [0, 3], [-2, 0]):
-            with pytest.raises(DimensionMismatch):
-                log_emission_matrix([self.table], np.array([[0, 0], row]), np.zeros(2, dtype=int))
+            obs = np.array([[0, 0], row])
+            with pytest.raises(DimensionMismatch, match="bin index out of range"):
+                stacked_columns(obs, self.table.bin_counts)
+            if min(row) >= MISSING:  # a Trajectory holds no other negative index
+                with pytest.raises(DimensionMismatch, match="bin index out of range"):
+                    forward_filter([model], [Trajectory("p", np.array([0.0, 1.0]), obs)])
 
     def test_matrix_helper_rejects_mixed_bins(self):
         # Same feature count, different bins per feature.
@@ -200,10 +215,11 @@ class TestEmissionLogLikelihood:
         other = EmissionTable(tables=(np.array([[0.9, 0.1], [0.3, 0.7]]), np.full((2, 3), 1 / 3)))
         obs = np.array([[0, 2], [MISSING, 1], [1, MISSING]])
         owner = np.array([1, 0, 1])
-        mixed = log_emission_matrix([self.table, other], obs, owner)
+        columns = stacked_columns(obs, self.table.bin_counts)
+        mixed = log_emission_matrix([self.table, other], columns, owner)
         assert mixed.shape == (3, 2)
         for m, table in enumerate((self.table, other)):
-            alone = log_emission_matrix([table], obs, np.zeros(3, dtype=int))
+            alone = log_emission_matrix([table], columns, np.zeros(3, dtype=int))
             assert np.array_equal(mixed[owner == m], alone[owner == m])
 
 

@@ -381,6 +381,38 @@ class TestColumnIngest:
         ]
 
 
+class TestIngestEdgeCases:
+    """Layouts the fuzz above does not write, each checked against the cell-by-cell oracle."""
+
+    def _both(self, tmp_path, text):
+        path = tmp_path / "cohort.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return _ingest(load_cohort, path), _ingest(load_cohort_by_cell, path), path
+
+    def test_extra_trailing_fields_are_ignored(self, tmp_path):
+        actual, expected, _ = self._both(
+            tmp_path, "patient_id,time,a,b,c\np1,0,0.5,0.2,60,junk,9\np1,1,,0.9,70,\n"
+        )
+        assert [_trajectory_bytes(t) for t in actual] == [_trajectory_bytes(t) for t in expected]
+        (trajectory,) = actual
+        assert trajectory.observations.tolist() == [[1, 2, 0], [-1, 9, 1]]
+
+    def test_embedded_newline_counts_physical_lines(self, tmp_path):
+        # The quoted id spans lines 2-3, a blank line 4 is skipped, the bad time is on line 5.
+        actual, expected, path = self._both(
+            tmp_path, 'patient_id,time,a,b,c\n"p\n1",0,0.5,0.2,60\n\np2,x,0,0,50\n'
+        )
+        assert actual == expected == (ParseError, f"{path}:5: time 'x' is not a number")
+
+    def test_short_row_reads_missing_time_as_none(self, tmp_path):
+        actual, expected, path = self._both(tmp_path, "patient_id,time,a,b,c\np1,0,1,0,50\np2\n")
+        assert actual == expected == (ParseError, f"{path}:3: time None is not a number")
+
+    def test_header_without_rows_is_an_empty_cohort(self, tmp_path):
+        actual, expected, path = self._both(tmp_path, "patient_id,time,a,b,c\n\n")
+        assert actual == expected == (EmptyCohort, f"{path}: no data rows")
+
+
 def discretize_hr(value):
     from cthmm_subtyping import discretize
 

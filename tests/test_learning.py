@@ -392,7 +392,7 @@ class TestStackedLayoutOracle:
         expected = np.concatenate(oracles.bin_frequencies_by_feature(cohort, bin_counts, smoothing))
         assert _within_ulps(frequencies, expected)
         histograms = _bin_histograms(cohort, bin_counts)
-        assert _within_ulps(histograms, oracles.bin_histograms_by_feature(cohort, bin_counts))
+        assert np.array_equal(histograms, oracles.bin_histograms_by_feature(cohort, bin_counts))
 
     @pytest.mark.parametrize("n_states", range(1, 9))
     def test_random_start_draws_like_the_per_feature_loop(self, n_states):
@@ -634,6 +634,9 @@ class TestEmConfig:
             {"smoothing": np.inf},
             {"tolerance": np.nan},
             {"delta_quantization": np.nan},
+            {"delta_quantization": np.inf},
+            {"delta_quantization": 0.0},
+            {"delta_quantization": -0.5},
             {"mixture_iterations": 0},
             {"seed": -1},
             {"max_iterations": 2.5},
@@ -653,6 +656,13 @@ class TestEmConfig:
 
     def test_boundary_settings_accepted(self):
         assert EmConfig(smoothing=0.0).smoothing == 0.0
+        assert EmConfig(delta_quantization=5e-324).delta_quantization == 5e-324
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    def test_unusable_quantization_step_is_named(self, step):
+        # An infinite step used to pass and then fail the fit as bad data.
+        with pytest.raises(InvariantViolation, match="delta_quantization must be finite and > 0"):
+            EmConfig(delta_quantization=step)
 
     def test_large_smoothing_needs_no_pin(self):
         # Only a pinned table uses the smoothing as its epsilon.

@@ -5,6 +5,8 @@ have had on its own: the same models, traces, restart scores and mixture
 assignments, and the same errors.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from cthmm_subtyping import (
     SubtypeModel,
     Trajectory,
     e_step,
+    emissions,
     fit_mixture,
     forward_backward_batch,
     inference,
@@ -25,6 +28,7 @@ from cthmm_subtyping import (
     mixture,
     sample_cohort,
 )
+from cthmm_subtyping.emissions import stacked_columns
 from cthmm_subtyping.inference import _forward_backward, _pack
 from cthmm_subtyping.learning import (
     _best_restart,
@@ -36,7 +40,7 @@ from cthmm_subtyping.learning import (
 )
 
 from conftest import random_model, random_observations, random_times, separated_mixture
-from oracles import serial_fit_mixture, serial_fit_prepared, serial_run_em
+from oracles import scatter_counts, serial_fit_mixture, serial_fit_prepared, serial_run_em
 
 BINS = (3, 2)  # feature 1 is binary, so it can be a pinned intervention
 
@@ -167,6 +171,48 @@ class TestPairPackedPass:
             assert stats.generator is model.generator
 
 
+class TestAccumulationOracle:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_counts_equal_a_scatter_add_bitwise(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n_states = int(rng.integers(1, 9))
+        bins = tuple(int(j) for j in rng.integers(2, 6, size=rng.integers(1, 9)))
+        target = int(rng.integers(50, 4001))
+        lengths = []
+        while sum(lengths) < target:
+            lengths.append(int(rng.integers(1, 40)))
+        lengths[-1] -= sum(lengths) - target  # stays positive
+        # Whole-number gaps repeat within and across trajectories.
+        cohort = [
+            Trajectory(f"p{i}", np.cumsum(rng.integers(1, 6, size=n)).astype(float),
+                       random_observations(rng, n, bins, missing_rate=rng.uniform(0.0, 0.6)))
+            for i, n in enumerate(lengths)
+        ]
+        # Two restarts on the whole cohort, then two subtypes on its halves.
+        everyone = np.arange(len(cohort))
+        split = int(rng.integers(1, len(cohort)))
+        members = [everyone, everyone, everyone[:split], everyone[split:]]
+        models = [random_model(rng, n_states, bins) for _ in members]
+        packing = _pack(cohort, members)
+        posteriors = _forward_backward(models, packing)
+        row, step = 0, 0
+        for m, (group, result) in enumerate(zip(members, _e_steps(packing, models), strict=True)):
+            stats, _ = result
+            observations = np.concatenate([cohort[i].observations for i in group])
+            n_rows = observations.shape[0]
+            n_steps = n_rows - len(group)
+            own = slice(posteriors.gap_starts[m], posteriors.gap_starts[m + 1])
+            emission_counts, pair_counts = scatter_counts(
+                posteriors.gamma[row : row + n_rows], stacked_columns(observations, bins),
+                sum(bins), posteriors.xi[step : step + n_steps],
+                posteriors.gap_index[step : step + n_steps] - own.start, own.stop - own.start,
+            )
+            assert np.array_equal(stats.emission_counts, emission_counts)
+            assert np.array_equal(stats.pair_counts, pair_counts)
+            row, step = row + n_rows, step + n_steps
+        assert row == posteriors.gamma.shape[0]
+
+
 def _impossible_model(rng):
     """A model under which bin 0 of feature 0 never shows."""
     model = random_model(rng, 2, BINS)
@@ -252,9 +298,14 @@ class TestFailureIsolation:
 
 @pytest.fixture
 def pass_counts(monkeypatch):
-    """Calls of ``_pack`` and of the forward-backward pass, wherever they are bound."""
-    counts = {"pack": 0, "pass": 0}
+    """Calls of ``_pack``, of the forward-backward pass and of ``stacked_columns``.
+
+    ``_pack`` and the pass are counted wherever they are bound;
+    ``stacked_columns`` is counted per calling function, on every binding.
+    """
+    counts = {"pack": 0, "pass": 0, "columns": {}}
     pack, forward_backward = inference._pack, inference._forward_backward
+    columns = emissions.stacked_columns
 
     def counted_pack(*args):
         counts["pack"] += 1
@@ -264,9 +315,16 @@ def pass_counts(monkeypatch):
         counts["pass"] += 1
         return forward_backward(*args)
 
+    def counted_columns(*args):
+        caller = sys._getframe(1).f_code.co_name
+        counts["columns"][caller] = counts["columns"].get(caller, 0) + 1
+        return columns(*args)
+
     for module in (inference, learning):
         monkeypatch.setattr(module, "_pack", counted_pack)
         monkeypatch.setattr(module, "_forward_backward", counted_pass)
+    for module in (emissions, inference, learning, mixture):
+        monkeypatch.setattr(module, "stacked_columns", counted_columns)
     return counts
 
 
@@ -296,3 +354,19 @@ def test_one_pack_per_active_set_and_one_pass_per_lockstep_iteration(pass_counts
     assert pass_counts["pack"] == sum(len(set(e)) for e in rounds) + assignment_passes
     assert pass_counts["pass"] == sum(max(e) for e in rounds)
     assert pass_counts["pass"] < sum(sum(e) for e in rounds)
+    # Packed rows are binned once per packing, however many passes read them;
+    # the rest are the start histograms and one restart set's frequencies per subtype.
+    assert pass_counts["columns"] == {
+        "columns": pass_counts["pack"], "_bin_histograms": 1, "_empirical_bin_frequencies": 2,
+    }
+
+
+def test_benchmark_mixture_job_bins_each_packing_once(pass_counts, workloads, tmp_path):
+    workload = workloads.WORKLOADS["mixture_cli"]
+    out = workload.run(workload.setup(workloads.DEFAULT_SEED, tmp_path))
+    assert out.failures == {}
+    # Five packings: three active sets of the lockstep fits, two assignment passes.
+    assert pass_counts["pack"] == 5
+    assert pass_counts["columns"] == {
+        "columns": 5, "_bin_histograms": 1, "_empirical_bin_frequencies": 2,
+    }
