@@ -13,14 +13,16 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .ctmc import GeneratorMatrix
-from .emissions import MISSING, BinningScheme, FeatureBinning, EmissionTable, discretize
+from .emissions import BinningScheme, FeatureBinning, EmissionTable, discretize
 from .errors import (
+    DimensionMismatch,
     DuplicateTimestamp,
     EmptyCohort,
     InvariantViolation,
@@ -200,10 +202,11 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
             raise EmptyCohort(f"{path}: no header row")
         # A repeated column name reads its last field, as a dict of the row would.
         index = {name: i for i, name in enumerate(header)}
-        for column in ("patient_id", "time", *scheme.names):
+        names = scheme.names
+        for column in ("patient_id", "time", *names):
             if column not in index:
                 raise UnknownColumn(f"{path}: missing required column {column!r}")
-        at = [index[column] for column in ("patient_id", "time", *scheme.names)]
+        at = [index[column] for column in ("patient_id", "time", *names)]
 
         for row in reader:
             if not row:  # a blank line
@@ -222,7 +225,7 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
             if not math.isfinite(t):
                 raise ParseError(f"{path}:{reader.line_num}: time {t} is not finite")
             rows.extend((patients.setdefault(pid, len(patients)), t))
-            for name, raw in zip(scheme.names, cells):
+            for name, raw in zip(names, cells):
                 raw = (raw or "").strip()
                 try:
                     rows.append(float(raw) if raw else math.nan)
@@ -249,18 +252,34 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
 
 
 def save_cohort(cohort: list[Trajectory], path: str | Path, scheme: BinningScheme) -> None:
-    """Write a cohort back to CSV, encoding each bin as its center value."""
+    """Write a cohort back to CSV, encoding each bin as its center value.
+
+    Raises :class:`DimensionMismatch`, before the file is opened, for a
+    patient whose feature count or bin index the scheme does not have.
+    """
+    bins = np.array(scheme.bin_counts)
+    for trajectory in cohort:
+        obs = trajectory.observations
+        if obs.shape[1] != scheme.n_features:
+            raise DimensionMismatch(f"patient {trajectory.patient_id!r} has {obs.shape[1]} "
+                                    f"features, the scheme {scheme.n_features}")
+        if (obs >= bins).any():
+            i, d = np.argwhere(obs >= bins)[0]
+            raise DimensionMismatch(
+                f"patient {trajectory.patient_id!r}: feature {scheme.names[d]!r} bin "
+                f"{obs[i, d]} is out of range for {bins[d]} bins"
+            )
+    # Each bin's cell text once per feature; the trailing "" is indexed by MISSING (-1).
+    cells = [[repr(float(c)) for c in feature.centers] + [""] for feature in scheme.features]
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["patient_id", "time", *scheme.names])
         for trajectory in cohort:
-            for i, t in enumerate(trajectory.times):
-                cells = [trajectory.patient_id, repr(float(t))]
-                for d, feature in enumerate(scheme.features):
-                    j = trajectory.observations[i, d]
-                    cells.append("" if j == MISSING else repr(float(feature.centers[j])))
-                writer.writerow(cells)
+            columns = [[text[j] for j in column]
+                       for text, column in zip(cells, trajectory.observations.T.tolist())]
+            times = map(repr, trajectory.times.tolist())
+            writer.writerows(zip(repeat(trajectory.patient_id), times, *columns))
 
 
 def restrict_features(

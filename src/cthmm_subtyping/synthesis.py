@@ -6,10 +6,17 @@ come from a configurable renewal process, and observations are drawn from
 the state's emission tables with independent missingness.  Everything is
 reproducible from the seed; per-patient streams are split from one seed
 sequence so cohorts parallelise cleanly.
+
+Each categorical draw is one uniform looked up in a :func:`_cdf`, as
+``Generator.choice`` draws, and each holding time is ``scale *
+standard_exponential()``, as ``Generator.exponential`` computes it, so the
+stream is bit for bit that of one ``choice`` or ``exponential`` call per draw.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +41,10 @@ class ObservationTimeConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.min_observations <= self.max_observations:
             raise InvariantViolation("observation count range is empty")
-        if not self.mean_gap > 0:  # also rejects NaN
-            raise InvariantViolation("mean gap must be positive")
+        if not 0 < self.mean_gap < math.inf:  # also rejects NaN
+            raise InvariantViolation(f"mean gap must be finite and > 0, got {self.mean_gap}")
+        if not math.isfinite(self.start):
+            raise InvariantViolation(f"start time must be finite, got {self.start}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,44 @@ class SyntheticCohort:
     time_config: ObservationTimeConfig
 
 
+# ``Generator.choice`` rejects probabilities whose sum is this far from 1.
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of ``p`` (last axis) as ``Generator.choice`` builds it.
+
+    A draw is the number of entries at or below one ``rng.random()``:
+    ``np.searchsorted(cdf, u, side="right")``, or ``bisect_right`` on a list.
+    """
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _initial_law(initial, n_states: int) -> np.ndarray:
+    """``initial`` as floats, if ``Generator.choice(n_states, p=initial)`` accepts it.
+
+    Anything it rejects, a wrong shape, NaN, a negative entry or a
+    compensated sum more than ``_CHOICE_ATOL`` from 1, raises
+    :class:`InvariantViolation` instead.
+    """
+    p = np.asarray(initial, dtype=float)
+    if p.shape != (n_states,):
+        raise InvariantViolation(
+            f"initial distribution must have shape ({n_states},), got {p.shape}"
+        )
+    total, carry = float(p[0]), 0.0  # Kahan summation, as choice sums
+    for value in p[1:].tolist():
+        value -= carry
+        step = total + value
+        carry = (step - total) - value
+        total = step
+    if math.isnan(total) or np.any(p < 0) or abs(total - 1.0) > _CHOICE_ATOL:
+        raise InvariantViolation(f"initial distribution is not a probability vector: {p}")
+    return p
+
+
 def sample_hidden_path(
     generator: GeneratorMatrix,
     initial: np.ndarray,
@@ -74,23 +121,28 @@ def sample_hidden_path(
     target is drawn proportionally to the outgoing rates.  Absorbing
     states hold to the horizon.
     """
-    if horizon <= 0:
-        raise NonPositiveInterval(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:  # also rejects NaN
+        raise NonPositiveInterval(f"horizon must be finite and > 0, got {horizon}")
+    p = _initial_law(initial, generator.size)
     rng = np.random.default_rng(seed)
+    uniform, exponential = rng.random, rng.standard_exponential
     rates = generator.rates
-    exit_rates = -np.diag(rates)
+    exit_rates = (-np.diag(rates)).tolist()
 
-    state = int(rng.choice(generator.size, p=np.asarray(initial, dtype=float)))
+    state = bisect_right(_cdf(p).tolist(), uniform())
     times = [0.0]
     states = [state]
+    jumps = {}  # state -> its jump CDF, built at the first jump out of it
     t = 0.0
     while exit_rates[state] > 0:
-        t += rng.exponential(1.0 / exit_rates[state])
+        t += (1.0 / exit_rates[state]) * exponential()
         if t >= horizon:
             break
-        jump = rates[state].copy()
-        jump[state] = 0.0
-        state = int(rng.choice(generator.size, p=jump / jump.sum()))
+        if state not in jumps:
+            jump = rates[state].copy()
+            jump[state] = 0.0
+            jumps[state] = _cdf(jump / jump.sum()).tolist()
+        state = bisect_right(jumps[state], uniform())
         times.append(t)
         states.append(state)
     return HiddenPath(times=np.array(times), states=np.array(states, dtype=int))
@@ -107,6 +159,8 @@ def sample_trajectory(
     obs_times = np.asarray(obs_times, dtype=float)
     if obs_times.ndim != 1 or obs_times.size < 1:
         raise InvariantViolation("need at least one observation time")
+    if not np.all(np.isfinite(obs_times)):
+        raise InvariantViolation("observation times must be finite")
     if np.any(np.diff(obs_times) <= 0):
         raise InvariantViolation("observation times must be strictly increasing")
     if not 0 <= missing_rate <= 1:
@@ -118,16 +172,17 @@ def sample_trajectory(
         path = sample_hidden_path(model.generator, model.initial, horizon, rng)
         hidden = path.state_at(obs_times - obs_times[0])
     else:
-        hidden = np.array([int(rng.choice(model.n_states, p=model.initial))])
+        hidden = np.array([np.searchsorted(_cdf(model.initial), rng.random(), side="right")])
 
-    n, n_features = obs_times.size, model.n_features
-    obs = np.empty((n, n_features), dtype=int)
-    for i, state in enumerate(hidden):
-        for d in range(n_features):
-            table = model.emissions.tables[d][state]
-            obs[i, d] = rng.choice(table.size, p=table)
+    # One uniform per (time, feature) cell in row-major order, as one
+    # choice call per cell drew them.
+    uniforms = rng.random((obs_times.size, model.n_features))
+    obs = np.column_stack([
+        (_cdf(table)[hidden] <= u[:, None]).sum(axis=1)
+        for table, u in zip(model.emissions.tables, uniforms.T)
+    ])
     if missing_rate > 0:
-        obs[rng.random((n, n_features)) < missing_rate] = MISSING
+        obs[rng.random(obs.shape) < missing_rate] = MISSING
     return (
         Trajectory(patient_id=patient_id, times=obs_times, observations=obs),
         np.asarray(hidden, dtype=int),
@@ -146,13 +201,14 @@ def sample_cohort(
         raise InvariantViolation("need at least one patient")
     time_config = time_config or ObservationTimeConfig()
     streams = np.random.SeedSequence(seed).spawn(n_patients)
+    prior = _cdf(mixture.prior).tolist()
 
     trajectories = []
     labels = np.empty(n_patients, dtype=int)
     hidden_states = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        label = int(rng.choice(mixture.n_subtypes, p=mixture.prior))
+        label = bisect_right(prior, rng.random())
         n_obs = int(
             rng.integers(time_config.min_observations, time_config.max_observations + 1)
         )

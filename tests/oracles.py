@@ -5,9 +5,12 @@ series and a 40-digit mpmath exponential for the matrix exponential,
 exhaustive enumeration over hidden sequences for posteriors, vectorised
 path simulation for end-conditioned expectations, and cell-by-cell CSV
 ingest.  None of it calls back into the package code paths it verifies,
-save the serial EM loops at the end: they run the package's own E- and
-M-steps one fit at a time, as the fits ran before they were batched, and
-so pin the lockstep scheduler that replaced them, not the steps.
+save the serial EM loops: they run the package's own E- and M-steps one
+fit at a time, as the fits ran before they were batched, and so pin the
+lockstep scheduler that replaced them, not the steps.  The samplers and
+the CSV writer at the end draw with one ``Generator.choice`` or
+``Generator.exponential`` call per draw and write one row at a time, and
+so pin the random stream and the file bytes of the package's own.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from scipy.linalg import expm
 from dataclasses import replace
 
 from cthmm_subtyping import (
+    MISSING,
     DuplicateTimestamp,
     EmptyCohort,
+    HiddenPath,
     MixtureModel,
     ParseError,
     SubtypeModel,
     SubtypingError,
+    SyntheticCohort,
     Trajectory,
     UnknownColumn,
     learning,
@@ -512,3 +518,90 @@ def serial_fit_mixture(trajectories, n_subtypes, n_states, config, scheme=None):
             break
         assignments = proposed
     return replace(fitted, assignments=assignments), diagnostics
+
+
+def choice_hidden_path(generator, initial, horizon, seed) -> HiddenPath:
+    """``sample_hidden_path`` with one ``choice`` per state and one
+    ``exponential`` per holding time."""
+    rng = np.random.default_rng(seed)
+    rates = generator.rates
+    exit_rates = -np.diag(rates)
+    state = int(rng.choice(generator.size, p=np.asarray(initial, dtype=float)))
+    times = [0.0]
+    states = [state]
+    t = 0.0
+    while exit_rates[state] > 0:
+        t += rng.exponential(1.0 / exit_rates[state])
+        if t >= horizon:
+            break
+        jump = rates[state].copy()
+        jump[state] = 0.0
+        state = int(rng.choice(generator.size, p=jump / jump.sum()))
+        times.append(t)
+        states.append(state)
+    return HiddenPath(times=np.array(times), states=np.array(states, dtype=int))
+
+
+def choice_trajectory(model, obs_times, missing_rate, seed, patient_id="synthetic"):
+    """``sample_trajectory`` with one ``choice`` per observed cell."""
+    obs_times = np.asarray(obs_times, dtype=float)
+    rng = np.random.default_rng(seed)
+    horizon = float(obs_times[-1] - obs_times[0])
+    if horizon > 0:
+        path = choice_hidden_path(model.generator, model.initial, horizon, rng)
+        hidden = path.state_at(obs_times - obs_times[0])
+    else:
+        hidden = np.array([int(rng.choice(model.n_states, p=model.initial))])
+    n, n_features = obs_times.size, model.n_features
+    obs = np.empty((n, n_features), dtype=int)
+    for i, state in enumerate(hidden):
+        for d in range(n_features):
+            table = model.emissions.tables[d][state]
+            obs[i, d] = rng.choice(table.size, p=table)
+    if missing_rate > 0:
+        obs[rng.random((n, n_features)) < missing_rate] = MISSING
+    return (
+        Trajectory(patient_id=patient_id, times=obs_times, observations=obs),
+        np.asarray(hidden, dtype=int),
+    )
+
+
+def choice_cohort(mixture_model, n_patients, time_config, missing_rate=0.0, seed=0):
+    """``sample_cohort`` drawing through :func:`choice_trajectory`."""
+    trajectories, labels, hidden_states = [], [], []
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_patients)):
+        rng = np.random.default_rng(stream)
+        label = int(rng.choice(mixture_model.n_subtypes, p=mixture_model.prior))
+        n_obs = int(
+            rng.integers(time_config.min_observations, time_config.max_observations + 1)
+        )
+        gaps = rng.exponential(time_config.mean_gap, size=n_obs - 1)
+        times = time_config.start + np.concatenate([[0.0], np.cumsum(gaps)])
+        trajectory, hidden = choice_trajectory(
+            mixture_model.models[label], times, missing_rate, rng, patient_id=f"p{i:05d}"
+        )
+        trajectories.append(trajectory)
+        labels.append(label)
+        hidden_states.append(hidden)
+    return SyntheticCohort(
+        trajectories=trajectories,
+        labels=np.array(labels, dtype=int),
+        hidden_states=hidden_states,
+        seed=seed,
+        missing_rate=missing_rate,
+        time_config=time_config,
+    )
+
+
+def save_cohort_by_row(cohort, path, scheme) -> None:
+    """``save_cohort`` writing one row, and formatting one cell, at a time."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["patient_id", "time", *scheme.names])
+        for trajectory in cohort:
+            for i, t in enumerate(trajectory.times):
+                cells = [trajectory.patient_id, repr(float(t))]
+                for d, feature in enumerate(scheme.features):
+                    j = trajectory.observations[i, d]
+                    cells.append("" if j == MISSING else repr(float(feature.centers[j])))
+                writer.writerow(cells)

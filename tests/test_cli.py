@@ -628,6 +628,27 @@ class TestRunSettings:
         assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
 
 
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_infinite_mean_gap_fails_at_load(self, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(_INTERVENTION_CONFIG, simulate={"mean_gap": float("inf")})))
+        assert "Infinity" in path.read_text()
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        if command != "simulate":
+            argv += ["--data", str(tmp_path / "absent.csv")]
+        # A child interpreter with a deadline: an accepted infinite gap sampled forever.
+        package_root = os.path.dirname(os.path.dirname(cthmm_subtyping.__file__))
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited]))}
+        result = subprocess.run([sys.executable, "-m", "cthmm_subtyping", *argv],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error InvariantViolation: mean gap must be finite and > 0, got inf"
+        ]
+        assert not (tmp_path / "out.csv").exists()
+
 def _assert_clean_exit(code, err):
     assert code in (0, 1)
     if code == 0:

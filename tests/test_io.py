@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cthmm_subtyping import (
     BinningScheme,
+    DimensionMismatch,
     DuplicateTimestamp,
     EmptyCohort,
     FeatureBinning,
@@ -17,6 +18,7 @@ from cthmm_subtyping import (
     MixtureModel,
     ParseError,
     SubtypingError,
+    Trajectory,
     UnknownColumn,
     VersionMismatch,
     load_cohort,
@@ -30,7 +32,7 @@ from cthmm_subtyping import cohort_io
 from cthmm_subtyping.cohort_io import MODEL_VERSION, RunConfig, config_from_dict
 
 from conftest import random_model, simple_scheme
-from oracles import load_cohort_by_cell
+from oracles import load_cohort_by_cell, save_cohort_by_row
 
 
 def _random_mixture(rng, n_subtypes=2, n_states=2, bin_counts=(3, 2), scheme=None):
@@ -380,6 +382,23 @@ class TestColumnIngest:
             _trajectory_bytes(t) for t in load_cohort_by_cell(path, _INGEST_SCHEME)
         ]
 
+    def test_reads_feature_names_once_per_file(self, tmp_path, monkeypatch):
+        calls = []
+        names = BinningScheme.names
+
+        def counting(scheme):
+            calls.append(1)
+            return names.fget(scheme)
+
+        monkeypatch.setattr(BinningScheme, "names", property(counting))
+        for n_rows in (5, 200):
+            path = tmp_path / f"cohort{n_rows}.csv"
+            rows = [f"p{i % 7},{i},{i % 3 - 1},{i / 500},{40 + i % 100}" for i in range(n_rows)]
+            path.write_text("patient_id,time,a,b,c\n" + "\n".join(rows) + "\n")
+            calls.clear()
+            load_cohort(path, _INGEST_SCHEME)
+            assert len(calls) == 1
+
 
 class TestIngestEdgeCases:
     """Layouts the fuzz above does not write, each checked against the cell-by-cell oracle."""
@@ -411,6 +430,54 @@ class TestIngestEdgeCases:
     def test_header_without_rows_is_an_empty_cohort(self, tmp_path):
         actual, expected, path = self._both(tmp_path, "patient_id,time,a,b,c\n\n")
         assert actual == expected == (EmptyCohort, f"{path}: no data rows")
+
+
+class TestSaveCohort:
+    """The column-wise writer against the row-by-row one, and its input checks."""
+
+    def _cohort(self, rng, scheme, ids):
+        cohort = []
+        for pid in ids:
+            n = int(rng.integers(1, 12))
+            obs = np.column_stack([rng.integers(-1, bins, size=n) for bins in scheme.bin_counts])
+            times = np.cumsum(rng.uniform(1e-3, 3.0, size=n)) - rng.uniform(0, 5)
+            cohort.append(Trajectory(patient_id=pid, times=times, observations=obs))
+        return cohort
+
+    def test_bytes_match_row_by_row_writer(self, tmp_path):
+        rng = np.random.default_rng(50)
+        ids = ["p1", "a,b", 'say "hi"', "two\nlines", " pad ", "ünï", "p1x", "'q'"]
+        for scheme in (_INGEST_SCHEME, simple_scheme(), BinningScheme(
+                (FeatureBinning(name="x,y", lower=-0.1, upper=0.2, bins=7),))):
+            cohort = self._cohort(rng, scheme, ids)
+            cohort[0] = Trajectory(cohort[0].patient_id, cohort[0].times,
+                                   np.full_like(cohort[0].observations, -1))
+            save_cohort(cohort, tmp_path / "ours.csv", scheme)
+            save_cohort_by_row(cohort, tmp_path / "rows.csv", scheme)
+            written = (tmp_path / "ours.csv").read_bytes()
+            assert written == (tmp_path / "rows.csv").read_bytes()
+            assert b'"a,b"' in written and b',\r\n' in written  # a quoted id, a MISSING cell
+
+    def test_empty_cohort_writes_the_header(self, tmp_path):
+        save_cohort([], tmp_path / "ours.csv", simple_scheme())
+        save_cohort_by_row([], tmp_path / "rows.csv", simple_scheme())
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        {"bin": 5}, {"bin": 99}, {"width": 1}, {"width": 3},
+    ], ids=["bin_at_count", "bin_far_out", "too_few_features", "too_many_features"])
+    def test_bad_trajectory_is_a_dimension_mismatch_before_writing(self, tmp_path, bad):
+        scheme = simple_scheme()
+        good = Trajectory("ok", np.arange(3.0), np.zeros((3, 2), dtype=int))
+        obs = np.zeros((3, bad.get("width", 2)), dtype=int)
+        if "bin" in bad:
+            obs[1, 1] = bad["bin"]
+        path = tmp_path / "cohort.csv"
+        with pytest.raises(DimensionMismatch, match="patient 'odd'") as err:
+            save_cohort([good, Trajectory("odd", np.arange(3.0), obs)], path, scheme)
+        if "bin" in bad:
+            assert "'systolic_bp'" in str(err.value)
+        assert not path.exists()
 
 
 def discretize_hr(value):

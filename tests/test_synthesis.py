@@ -5,16 +5,22 @@ from scipy.linalg import expm
 from cthmm_subtyping import (
     MISSING,
     EmissionTable,
+    GeneratorMatrix,
+    InvariantViolation,
+    MixtureModel,
+    NonPositiveInterval,
     ObservationTimeConfig,
     SubtypeModel,
     full_mask,
+    left_to_right_mask,
     sample_cohort,
     sample_hidden_path,
     sample_trajectory,
     validate_generator,
 )
 
-from conftest import chain_model, separated_mixture
+from conftest import chain_model, random_emissions, random_generator, separated_mixture
+from oracles import choice_cohort, choice_hidden_path, choice_trajectory
 
 
 def _absorbing_two_state(rate=1.0):
@@ -163,11 +169,178 @@ class TestSampleCohort:
         assert min(lengths) >= 3 and max(lengths) <= 7
 
     def test_bad_config_rejected(self):
-        from cthmm_subtyping import InvariantViolation
-
         with pytest.raises(InvariantViolation):
             ObservationTimeConfig(min_observations=5, max_observations=4)
         with pytest.raises(InvariantViolation):
             ObservationTimeConfig(mean_gap=0.0)
         with pytest.raises(InvariantViolation):
             ObservationTimeConfig(mean_gap=float("nan"))
+
+    @pytest.mark.parametrize("settings", [
+        {"mean_gap": float("inf")}, {"start": float("inf")}, {"start": float("nan")},
+        {"start": float("-inf")},
+    ], ids=["gap_inf", "start_inf", "start_nan", "start_minus_inf"])
+    def test_non_finite_timing_rejected(self, settings):
+        with pytest.raises(InvariantViolation, match="finite"):
+            ObservationTimeConfig(**settings)
+
+
+def _generators():
+    """Generators of every shape the sampler branches on, by name."""
+    rng = np.random.default_rng(40)
+    sparse = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, -0.5]])
+    return {
+        "full": random_generator(rng, 5),
+        "full_8": random_generator(rng, 8, lo=0.01, hi=3.0),
+        "left_to_right": random_generator(rng, 6, mask=left_to_right_mask(6)),
+        "absorbing": _absorbing_two_state(rate=0.7),
+        # Jump targets of probability zero under a full mask; state 1 absorbs.
+        "zero_targets": GeneratorMatrix(rates=sparse, mask=full_mask(3)),
+        "zero": validate_generator(np.zeros((3, 3)), full_mask(3)),
+        "one_state": validate_generator(np.zeros((1, 1)), full_mask(1)),
+    }
+
+
+_GENERATORS = _generators()
+
+
+def _initials(size, rng):
+    """A point mass, a Dirichlet draw and one with zero-probability states."""
+    point = np.zeros(size)
+    point[-1] = 1.0
+    holes = rng.dirichlet(np.ones(size))
+    holes[::2] = 0.0
+    holes = holes / holes.sum() if holes.sum() > 0 else point
+    return [point, rng.dirichlet(np.ones(size)), holes]
+
+
+def _assert_same_stream(a, b):
+    """Both generators are at the same point of the same stream."""
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.random() == b.random()
+
+
+class TestStreamOracle:
+    """The samplers return, and consume, bit for bit what one ``choice``
+    or ``exponential`` call per draw did (``oracles.choice_*``)."""
+
+    @pytest.mark.parametrize("name", list(_GENERATORS))
+    @pytest.mark.parametrize("horizon", [1e-3, 0.5, 6.0, 60.0])
+    def test_hidden_paths_and_next_draw_match(self, name, horizon):
+        generator = _GENERATORS[name]
+        rng = np.random.default_rng([41, generator.size, int(horizon * 1000)])
+        for initial in _initials(generator.size, rng):
+            for seed in range(25):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                path = sample_hidden_path(generator, initial, horizon, ours)
+                expected = choice_hidden_path(generator, initial, horizon, theirs)
+                assert path.times.tobytes() == expected.times.tobytes()
+                assert np.array_equal(path.states, expected.states)
+                assert path.states.dtype == expected.states.dtype
+                _assert_same_stream(ours, theirs)
+
+    @pytest.mark.parametrize("name", list(_GENERATORS))
+    @pytest.mark.parametrize("missing_rate", [0.0, 0.3, 1.0])
+    def test_trajectories_and_next_draw_match(self, name, missing_rate):
+        generator = _GENERATORS[name]
+        rng = np.random.default_rng([42, generator.size])
+        emissions = random_emissions(rng, generator.size, (2, 5, 3, 6, 4, 1, 3, 5))
+        # Bins of probability zero in every table; the single-bin feature keeps its mass.
+        tables = [t * (rng.random(t.shape) < 0.6) for t in emissions.tables]
+        tables = [np.where(t.sum(axis=1, keepdims=True) > 0, t, 1.0) for t in tables]
+        emissions = EmissionTable(tables=tuple(t / t.sum(axis=1, keepdims=True) for t in tables))
+        for initial in _initials(generator.size, rng):
+            model = SubtypeModel(initial=initial, generator=generator, emissions=emissions)
+            for seed, n in enumerate([1, 2, 7, 20, 45]):
+                times = 3.0 + np.cumsum(rng.uniform(0.05, 4.0, size=n))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                traj, hidden = sample_trajectory(model, times, missing_rate, ours, "x")
+                want, want_hidden = choice_trajectory(model, times, missing_rate, theirs, "x")
+                assert traj.observations.dtype == want.observations.dtype
+                assert traj.observations.tobytes() == want.observations.tobytes()
+                assert traj.times.tobytes() == want.times.tobytes()
+                assert hidden.tobytes() == want_hidden.tobytes()
+                _assert_same_stream(ours, theirs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_cohorts_match(self, seed):
+        rng = np.random.default_rng([43, seed])
+        models = tuple(
+            SubtypeModel(initial=rng.dirichlet(np.ones(4)),
+                         generator=random_generator(rng, 4, mask=mask),
+                         emissions=random_emissions(rng, 4, (5, 3, 4)))
+            for mask in (full_mask(4), left_to_right_mask(4), full_mask(4))
+        )
+        mixture = MixtureModel(models, np.array([0.5, 0.3, 0.2]), np.empty(0, dtype=int), [])
+        config = ObservationTimeConfig(min_observations=1, max_observations=30,
+                                       mean_gap=1.5, start=2.0)
+        cohort = sample_cohort(mixture, 60, config, missing_rate=0.25, seed=seed)
+        expected = choice_cohort(mixture, 60, config, missing_rate=0.25, seed=seed)
+        assert cohort.labels.tobytes() == expected.labels.tobytes()
+        for a, b in zip(cohort.trajectories, expected.trajectories, strict=True):
+            assert a.patient_id == b.patient_id
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.observations.tobytes() == b.observations.tobytes()
+        for a, b in zip(cohort.hidden_states, expected.hidden_states, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestSamplerInputs:
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_horizon_rejected(self, horizon):
+        q = _absorbing_two_state()
+        with pytest.raises(NonPositiveInterval):
+            sample_hidden_path(q, np.array([1.0, 0.0]), horizon, seed=0)
+
+    @pytest.mark.parametrize("times", [[0.0, float("inf")], [float("nan")], [-float("inf"), 1.0]])
+    def test_non_finite_observation_times_rejected(self, times):
+        model = chain_model([0.5], np.array([[0], [4]]))
+        with pytest.raises(InvariantViolation, match="finite"):
+            sample_trajectory(model, np.array(times), 0.0, seed=0)
+
+    @pytest.mark.parametrize("initial", [
+        [1.0], [0.5, 0.5, 0.0], [[0.5, 0.5]], 1.0, [1.5, -0.5], [float("nan"), 1.0],
+        [0.5, 0.4], [1.0, float("inf")], [float("inf"), 1.0],
+    ], ids=["short", "long", "2d", "scalar", "negative", "nan", "sum_0.9", "inf_last",
+            "inf_first"])
+    def test_bad_initial_is_a_typed_error(self, initial):
+        with pytest.raises(InvariantViolation, match="initial distribution"):
+            sample_hidden_path(_absorbing_two_state(), initial, 1.0, seed=0)
+
+    def test_initial_accepted_exactly_where_choice_accepts_it(self):
+        """Sums straddling choice's tolerance (about 1.5e-8) are accepted or
+        rejected as ``Generator.choice`` does, judged by its compensated sum."""
+        rng = np.random.default_rng(44)
+        cases = [rng.dirichlet(np.ones(int(rng.choice([1, 2, 3, 5, 8])))) for _ in range(3000)]
+        for i, p in enumerate(cases):
+            cases[i] = p * (1.0 + rng.choice([-1, 1]) * rng.uniform(1.3e-8, 1.7e-8))
+            if rng.random() < 0.1:
+                cases[i][rng.integers(p.size)] = rng.choice([0.0, -1e-300, 1e-300])
+        # Sums one rounding from the tolerance: the plain (pairwise) sum, or
+        # the exactly rounded one, gives the other verdict from choice's.
+        cases += [np.array(p) for p in (
+            [0.05502149331542289, 0.2887426352449003, 0.6284133621084521, 0.027822524232386008],
+            [0.3286592230105501, 0.3373498576294438, 0.33399093426116744],
+            [0.008322464374052435, 0.05663865941105166, 0.42016929312932677,
+             0.03345292554940332, 0.1613265931526641, 0.06476628417975086, 0.2553237951049122],
+            [0.28394222030653254, 0.055320818297308595, 0.03398699102520272,
+             0.00034412609587040996, 0.22278912175338714, 0.17104153708857028,
+             0.23257517053196705],
+        )]
+        generators = {}
+        verdicts = set()
+        for p in cases:
+            generator = generators.setdefault(p.size, random_generator(rng, p.size))
+            try:
+                np.random.default_rng(0).choice(p.size, p=p)
+                choice_accepts = True
+            except ValueError:
+                choice_accepts = False
+            try:
+                sample_hidden_path(generator, p, 1.0, seed=0)
+                accepted = True
+            except InvariantViolation:
+                accepted = False
+            assert accepted == choice_accepts, p
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
