@@ -100,6 +100,57 @@ class Trajectory:
         return self.observations.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class _Cohort:
+    """A cohort in columnar form, the one place trajectories are concatenated.
+
+    Trajectory b is rows ``starts[b]`` to ``starts[b] + lengths[b]`` of
+    ``times`` (N,) and ``observations`` (N, D); its gaps start at
+    ``gaps[starts[b] - b]``.  ``gaps`` (N - B,) is one ``np.diff`` over all
+    times without the entries that cross into the next trajectory.
+    """
+
+    patient_ids: tuple[str, ...]
+    times: np.ndarray  # (N,)
+    observations: np.ndarray  # (N, D)
+    lengths: np.ndarray  # (B,)
+    starts: np.ndarray = field(init=False)  # (B,)
+    gaps: np.ndarray = field(init=False)  # (N - B,)
+    _columns: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        starts = np.cumsum(self.lengths) - self.lengths
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "gaps", np.delete(np.diff(self.times), starts[1:] - 1))
+
+    @classmethod
+    def of(cls, trajectories: list[Trajectory] | _Cohort) -> _Cohort:
+        """``trajectories`` in columnar form; a cohort is returned as it is."""
+        if isinstance(trajectories, _Cohort):
+            return trajectories
+        if not trajectories:
+            return cls((), np.empty(0), np.empty((0, 0), dtype=int), np.empty(0, dtype=int))
+        try:
+            observations = np.concatenate([t.observations for t in trajectories])
+        except ValueError:  # feature counts differ
+            odd = next(t for t in trajectories if t.n_features != trajectories[0].n_features)
+            raise DimensionMismatch(f"patient {odd.patient_id!r} has {odd.n_features} features, "
+                                    f"not {trajectories[0].n_features}") from None
+        return cls(tuple(t.patient_id for t in trajectories),
+                   np.concatenate([t.times for t in trajectories]), observations,
+                   np.array([t.length for t in trajectories]))
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def columns(self, bin_counts: tuple[int, ...]) -> np.ndarray:
+        """:func:`~.emissions.stacked_columns` of every row (N, D), built on
+        first use for these bin counts and kept."""
+        if bin_counts not in self._columns:
+            self._columns[bin_counts] = stacked_columns(self.observations, bin_counts)
+        return self._columns[bin_counts]
+
+
 @dataclass(frozen=True)
 class SubtypeModel:
     """Complete disease-trajectory model: initial law, generator, emissions."""
@@ -173,25 +224,24 @@ class CohortPosteriors:
 class _Packing:
     """Time-major layout of a batch of (model, trajectory) pairs.
 
-    Model m pairs with ``trajectories[i]`` for each i in its member list;
-    the pairs run model by model (``pair_model``, ``pair_member``), and
-    so do their rows ("batch order").  The packed layout puts the longest
-    pairs first: step i holds the ``sizes[i]`` pairs longer than i, always
-    in the same order, so those alive at a step are a prefix of those
-    alive at the step before; packed row ``offsets[i] + r`` is step i of
-    the r-th of them.  ``rows[n]`` is the packed row of batch row n,
+    Model m pairs with trajectory i of ``cohort`` for each i in its member
+    list; the pairs run model by model (``pair_model``, ``pair_member``),
+    and so do their rows ("batch order").  The packed layout puts the
+    longest pairs first: step i holds the ``sizes[i]`` pairs longer than
+    i, always in the same order, so those alive at a step are a prefix of
+    those alive at the step before; packed row ``offsets[i] + r`` is step
+    i of the r-th of them.  ``rows[n]`` is the packed row of batch row n,
     ``pair_rows[j]`` the packed row that ends batch pair j and
     ``pair_before[j]`` the one that starts it.  Packed row p belongs to
-    model ``row_model[p]``, reads cohort observation row ``source[p]``,
-    and ends a pair with gap ``gaps[slot[p]]`` (rows of the first step end
-    no pair); row p of :meth:`columns` is that observation, binned.
+    model ``row_model[p]``, reads cohort row ``source[p]``, and ends a
+    pair with gap ``gaps[slot[p]]`` (rows of the first step end no pair).
     Model m's sorted distinct gaps are
     ``gaps[gap_starts[m]:gap_starts[m + 1]]``; consecutive models with the
     same members form a run, from model ``runs[r]`` to ``runs[r + 1]``,
     whose blocks repeat one set of gaps.
     """
 
-    trajectories: list[Trajectory]
+    cohort: _Cohort
     pair_model: np.ndarray  # (B,)
     pair_member: np.ndarray  # (B,)
     sizes: np.ndarray  # (T,)
@@ -206,7 +256,6 @@ class _Packing:
     runs: list[int]
     pair_rows: np.ndarray  # (N - B,)
     slot: np.ndarray  # (N,)
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def steps(self) -> list[tuple[int, int, int]]:
         """(first row of the step before, first row, size) of steps 1 .. T-1."""
@@ -217,23 +266,14 @@ class _Packing:
         """The packed row that starts each batch pair (N - B,); forward-backward only."""
         return np.delete(self.rows, self.ends - 1)
 
-    def columns(self, bin_counts: tuple[int, ...]) -> np.ndarray:
-        """:func:`~.emissions.stacked_columns` of every packed row (N, D),
-        built on first use for these bin counts and kept for every pass."""
-        if bin_counts not in self._columns:
-            observations = np.concatenate([t.observations for t in self.trajectories])
-            self._columns[bin_counts] = stacked_columns(observations[self.source], bin_counts)
-        return self._columns[bin_counts]
 
-
-def _pack(trajectories: list[Trajectory], members: list[np.ndarray]) -> _Packing:
-    """Pack model m with ``trajectories[i]`` for every i in ``members[m]``."""
+def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
+    """Pack model m with trajectory i of ``cohort`` for every i in ``members[m]``."""
     if not all(len(group) for group in members):
         raise InvariantViolation("need at least one trajectory")
-    cohort_lengths = np.array([t.length for t in trajectories])
     pair_model = np.repeat(np.arange(len(members)), [len(group) for group in members])
     pair_member = np.concatenate(members)
-    lengths = cohort_lengths[pair_member]
+    lengths = cohort.lengths[pair_member]
     ends = np.cumsum(lengths)
     starts = ends - lengths
     rank = np.empty_like(lengths)
@@ -242,27 +282,31 @@ def _pack(trajectories: list[Trajectory], members: list[np.ndarray]) -> _Packing
     offsets = np.cumsum(sizes) - sizes
     step = np.arange(ends[-1]) - np.repeat(starts, lengths)
     rows = offsets[step] + np.repeat(rank, lengths)
+    batch_model = np.repeat(pair_model, lengths)
+    batch_source = np.repeat(cohort.starts[pair_member], lengths) + step
+    paired = np.nonzero(step > 0)[0]
+    # Cohort row r of trajectory i, past its first, ends i's gap r - i - 1.
+    pair_gaps = (batch_source - np.repeat(pair_member, lengths) - 1)[paired]
+    model_bounds = np.searchsorted(batch_model[paired], np.arange(len(members) + 1))
     runs = [m for m in range(len(members)) if m == 0 or not (
         members[m] is members[m - 1] or np.array_equal(members[m], members[m - 1]))]
     runs.append(len(members))
     blocks, gap_index, gap_starts = [], [], [0]
     for first, stop in zip(runs, runs[1:]):
-        diffs = [np.diff(trajectories[i].times) for i in members[first]]
-        gaps, index = np.unique(np.concatenate(diffs), return_inverse=True)
+        own = pair_gaps[model_bounds[first] : model_bounds[first + 1]]
+        gaps, index = np.unique(cohort.gaps[own], return_inverse=True)
         for _ in range(first, stop):
             blocks.append(gaps)
             gap_index.append(index + gap_starts[-1])
             gap_starts.append(gap_starts[-1] + gaps.size)
-    paired = np.nonzero(step > 0)[0]
     pair_rows = rows[paired]
     slot = np.zeros_like(rows)
     slot[pair_rows] = np.concatenate(gap_index)
     row_model, source = np.empty_like(rows), np.empty_like(rows)
-    row_model[rows] = np.repeat(pair_model, lengths)
-    cohort_starts = np.cumsum(cohort_lengths) - cohort_lengths
-    source[rows] = np.repeat(cohort_starts[pair_member], lengths) + step
+    row_model[rows] = batch_model
+    source[rows] = batch_source
     return _Packing(
-        trajectories=trajectories,
+        cohort=cohort,
         pair_model=pair_model,
         pair_member=pair_member,
         sizes=sizes,
@@ -282,17 +326,14 @@ def _pack(trajectories: list[Trajectory], members: list[np.ndarray]) -> _Packing
 
 def _check_features(models: list[SubtypeModel], packing: _Packing) -> None:
     """Raise :class:`DimensionMismatch` for a pair whose model expects other features."""
-    trajectories = packing.trajectories
-    if len({t.n_features for t in trajectories} | {model.n_features for model in models}) > 1:
-        features = np.array([t.n_features for t in trajectories])[packing.pair_member]
-        expected = np.array([model.n_features for model in models])[packing.pair_model]
-        bad = np.nonzero(features != expected)[0]
-        if bad.size:
-            b = bad[0]
-            raise DimensionMismatch(
-                f"patient {trajectories[packing.pair_member[b]].patient_id!r} has "
-                f"{features[b]} features, model expects {expected[b]}"
-            )
+    features = packing.cohort.observations.shape[1]
+    if any(model.n_features != features for model in models):
+        expected = np.array([model.n_features for model in models])
+        b = np.nonzero(expected[packing.pair_model] != features)[0][0]
+        raise DimensionMismatch(
+            f"patient {packing.cohort.patient_ids[packing.pair_member[b]]!r} has "
+            f"{features} features, model expects {expected[packing.pair_model[b]]}"
+        )
 
 
 def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
@@ -323,9 +364,8 @@ def _emission_weights(
     cannot underflow.
     """
     tables = [model.emissions for model in models]
-    log_b = log_emission_matrix(
-        tables, packing.columns(tables[0].bin_counts), packing.row_model
-    )
+    columns = packing.cohort.columns(tables[0].bin_counts)[packing.source]
+    log_b = log_emission_matrix(tables, columns, packing.row_model)
     shift = log_b.max(axis=-1)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     return np.exp(log_b - shift[:, None]), shift
@@ -380,9 +420,10 @@ def forward_filter(
     """
     if len({model.n_states for model in models}) != 1:
         raise InvariantViolation("models disagree on state count")
-    packing = _pack(trajectories, [np.arange(len(trajectories))] * len(models))
+    cohort = _Cohort.of(trajectories)
+    packing = _pack(cohort, [np.arange(len(cohort))] * len(models))
     _, _, _, alpha, _, log_likelihood = _forward(models, packing)
-    shape = (len(models), len(trajectories))
+    shape = (len(models), len(cohort))
     return log_likelihood.reshape(shape), alpha[packing.rows[packing.ends - 1]].reshape(
         shape + alpha.shape[-1:]
     )
@@ -435,7 +476,8 @@ def forward_backward_batch(
     A trajectory with probability zero has log-likelihood -inf and NaN
     posteriors from the impossible step onward.
     """
-    return _forward_backward([model], _pack(trajectories, [np.arange(len(trajectories))]))
+    cohort = _Cohort.of(trajectories)
+    return _forward_backward([model], _pack(cohort, [np.arange(len(cohort))]))
 
 
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:

@@ -16,7 +16,7 @@ run on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 import numpy as np
@@ -32,14 +32,14 @@ from .ctmc import (
     left_to_right_mask,
     validate_generator,
 )
-from .emissions import EmissionTable, feature_totals, split_features, stacked_columns
+from .emissions import EmissionTable, feature_totals, split_features
 from .errors import (
     DimensionMismatch,
     ImpossibleTrajectory,
     InvariantViolation,
     SubtypingError,
 )
-from .inference import SubtypeModel, Trajectory, _forward_backward, _pack, _Packing
+from .inference import SubtypeModel, Trajectory, _Cohort, _forward_backward, _pack, _Packing
 
 _OCCUPANCY_FLOOR = 1e-10
 
@@ -152,26 +152,30 @@ def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajector
     files themselves.  First timestamps move to the lattice, by at most
     half a unit.
     """
+    cohort = _quantized(_Cohort.of(trajectories), step)
+    times = np.split(cohort.times, cohort.starts[1:])
+    return [Trajectory(t.patient_id, q, t.observations) for t, q in zip(trajectories, times)]
+
+
+def _quantized(cohort: _Cohort, step: float) -> _Cohort:
+    """:func:`quantize_gaps` of a cohort, as one cohort."""
+    first = cohort.times[cohort.starts]
+    last = cohort.times[cohort.starts + cohort.lengths - 1]
     # Bounds every quantized |time|; the doubling is the headroom bit.
-    reach = max((abs(t.times[0]) + t.times[-1] - t.times[0] + (t.length - 1) * step
-                 for t in trajectories), default=step)
-    unit = np.spacing(2.0 * max(reach, step))
+    reach = np.max(np.abs(first) + last - first + (cohort.lengths - 1) * step, initial=step)
+    unit = np.spacing(2.0 * reach)
     step_units = max(np.rint(step / unit), 1.0)
-    out = []
-    for traj in trajectories:
-        # Count ticks against the snapped step: below the time resolution
-        # the requested one would inflate every gap.
-        ticks = np.maximum(np.rint(np.diff(traj.times) / (step_units * unit)), 1.0)
-        offsets = np.concatenate([[0.0], np.cumsum(ticks * step_units)])
-        times = (np.rint(traj.times[0] / unit) + offsets) * unit
-        out.append(
-            Trajectory(
-                patient_id=traj.patient_id,
-                times=times,
-                observations=traj.observations,
-            )
-        )
-    return out
+    # Count ticks against the snapped step: below the time resolution
+    # the requested one would inflate every gap.
+    ticks = np.maximum(np.rint(cohort.gaps / (step_units * unit)), 1.0) * step_units
+    # Each trajectory's tick total is a whole number below 2**53, so its
+    # running sums are exact as integers, even where the cohort-wide sum
+    # wraps modulo 2**64.  A trajectory's first row takes zero ticks.
+    firsts = cohort.starts - np.arange(len(cohort))
+    running = np.cumsum(np.insert(ticks.astype(np.int64), firsts, 0))
+    offsets = running - np.repeat(running[cohort.starts], cohort.lengths)
+    times = (np.repeat(np.rint(first / unit), cohort.lengths) + offsets) * unit
+    return replace(cohort, times=times)
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, length: int) -> np.ndarray:
@@ -199,7 +203,7 @@ def _e_steps(
     are untouched.
     """
     posteriors = _forward_backward(models, packing)
-    trajectories = packing.trajectories
+    cohort = packing.cohort
     pair_bounds = np.searchsorted(packing.pair_model, np.arange(len(models) + 1))
     row_bounds = np.append(posteriors.starts, posteriors.gamma.shape[0])[pair_bounds]
     out: list[tuple[SufficientStats, float] | ImpossibleTrajectory] = []
@@ -211,7 +215,7 @@ def _e_steps(
         if impossible.size:
             b = impossible[0]
             out.append(ImpossibleTrajectory(
-                f"patient {trajectories[members[b]].patient_id!r} has log-likelihood "
+                f"patient {cohort.patient_ids[members[b]]!r} has log-likelihood "
                 f"{log_likelihood[b]} under the current model"
             ))
             continue
@@ -221,7 +225,7 @@ def _e_steps(
         own = slice(posteriors.gap_starts[m], posteriors.gap_starts[m + 1])
         gamma = posteriors.gamma[rows]
         bin_counts = model.emissions.bin_counts
-        columns = packing.columns(bin_counts)[packing.rows[rows]]
+        columns = cohort.columns(bin_counts)[packing.source[packing.rows[rows]]]
         counts = _scatter_rows(columns, gamma[:, None, :], sum(bin_counts) + 1)
         kernels = posteriors.kernels[own]
         pair_counts = _scatter_rows(posteriors.gap_index[steps] - own.start,
@@ -251,7 +255,8 @@ def e_step(
     update.  Raises :class:`ImpossibleTrajectory` for a trajectory with
     probability zero under ``model``, whose posteriors are undefined.
     """
-    (result,) = _e_steps(_pack(trajectories, [np.arange(len(trajectories))]), [model])
+    cohort = _Cohort.of(trajectories)
+    (result,) = _e_steps(_pack(cohort, [np.arange(len(cohort))]), [model])
     if isinstance(result, ImpossibleTrajectory):
         raise result
     return result
@@ -335,13 +340,20 @@ def m_step_generator(stats: SufficientStats) -> tuple[GeneratorMatrix, tuple[int
     return validate_generator(rates, mask), degenerate
 
 
+def _bin_counts(cohort: _Cohort, bin_counts: tuple[int, ...]) -> np.ndarray:
+    """Observed count of every bin per trajectory (B, C)."""
+    width = sum(bin_counts) + 1
+    patient = np.repeat(np.arange(len(cohort)), cohort.lengths)
+    cells = (patient[:, None] * width + cohort.columns(bin_counts)).ravel()
+    return np.bincount(cells, minlength=len(cohort) * width).reshape(-1, width)[:, :-1]
+
+
 def _empirical_bin_frequencies(
-    trajectories: list[Trajectory], bin_counts: tuple[int, ...], smoothing: float
+    cohort: _Cohort, members: np.ndarray, bin_counts: tuple[int, ...], smoothing: float
 ) -> np.ndarray:
-    """Smoothed observed frequency of every bin (C,), normalised per feature."""
-    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
-    seen = np.bincount(columns.ravel(), minlength=sum(bin_counts) + 1)[:-1]
-    smoothed = seen + max(smoothing, 1e-6)
+    """Smoothed observed frequency of every bin (C,) in trajectories
+    ``members``, normalised per feature."""
+    smoothed = _bin_counts(cohort, bin_counts)[members].sum(axis=0) + max(smoothing, 1e-6)
     return smoothed / feature_totals(smoothed, bin_counts)
 
 
@@ -394,7 +406,7 @@ def _m_step(stats: SufficientStats, config: EmConfig) -> tuple[SubtypeModel, tup
 
 
 def _run_em(
-    trajectories: list[Trajectory],
+    cohort: _Cohort,
     fits: list[tuple[np.ndarray, SubtypeModel]],
     config: EmConfig,
 ) -> list[tuple[SubtypeModel, FitDiagnostics] | SubtypingError]:
@@ -414,7 +426,7 @@ def _run_em(
     packing = None
     while active:
         if packing is None:
-            packing = _pack(trajectories, [fits[f][0] for f in active])
+            packing = _pack(cohort, [fits[f][0] for f in active])
         try:
             results = _e_steps(packing, [models[f] for f in active])
         except SubtypingError:
@@ -423,7 +435,7 @@ def _run_em(
             results = []
             for f in active:
                 try:
-                    results += _e_steps(_pack(trajectories, [fits[f][0]]), [models[f]])
+                    results += _e_steps(_pack(cohort, [fits[f][0]]), [models[f]])
                 except SubtypingError as err:
                     results.append(err)
         running = []
@@ -458,18 +470,17 @@ def _prepare_cohort(
     trajectories: list[Trajectory],
     config: EmConfig,
     bin_counts: tuple[int, ...] | None = None,
-) -> tuple[list[Trajectory], tuple[int, ...]]:
+) -> tuple[_Cohort, tuple[int, ...]]:
     """Check a training cohort, fix its bin counts and, when
     ``config.delta_quantization`` is set, snap its gaps to that grid.
 
     Without given counts each feature gets its largest observed bin index
     plus one, and at least two bins.
     """
-    if not trajectories:
+    cohort = _Cohort.of(trajectories)
+    if not len(cohort):
         raise InvariantViolation("cannot fit a model with no trajectories")
-    if len({t.n_features for t in trajectories}) != 1:
-        raise DimensionMismatch("trajectories disagree on feature count")
-    observed_max = np.max([t.observations.max(axis=0) for t in trajectories], axis=0)
+    observed_max = cohort.observations.max(axis=0)
     if bin_counts is None:
         bin_counts = tuple(int(m) + 1 for m in np.maximum(observed_max, 1))
     if len(bin_counts) != observed_max.size or np.any(observed_max >= bin_counts):
@@ -477,23 +488,21 @@ def _prepare_cohort(
     if not np.isfinite(config.smoothing * max(bin_counts, default=0)):
         raise InvariantViolation(f"smoothing {config.smoothing} overflows over {bin_counts} bins")
     if config.delta_quantization is not None:
-        trajectories = quantize_gaps(trajectories, config.delta_quantization)
-    return trajectories, tuple(bin_counts)
+        cohort = _quantized(cohort, config.delta_quantization)
+    return cohort, tuple(bin_counts)
 
 
 def _restarts(
-    trajectories: list[Trajectory],
+    cohort: _Cohort,
     members: np.ndarray,
     n_states: int,
     bin_counts: tuple[int, ...],
     config: EmConfig,
 ) -> list[tuple[np.ndarray, SubtypeModel]]:
-    """The seeded restart fits of one model on ``trajectories[members]``."""
+    """The seeded restart fits of one model on trajectories ``members`` of ``cohort``."""
     if n_states < 1:
         raise InvariantViolation("need at least one state")
-    base_freqs = _empirical_bin_frequencies(
-        [trajectories[i] for i in members], bin_counts, config.smoothing
-    )
+    base_freqs = _empirical_bin_frequencies(cohort, members, bin_counts, config.smoothing)
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     return [
         (members, _random_start(n_states, bin_counts, config, np.random.default_rng(seq),
@@ -522,14 +531,14 @@ def _best_restart(
 
 
 def _fit_prepared(
-    trajectories: list[Trajectory],
+    cohort: _Cohort,
     n_states: int,
     bin_counts: tuple[int, ...],
     config: EmConfig,
 ) -> tuple[SubtypeModel, FitDiagnostics]:
     """EM with seeded restarts on a prepared cohort, all restarts in lockstep."""
-    fits = _restarts(trajectories, np.arange(len(trajectories)), n_states, bin_counts, config)
-    return _best_restart(_run_em(trajectories, fits, config))
+    fits = _restarts(cohort, np.arange(len(cohort)), n_states, bin_counts, config)
+    return _best_restart(_run_em(cohort, fits, config))
 
 
 def fit_disease_model(
@@ -562,5 +571,5 @@ def fit_disease_model(
     (model, diagnostics)
         Best model over restarts by final log-likelihood, plus the trace.
     """
-    trajectories, bin_counts = _prepare_cohort(trajectories, config, bin_counts)
-    return _fit_prepared(trajectories, n_states, bin_counts, config)
+    cohort, bin_counts = _prepare_cohort(trajectories, config, bin_counts)
+    return _fit_prepared(cohort, n_states, bin_counts, config)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emissions import BinningScheme, feature_totals, stacked_columns
+from .emissions import BinningScheme, feature_totals
 from .errors import InvariantViolation, SubtypingError, TooFewPatients
-from .inference import SubtypeModel, Trajectory, forward_filter
-from .learning import EmConfig, _best_restart, _prepare_cohort, _restarts, _run_em
+from .inference import SubtypeModel, Trajectory, _Cohort, forward_filter
+from .learning import EmConfig, _best_restart, _bin_counts, _prepare_cohort, _restarts, _run_em
 
 
 @dataclass
@@ -97,18 +97,14 @@ def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.n
     return weights / weights.sum()
 
 
-def _bin_histograms(trajectories: list[Trajectory], bin_counts: tuple[int, ...]) -> np.ndarray:
+def _bin_histograms(cohort: _Cohort, bin_counts: tuple[int, ...]) -> np.ndarray:
     """Per-patient observed-bin frequency vectors, features concatenated."""
-    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
-    width = sum(bin_counts) + 1
-    patient = np.repeat(np.arange(len(trajectories)), [t.length for t in trajectories])
-    cells = (patient[:, None] * width + columns).ravel()
-    counts = np.bincount(cells, minlength=len(trajectories) * width).reshape(-1, width)[:, :-1]
+    counts = _bin_counts(cohort, bin_counts)
     return counts / np.maximum(feature_totals(counts, bin_counts), 1)
 
 
 def _initial_partition(
-    trajectories: list[Trajectory],
+    cohort: _Cohort,
     n_subtypes: int,
     rng: np.random.Generator,
     bin_counts: tuple[int, ...],
@@ -120,10 +116,10 @@ def _initial_partition(
     fitting compromise models to mixed data.  Degenerate clusterings fall
     back to a balanced random partition.
     """
-    n = len(trajectories)
+    n = len(cohort)
     if n_subtypes == 1:
         return np.zeros(n, dtype=int)
-    points = _bin_histograms(trajectories, bin_counts)
+    points = _bin_histograms(cohort, bin_counts)
     centroids = points[rng.choice(n, size=n_subtypes, replace=False)]
     assignments = np.zeros(n, dtype=int)
     for _ in range(25):
@@ -197,12 +193,12 @@ def fit_mixture(
     n = len(trajectories)
     if n < n_subtypes:
         raise TooFewPatients(f"{n} patients cannot fill {n_subtypes} subtypes")
-    trajectories, bin_counts = _prepare_cohort(
+    cohort, bin_counts = _prepare_cohort(
         trajectories, config, scheme.bin_counts if scheme is not None else None
     )
 
     rng = np.random.default_rng(config.seed)
-    assignments = _initial_partition(trajectories, n_subtypes, rng, bin_counts)
+    assignments = _initial_partition(cohort, n_subtypes, rng, bin_counts)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
 
     models: list[SubtypeModel] = []
@@ -217,15 +213,15 @@ def fit_mixture(
             fits = [
                 fit
                 for m, members in enumerate(groups)
-                for fit in _restarts(trajectories, members, n_states, bin_counts,
+                for fit in _restarts(cohort, members, n_states, bin_counts,
                                      replace(config, seed=config.seed + m))
             ]
-            outcomes = _run_em(trajectories, fits, config)
+            outcomes = _run_em(cohort, fits, config)
             per_subtype = config.restarts
             fitted = [_best_restart(outcomes[m * per_subtype : (m + 1) * per_subtype])
                       for m in range(n_subtypes)]
         else:
-            fitted = _run_em(trajectories, list(zip(groups, models)), config)
+            fitted = _run_em(cohort, list(zip(groups, models)), config)
             for outcome in fitted:
                 if isinstance(outcome, SubtypingError):
                     raise outcome  # the lowest failing subtype, as one at a time
@@ -236,7 +232,7 @@ def fit_mixture(
 
         # Reassign every patient to its best-scoring subtype.
         mixture = MixtureModel(tuple(models), prior, assignments, trace, scheme)
-        proposed, scores, _ = assign_subtypes(mixture, trajectories)
+        proposed, scores, _ = assign_subtypes(mixture, cohort)
         best_scores = scores[np.arange(n), proposed]
         trace.append(float(best_scores.sum()))
         proposed = _repair_empty_subtypes(proposed, best_scores, n_subtypes)

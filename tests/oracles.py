@@ -7,7 +7,9 @@ path simulation for end-conditioned expectations, and cell-by-cell CSV
 ingest.  None of it calls back into the package code paths it verifies,
 save the serial EM loops: they run the package's own E- and M-steps one
 fit at a time, as the fits ran before they were batched, and so pin the
-lockstep scheduler that replaced them, not the steps.  The samplers and
+lockstep scheduler that replaced them, not the steps.  The packing,
+quantization and bin counts that build the cohort layout one trajectory
+at a time pin the concatenated cohort that replaced them.  The samplers and
 the CSV writer at the end draw with one ``Generator.choice`` or
 ``Generator.exponential`` call per draw and write one row at a time, and
 so pin the random stream and the file bytes of the package's own.
@@ -41,6 +43,7 @@ from cthmm_subtyping import (
     learning,
     mixture,
 )
+from cthmm_subtyping.emissions import feature_totals, stacked_columns
 
 
 def discretize_value(value: float, feature, scheme) -> int:
@@ -431,6 +434,88 @@ def conditioned_moments(sample: dict, end_state: int):
 
 
 # --------------------------------------------------------------------------
+# The cohort layout one trajectory at a time, as the package built it before
+# a cohort was concatenated once.
+
+
+def pack_by_trajectory(trajectories, members, bin_counts):
+    """The arrays of a packing of model m with ``trajectories[i]`` for every i in
+    ``members[m]``, plus its binned ``columns``, from per-trajectory diffs."""
+    cohort_lengths = np.array([t.length for t in trajectories])
+    pair_model = np.repeat(np.arange(len(members)), [len(group) for group in members])
+    pair_member = np.concatenate(members)
+    lengths = cohort_lengths[pair_member]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    rank = np.empty_like(lengths)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
+    sizes = np.cumsum(np.bincount(lengths - 1)[::-1])[::-1]
+    offsets = np.cumsum(sizes) - sizes
+    step = np.arange(ends[-1]) - np.repeat(starts, lengths)
+    rows = offsets[step] + np.repeat(rank, lengths)
+    runs = [m for m in range(len(members)) if m == 0 or not (
+        members[m] is members[m - 1] or np.array_equal(members[m], members[m - 1]))]
+    runs.append(len(members))
+    blocks, gap_index, gap_starts = [], [], [0]
+    for first, stop in zip(runs, runs[1:]):
+        diffs = [np.diff(trajectories[i].times) for i in members[first]]
+        gaps, index = np.unique(np.concatenate(diffs), return_inverse=True)
+        for _ in range(first, stop):
+            blocks.append(gaps)
+            gap_index.append(index + gap_starts[-1])
+            gap_starts.append(gap_starts[-1] + gaps.size)
+    paired = np.nonzero(step > 0)[0]
+    pair_rows = rows[paired]
+    slot = np.zeros_like(rows)
+    slot[pair_rows] = np.concatenate(gap_index)
+    row_model, source = np.empty_like(rows), np.empty_like(rows)
+    row_model[rows] = np.repeat(pair_model, lengths)
+    cohort_starts = np.cumsum(cohort_lengths) - cohort_lengths
+    source[rows] = np.repeat(cohort_starts[pair_member], lengths) + step
+    observations = np.concatenate([t.observations for t in trajectories])
+    return {
+        "pair_model": pair_model, "pair_member": pair_member, "sizes": sizes,
+        "offsets": offsets, "rows": rows, "starts": starts, "ends": ends,
+        "row_model": row_model, "source": source, "gaps": np.concatenate(blocks),
+        "gap_starts": np.array(gap_starts), "runs": runs, "pair_rows": pair_rows,
+        "slot": slot, "columns": stacked_columns(observations[source], bin_counts),
+    }
+
+
+def quantize_by_trajectory(trajectories, step):
+    """``quantize_gaps`` with one diff, rint and cumsum per trajectory."""
+    reach = max((abs(t.times[0]) + t.times[-1] - t.times[0] + (t.length - 1) * step
+                 for t in trajectories), default=step)
+    unit = np.spacing(2.0 * max(reach, step))
+    step_units = max(np.rint(step / unit), 1.0)
+    out = []
+    for traj in trajectories:
+        ticks = np.maximum(np.rint(np.diff(traj.times) / (step_units * unit)), 1.0)
+        offsets = np.concatenate([[0.0], np.cumsum(ticks * step_units)])
+        times = (np.rint(traj.times[0] / unit) + offsets) * unit
+        out.append(Trajectory(traj.patient_id, times, traj.observations))
+    return out
+
+
+def bin_frequencies_by_trajectory(trajectories, bin_counts, smoothing):
+    """Smoothed observed frequency of every bin, from the concatenated trajectories."""
+    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
+    seen = np.bincount(columns.ravel(), minlength=sum(bin_counts) + 1)[:-1]
+    smoothed = seen + max(smoothing, 1e-6)
+    return smoothed / feature_totals(smoothed, bin_counts)
+
+
+def bin_histograms_by_trajectory(trajectories, bin_counts):
+    """Per-patient observed-bin frequencies, from the concatenated trajectories."""
+    columns = stacked_columns(np.concatenate([t.observations for t in trajectories]), bin_counts)
+    width = sum(bin_counts) + 1
+    patient = np.repeat(np.arange(len(trajectories)), [t.length for t in trajectories])
+    cells = (patient[:, None] * width + columns).ravel()
+    counts = np.bincount(cells, minlength=len(trajectories) * width).reshape(-1, width)[:, :-1]
+    return counts / np.maximum(feature_totals(counts, bin_counts), 1)
+
+
+# --------------------------------------------------------------------------
 # Serial EM: one fit at a time, one E-step call per iteration.
 
 
@@ -465,7 +550,7 @@ def serial_run_em(trajectories, model, config):
 
 def serial_fit_prepared(trajectories, n_states, bin_counts, config):
     """Seeded restarts run one after another; the best by final log-likelihood."""
-    base_freqs = learning._empirical_bin_frequencies(trajectories, bin_counts, config.smoothing)
+    base_freqs = bin_frequencies_by_trajectory(trajectories, bin_counts, config.smoothing)
     best, scores, failure = None, [], None
     for seq in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(seq)
@@ -488,11 +573,13 @@ def serial_fit_prepared(trajectories, n_states, bin_counts, config):
 def serial_fit_mixture(trajectories, n_subtypes, n_states, config, scheme=None):
     """Hard-EM subtyping that refits the subtypes one after another."""
     n = len(trajectories)
-    trajectories, bin_counts = learning._prepare_cohort(
+    cohort, bin_counts = learning._prepare_cohort(
         trajectories, config, scheme.bin_counts if scheme is not None else None
     )
+    if config.delta_quantization is not None:
+        trajectories = quantize_by_trajectory(trajectories, config.delta_quantization)
     rng = np.random.default_rng(config.seed)
-    assignments = mixture._initial_partition(trajectories, n_subtypes, rng, bin_counts)
+    assignments = mixture._initial_partition(cohort, n_subtypes, rng, bin_counts)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
     models = [None] * n_subtypes
     diagnostics = [None] * n_subtypes

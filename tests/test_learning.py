@@ -29,6 +29,7 @@ from cthmm_subtyping import (
     transition_matrix,
     validate_generator,
 )
+from cthmm_subtyping.inference import _Cohort
 from cthmm_subtyping.learning import (
     _empirical_bin_frequencies,
     _random_start,
@@ -149,7 +150,7 @@ class TestEStep:
         impossible = Trajectory("ghost", np.array([0.0, 1.0]), np.array([[0], [1]]))
         with pytest.raises(ImpossibleTrajectory, match="ghost"):
             e_step(model, [impossible])
-        (outcome,) = _run_em([impossible], [(np.arange(1), model)], EmConfig())
+        (outcome,) = _run_em(_Cohort.of([impossible]), [(np.arange(1), model)], EmConfig())
         assert isinstance(outcome, ImpossibleTrajectory)
         assert "ghost" in str(outcome)
 
@@ -388,10 +389,11 @@ class TestStackedLayoutOracle:
     @pytest.mark.parametrize("smoothing", [0.0, 1e-3])
     def test_frequencies_and_histograms_match_per_feature_counts(self, n_states, smoothing):
         _, bin_counts, cohort = self._case(n_states)
-        frequencies = _empirical_bin_frequencies(cohort, bin_counts, smoothing)
+        frequencies = _empirical_bin_frequencies(_Cohort.of(cohort), np.arange(len(cohort)),
+                                                 bin_counts, smoothing)
         expected = np.concatenate(oracles.bin_frequencies_by_feature(cohort, bin_counts, smoothing))
         assert _within_ulps(frequencies, expected)
-        histograms = _bin_histograms(cohort, bin_counts)
+        histograms = _bin_histograms(_Cohort.of(cohort), bin_counts)
         assert np.array_equal(histograms, oracles.bin_histograms_by_feature(cohort, bin_counts))
 
     @pytest.mark.parametrize("n_states", range(1, 9))

@@ -29,7 +29,7 @@ from cthmm_subtyping import (
     sample_cohort,
 )
 from cthmm_subtyping.emissions import stacked_columns
-from cthmm_subtyping.inference import _forward_backward, _pack
+from cthmm_subtyping.inference import _Cohort, _forward_backward, _pack
 from cthmm_subtyping.learning import (
     _best_restart,
     _e_steps,
@@ -40,7 +40,13 @@ from cthmm_subtyping.learning import (
 )
 
 from conftest import random_model, random_observations, random_times, separated_mixture
-from oracles import scatter_counts, serial_fit_mixture, serial_fit_prepared, serial_run_em
+from oracles import (
+    quantize_by_trajectory,
+    scatter_counts,
+    serial_fit_mixture,
+    serial_fit_prepared,
+    serial_run_em,
+)
 
 BINS = (3, 2)  # feature 1 is binary, so it can be a pinned intervention
 
@@ -80,9 +86,9 @@ class TestLockstepMatchesSerial:
         everyone = np.arange(len(cohort))
         # Three restarts on the whole cohort, then two more models on
         # member sets of unequal size; with raw gaps those sets share no gap.
-        fits = _restarts(cohort, everyone, 3, BINS, config)
+        fits = _restarts(_Cohort.of(cohort), everyone, 3, BINS, config)
         fits += [(everyone[:4], fits[0][1]), (everyone[4:], fits[1][1])]
-        outcomes = _run_em(cohort, fits, config)
+        outcomes = _run_em(_Cohort.of(cohort), fits, config)
         for (members, start), outcome in zip(fits, outcomes, strict=True):
             reference = serial_run_em([cohort[i] for i in members], start, config)
             _assert_same_fit(outcome, reference)
@@ -92,9 +98,12 @@ class TestLockstepMatchesSerial:
     @pytest.mark.parametrize("quantization", [None, 0.5])
     def test_restart_search(self, quantization):
         config = EmConfig(max_iterations=10, restarts=4, delta_quantization=quantization)
-        cohort, bins = _prepare_cohort(_cohort(8, MIXED_LENGTHS), config, BINS)
+        trajectories = _cohort(8, MIXED_LENGTHS)
+        cohort, bins = _prepare_cohort(trajectories, config, BINS)
         best = _fit_prepared(cohort, 3, bins, config)
-        reference = serial_fit_prepared(cohort, 3, bins, config)
+        if quantization is not None:
+            trajectories = quantize_by_trajectory(trajectories, quantization)
+        reference = serial_fit_prepared(trajectories, 3, bins, config)
         _assert_same_fit(best, reference)
         assert len(best[1].restart_scores) == 4
 
@@ -135,7 +144,7 @@ class TestPairPackedPass:
         cohort = _cohort(4, MIXED_LENGTHS)
         models = [random_model(rng, 3, BINS) for _ in range(4)]
         members = [np.arange(14), np.array([0, 5, 6]), np.array([1, 2, 3, 4]), np.arange(7, 14)]
-        together = _forward_backward(models, _pack(cohort, members))
+        together = _forward_backward(models, _pack(_Cohort.of(cohort), members))
         pair, row, step = 0, 0, 0
         for m, (model, group) in enumerate(zip(models, members)):
             alone = forward_backward_batch(model, [cohort[i] for i in group])
@@ -158,7 +167,7 @@ class TestPairPackedPass:
         cohort = _cohort(5, MIXED_LENGTHS)
         models = [random_model(rng, 2, BINS) for _ in range(2)]
         members = [np.arange(6), np.arange(6, 14)]
-        results = _e_steps(_pack(cohort, members), models)
+        results = _e_steps(_pack(_Cohort.of(cohort), members), models)
         for model, group, (stats, ll) in zip(models, members, results, strict=True):
             own = [cohort[i] for i in group]
             expected, expected_ll = e_step(model, own)
@@ -193,7 +202,7 @@ class TestAccumulationOracle:
         split = int(rng.integers(1, len(cohort)))
         members = [everyone, everyone, everyone[:split], everyone[split:]]
         models = [random_model(rng, n_states, bins) for _ in members]
-        packing = _pack(cohort, members)
+        packing = _pack(_Cohort.of(cohort), members)
         posteriors = _forward_backward(models, packing)
         row, step = 0, 0
         for m, (group, result) in enumerate(zip(members, _e_steps(packing, models), strict=True)):
@@ -229,7 +238,7 @@ class TestFailureIsolation:
         everyone = np.arange(len(cohort))
         starts = [random_model(rng, 2, BINS), _impossible_model(rng), random_model(rng, 2, BINS)]
         config = EmConfig(max_iterations=5)
-        outcomes = _run_em(cohort, [(everyone, start) for start in starts], config)
+        outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
         assert isinstance(outcomes[1], ImpossibleTrajectory)
         for start, outcome in zip(starts[::2], outcomes[::2]):
             _assert_same_fit(outcome, serial_run_em(cohort, start, config))
@@ -254,7 +263,7 @@ class TestFailureIsolation:
             return generator_kernels(generators, gaps)
 
         monkeypatch.setattr(inference, "_generator_kernels", drifting)
-        outcomes = _run_em(cohort, [(everyone, start) for start in starts], config)
+        outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
         assert isinstance(outcomes[1], ExpmInaccuracy)
         for outcome, reference in zip(outcomes[::2], references):
             _assert_same_fit(outcome, reference)
@@ -323,7 +332,7 @@ def pass_counts(monkeypatch):
     for module in (inference, learning):
         monkeypatch.setattr(module, "_pack", counted_pack)
         monkeypatch.setattr(module, "_forward_backward", counted_pass)
-    for module in (emissions, inference, learning, mixture):
+    for module in (emissions, inference):
         monkeypatch.setattr(module, "stacked_columns", counted_columns)
     return counts
 
@@ -354,19 +363,16 @@ def test_one_pack_per_active_set_and_one_pass_per_lockstep_iteration(pass_counts
     assert pass_counts["pack"] == sum(len(set(e)) for e in rounds) + assignment_passes
     assert pass_counts["pass"] == sum(max(e) for e in rounds)
     assert pass_counts["pass"] < sum(sum(e) for e in rounds)
-    # Packed rows are binned once per packing, however many passes read them;
-    # the rest are the start histograms and one restart set's frequencies per subtype.
-    assert pass_counts["columns"] == {
-        "columns": pass_counts["pack"], "_bin_histograms": 1, "_empirical_bin_frequencies": 2,
-    }
+    # The cohort is binned once, however many packings, passes, start
+    # histograms and restart sets read it.
+    assert pass_counts["columns"] == {"columns": 1}
 
 
-def test_benchmark_mixture_job_bins_each_packing_once(pass_counts, workloads, tmp_path):
+def test_benchmark_mixture_job_bins_its_cohort_once(pass_counts, workloads, tmp_path):
     workload = workloads.WORKLOADS["mixture_cli"]
     out = workload.run(workload.setup(workloads.DEFAULT_SEED, tmp_path))
     assert out.failures == {}
-    # Five packings: three active sets of the lockstep fits, two assignment passes.
-    assert pass_counts["pack"] == 5
-    assert pass_counts["columns"] == {
-        "columns": 5, "_bin_histograms": 1, "_empirical_bin_frequencies": 2,
-    }
+    # Fifteen passes over five packings: three active sets of the lockstep
+    # fits, two assignment passes; all of them read one binned cohort.
+    assert (pass_counts["pass"], pass_counts["pack"]) == (15, 5)
+    assert pass_counts["columns"] == {"columns": 1}

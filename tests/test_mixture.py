@@ -18,6 +18,7 @@ from cthmm_subtyping import (
     sample_cohort,
     sample_trajectory,
 )
+from cthmm_subtyping.inference import _Cohort
 from cthmm_subtyping.mixture import _bin_histograms
 
 from conftest import (
@@ -134,8 +135,8 @@ class TestFitMixture:
             Trajectory(f"p{i}", random_times(rng, 6), random_observations(rng, 6, (3, 2)))
             for i in range(5)
         ]
-        inferred = _bin_histograms(cohort, (3, 2))
-        widened = _bin_histograms(cohort, (5, 4))
+        inferred = _bin_histograms(_Cohort.of(cohort), (3, 2))
+        widened = _bin_histograms(_Cohort.of(cohort), (5, 4))
         assert inferred.shape == (5, 5)
         assert widened.shape == (5, 9)
         assert np.array_equal(widened[:, [0, 1, 2, 5, 6]], inferred)
