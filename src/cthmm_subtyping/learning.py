@@ -107,10 +107,8 @@ class EmConfig:
             raise InvariantViolation("need at least one restart")
         if self.mixture_iterations < 1:
             raise InvariantViolation("need at least one mixture iteration")
-        if self.delta_quantization is not None and not 0 < self.delta_quantization < np.inf:
-            raise InvariantViolation(
-                f"delta_quantization must be finite and > 0, got {self.delta_quantization}"
-            )
+        if self.delta_quantization is not None:
+            _check_step(self.delta_quantization)
         if not 0 <= self.smoothing < np.inf:
             raise InvariantViolation(f"smoothing must be finite and >= 0, got {self.smoothing}")
         if self.terminal_intervention_feature is not None and not self.smoothing < 0.5:
@@ -138,6 +136,12 @@ def structure_mask(kind: str, n_states: int) -> np.ndarray:
     return full_mask(n_states)
 
 
+def _check_step(step: float) -> None:
+    """Raise :class:`InvariantViolation` unless ``step`` is a finite, positive gap grid."""
+    if not 0 < step < np.inf:
+        raise InvariantViolation(f"delta_quantization must be finite and > 0, got {step}")
+
+
 def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajectory]:
     """Snap inter-observation gaps to a grid, keeping the first timestamps.
 
@@ -150,8 +154,9 @@ def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajector
     equal gaps in every trajectory.  Applying this before training leaves
     one matrix exponential per grid value without touching the data
     files themselves.  First timestamps move to the lattice, by at most
-    half a unit.
+    half a unit.  ``step`` must be finite and positive.
     """
+    _check_step(step)
     cohort = _quantized(_Cohort.of(trajectories), step)
     times = np.split(cohort.times, cohort.starts[1:])
     return [Trajectory(t.patient_id, q, t.observations) for t, q in zip(trajectories, times)]

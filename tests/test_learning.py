@@ -626,6 +626,13 @@ class TestGapLattice:
         (q,) = quantize_gaps([single], 0.05)
         assert np.array_equal(q.times, [0.0])
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf, -np.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        t = Trajectory("a", np.array([0.0, 1.0, 2.5]), np.zeros((3, 1), int))
+        with pytest.raises(InvariantViolation,
+                           match=rf"delta_quantization must be finite and > 0, got {step}"):
+            quantize_gaps([t], step)
+
 
 class TestEmConfig:
     @pytest.mark.parametrize(
