@@ -17,7 +17,6 @@ from .ctmc import (
     full_mask,
     left_to_right_mask,
     sojourn_expectation,
-    transition_kernels,
     transition_matrix,
     validate_generator,
 )
@@ -65,7 +64,6 @@ from .inference import (
     SubtypeModel,
     Trajectory,
     forward_backward,
-    forward_backward_batch,
     forward_filter,
     predictive_bin_distributions,
     progression_trajectory,

@@ -256,24 +256,8 @@ def _matmul(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return product.view(complex).reshape(stack.shape[:-1] + matrix.shape[-1:])
 
 
-def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Interval transition probabilities ``expm(gap * Q)`` for every pair.
-
-    ``rates`` holds M generator matrices, shape (M, K, K), and ``gaps``
-    G intervals; the result has shape (M, G, K, K).  A generator with a
-    usable eigensystem gets V diag(exp(gap * values)) V^-1 for all gaps in
-    one batched product; the others share one stacked ``expm`` call.  A
-    zero gap gives exactly the identity.  Rows are renormalised when a row
-    sum drifts from one by more than 1e-12 but less than 1e-8; larger
-    drift (or NaN) anywhere in the stack raises :class:`ExpmInaccuracy`
-    since it signals an ill-conditioned ``gap * Q`` product.
-    """
-    rates = np.asarray(rates, dtype=float)
-    return _kernels(rates, _eigensystem(rates), gaps)
-
-
 def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) -> np.ndarray:
-    """:func:`transition_kernels` of M generator objects, from their cached spectra."""
+    """:func:`_kernels` of M generator objects, from their cached spectra."""
     if len(generators) == 1:
         return _kernels(generators[0].rates[None], generators[0].spectrum, gaps)
     spectra = zip(*(generator.spectrum for generator in generators))
@@ -282,7 +266,18 @@ def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) 
 
 
 def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray:
-    """:func:`transition_kernels` given the :func:`_eigensystem` of ``rates``."""
+    """Interval transition probabilities ``expm(gap * Q)`` for every pair.
+
+    ``rates`` holds M generator matrices, shape (M, K, K), ``spectrum``
+    their :func:`_eigensystem`, and ``gaps`` G intervals; the result has
+    shape (M, G, K, K).  A generator with a usable eigensystem gets
+    V diag(exp(gap * values)) V^-1 for all gaps in one batched product;
+    the others share one stacked ``expm`` call.  A zero gap gives exactly
+    the identity.  Rows are renormalised when a row sum drifts from one
+    by more than 1e-12 but less than 1e-8; larger drift (or NaN) anywhere
+    in the stack raises :class:`ExpmInaccuracy` since it signals an
+    ill-conditioned ``gap * Q`` product.
+    """
     gaps = np.asarray(gaps, dtype=float)
     bad = ~((gaps >= 0) & (gaps < np.inf))
     if np.any(bad):
@@ -318,7 +313,7 @@ def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray
 def transition_matrix(generator: GeneratorMatrix, interval: float) -> TransitionMatrix:
     """Interval transition probabilities for one generator and one gap.
 
-    The single-matrix case of :func:`transition_kernels`, with the same
+    The single-matrix case of :func:`_kernels`, with the same
     renormalisation and drift guard.
     """
     interval = float(interval)

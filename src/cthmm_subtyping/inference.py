@@ -464,30 +464,14 @@ def _forward_backward(models: list[SubtypeModel], packing: _Packing) -> CohortPo
     )
 
 
-def forward_backward_batch(
-    model: SubtypeModel, trajectories: list[Trajectory]
-) -> CohortPosteriors:
-    """Scaled forward-backward pass over a batch of trajectories.
-
-    The one-model case of the pair-packed pass: one stacked exponential
-    builds the kernels for the batch's distinct gaps; the forward and
-    backward recursions each loop over time steps with all trajectories
-    still running at that step, and the pairwise posteriors need no loop.
-    A trajectory with probability zero has log-likelihood -inf and NaN
-    posteriors from the impossible step onward.
-    """
-    cohort = _Cohort.of(trajectories)
-    return _forward_backward([model], _pack(cohort, [np.arange(len(cohort))]))
-
-
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:
     """Scaled forward-backward pass under the continuous-time HMM.
 
-    The single-trajectory case of :func:`forward_backward_batch`.  If the
-    trajectory has probability zero under the model the log-likelihood is
-    -inf and the posteriors are NaN from the impossible step onward.
+    The one-pair case of the pair-packed pass.  If the trajectory has
+    probability zero under the model the log-likelihood is -inf and the
+    posteriors are NaN from the impossible step onward.
     """
-    posteriors = forward_backward_batch(model, [trajectory])
+    posteriors = _forward_backward([model], _pack(_Cohort.of([trajectory]), [np.arange(1)]))
     return PosteriorSummary(
         log_likelihood=float(posteriors.log_likelihood[0]),
         gamma=posteriors.gamma,

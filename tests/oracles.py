@@ -40,6 +40,8 @@ from cthmm_subtyping import (
     SyntheticCohort,
     Trajectory,
     UnknownColumn,
+    ctmc,
+    inference,
     learning,
     mixture,
 )
@@ -435,7 +437,19 @@ def conditioned_moments(sample: dict, end_state: int):
 
 # --------------------------------------------------------------------------
 # The cohort layout one trajectory at a time, as the package built it before
-# a cohort was concatenated once.
+# a cohort was concatenated once; and the test-only batch entry points.
+
+
+def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """``expm(gap * Q)`` for M generators (M, K, K) and G gaps, shape (M, G, K, K)."""
+    rates = np.asarray(rates, dtype=float)
+    return ctmc._kernels(rates, ctmc._eigensystem(rates), gaps)
+
+
+def forward_backward_batch(model, trajectories):
+    """The one-model pair-packed pass over a batch of trajectories."""
+    cohort = inference._Cohort.of(trajectories)
+    return inference._forward_backward([model], inference._pack(cohort, [np.arange(len(cohort))]))
 
 
 def pack_by_trajectory(trajectories, members, bin_counts):

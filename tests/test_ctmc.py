@@ -17,7 +17,6 @@ from cthmm_subtyping import (
     full_mask,
     left_to_right_mask,
     sojourn_expectation,
-    transition_kernels,
     transition_matrix,
     validate_generator,
 )
@@ -29,6 +28,7 @@ from oracles import (
     mc_end_conditioned,
     mp_kernel_and_integral,
     taylor_expm,
+    transition_kernels,
 )
 
 

@@ -19,7 +19,6 @@ from cthmm_subtyping import (
     Trajectory,
     e_step,
     forward_backward,
-    forward_backward_batch,
     forward_filter,
     full_mask,
     left_to_right_mask,
@@ -34,7 +33,12 @@ from cthmm_subtyping import (
 from cthmm_subtyping.ctmc import GeneratorMatrix, TransitionMatrix
 
 from conftest import chain_model, random_model, random_observations, random_times
-from oracles import enumerate_posteriors, enumerate_predictive, scaled_forward_backward
+from oracles import (
+    enumerate_posteriors,
+    enumerate_predictive,
+    forward_backward_batch,
+    scaled_forward_backward,
+)
 
 
 def _random_fixture(rng, n_states=None, n_points=None, bin_counts=None, missing=0.25):

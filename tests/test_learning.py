@@ -18,7 +18,6 @@ from cthmm_subtyping import (
     e_step,
     end_conditioned_stats,
     fit_disease_model,
-    forward_backward_batch,
     full_mask,
     left_to_right_mask,
     m_step_emissions,
@@ -47,7 +46,7 @@ from conftest import (
     separated_mixture,
 )
 import oracles
-from oracles import enumerate_posteriors
+from oracles import enumerate_posteriors, forward_backward_batch
 
 
 def _cohort(rng, n_trajectories, n_states, bin_counts, n_points=(2, 6), missing=0.2):

@@ -22,7 +22,6 @@ from cthmm_subtyping import (
     e_step,
     emissions,
     fit_mixture,
-    forward_backward_batch,
     inference,
     learning,
     mixture,
@@ -41,6 +40,7 @@ from cthmm_subtyping.learning import (
 
 from conftest import random_model, random_observations, random_times, separated_mixture
 from oracles import (
+    forward_backward_batch,
     quantize_by_trajectory,
     scatter_counts,
     serial_fit_mixture,
