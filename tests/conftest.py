@@ -144,11 +144,11 @@ def eigensystem_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """``perfbench/workloads.py``, imported without touching ``perfbench/``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name: str):
+    """``perfbench/<name>.py`` as module ``perfbench_<name>``, imported without
+    touching ``perfbench/``; it stays in ``sys.modules`` while the fixture lives."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -156,3 +156,21 @@ def workloads():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``."""
+    yield from _perfbench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """``perfbench/tracer.py``."""
+    yield from _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """``perfbench/run.py``."""
+    yield from _perfbench_module("run")
