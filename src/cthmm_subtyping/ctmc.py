@@ -218,11 +218,15 @@ def _eigensystem(
     A singular V (or a non-finite generator) marks its generator unusable
     and never raises.  ``eig`` returns real arrays when every eigenvalue
     is real; casting them keeps one arithmetic, and so one cost, for every
-    spectrum.
+    spectrum.  ``eig`` returns a generator's zero eigenvalue as about
+    +-eps, and exp(eps * gap) would move a kernel's row sums by eps * gap
+    over a long gap, so every |value| <= 64 eps max|Q| is set to exactly 0.
     """
     finite = np.isfinite(rates).all(axis=(1, 2))
-    values, vectors = np.linalg.eig(np.where(finite[:, None, None], rates, 0.0))
-    values, vectors = values.astype(complex), vectors.astype(complex)
+    rates = np.where(finite[:, None, None], rates, 0.0)
+    values, vectors = np.linalg.eig(rates)
+    tiny = np.abs(values) <= 64 * np.finfo(float).eps * np.abs(rates).max(axis=(1, 2))[:, None]
+    values, vectors = np.where(tiny, 0.0, values).astype(complex), vectors.astype(complex)
     try:
         inverse = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:  # some basis is exactly singular

@@ -418,6 +418,25 @@ class TestMpmathOracle:
         assert np.all(errors <= self._tolerance(norms))
 
 
+class TestLongGaps:
+    """At gaps of 1e6 to 1e9 a kernel is the stationary law; ``eig``'s
+    +-eps zero eigenvalue must not push its row sums past the drift guard."""
+
+    def test_kernels_match_mpmath(self):
+        rng = np.random.default_rng(0)
+        for i in range(16):
+            k = int(rng.integers(2, 7))
+            mask = full_mask(k) if i % 2 == 0 else left_to_right_mask(k)
+            # Dyadic rates make every row sum exactly zero, so the reference
+            # is the exponential of a true generator.
+            q = validate_generator(rng.integers(8, 1025, (k, k)) / 1024 * mask, mask)
+            assert np.all(q.rates.sum(axis=1) == 0.0)
+            for gap in (1e6, 1e8, 1e9):
+                kernel, _ = mp_kernel_and_integral(q.rates, np.zeros((k, k)), gap)
+                ours = ctmc._generator_kernels([q], np.array([gap]))[0, 0]
+                assert np.abs(ours - kernel).max() <= 1e-14, (i, gap)
+
+
 class TestEndConditionedStats:
     def test_single_possible_jump_counts_exactly_one(self):
         q = validate_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), full_mask(2))

@@ -546,6 +546,15 @@ class TestFitDiseaseModel:
         with pytest.raises(DimensionMismatch):
             fit_disease_model([a, b], 1, EmConfig(restarts=1, max_iterations=2))
 
+    def test_gaps_of_years_in_seconds(self):
+        # 5e8 and 1e9 s are 16 and 32 years: the kernels there are the
+        # stationary law, which once tripped the drift guard.
+        a = Trajectory("a", np.array([0.0, 5e8, 1.5e9]), np.array([[0], [1], [2]]))
+        b = Trajectory("b", np.array([0.0, 1e9, 2e9]), np.array([[0], [2], [2]]))
+        _, diag = fit_disease_model([a, b], 3, EmConfig(restarts=3, max_iterations=20))
+        assert np.all(np.isfinite(diag.restart_scores))
+        assert np.all(np.diff(diag.trace) >= -1e-9 * np.abs(diag.trace[1:]))
+
     def test_quantized_gaps_stay_positive(self):
         t = Trajectory("p", np.array([0.0, 0.01, 0.02]), np.full((3, 1), -1))
         (q,) = quantize_gaps([t], 0.5)
