@@ -224,17 +224,18 @@ class CohortPosteriors:
 class _Packing:
     """Time-major layout of a batch of (model, trajectory) pairs.
 
-    Model m pairs with trajectory i of ``cohort`` for each i in its member
-    list; the pairs run model by model (``pair_model``, ``pair_member``),
-    and so do their rows ("batch order").  The packed layout puts the
-    longest pairs first: step i holds the ``sizes[i]`` pairs longer than
-    i, always in the same order, so those alive at a step are a prefix of
-    those alive at the step before; packed row ``offsets[i] + r`` is step
-    i of the r-th of them.  ``rows[n]`` is the packed row of batch row n,
+    Model m pairs with cohort trajectory i for each i in its member list;
+    the pairs run model by model (``pair_model``, ``pair_member``), and
+    so do their rows ("batch order").  The packed layout puts the longest
+    pairs first: step i holds the ``sizes[i]`` pairs longer than i, always
+    in the same order, so those alive at a step are a prefix of those
+    alive at the step before; packed row ``offsets[i] + r`` is step i of
+    the r-th of them.  ``rows[n]`` is the packed row of batch row n,
     ``pair_rows[j]`` the packed row that ends batch pair j and
     ``pair_before[j]`` the one that starts it.  Packed row p belongs to
-    model ``row_model[p]``, reads cohort row ``source[p]``, and ends a
-    pair with gap ``gaps[slot[p]]`` (rows of the first step end no pair).
+    model ``row_model[p]``, reads cohort observation row ``source[p]``,
+    and ends a pair with gap ``gaps[slot[p]]`` (rows of the first step end
+    no pair).
     Model m's sorted distinct gaps are
     ``gaps[gap_starts[m]:gap_starts[m + 1]]``; consecutive models with the
     same members form a run, from model ``runs[r]`` to ``runs[r + 1]``,

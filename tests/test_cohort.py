@@ -46,11 +46,12 @@ def _random_cohort(rng, bins, whole_gaps):
 
 
 def _member_lists(rng, n):
-    """Three restarts on everyone, then subtypes on a random partition."""
+    """Three restarts on everyone (two sharing one array, one a copy), then
+    subtypes on a random partition."""
     everyone = np.arange(n)
     labels = rng.integers(0, 3, size=n)
     subtypes = [np.nonzero(labels == m)[0] for m in range(3)]
-    return [everyone] * 3 + [group for group in subtypes if group.size]
+    return [everyone, everyone, everyone.copy()] + [group for group in subtypes if group.size]
 
 
 CASES = [(seed, whole, step) for seed in range(8) for whole in (False, True)
@@ -102,6 +103,16 @@ def test_wrapping_tick_sums_stay_exact():
     assert sum(t.times[-1] for t in expected) / unit > 2.0**63
     for got, want in zip(quantize_gaps(trajectories, 1e-20), expected, strict=True):
         assert np.array_equal(got.times, want.times)
+
+
+def test_reach_on_a_binade_edge_keeps_the_oracle_lattice():
+    # Here |t0| + t_last - t0 + 2 step reaches 64 while |t0| + (t_last - t0)
+    # + 2 step stays below it, so the lattice unit depends on the order of
+    # that sum.
+    times = np.array([13.60447292660472, 38.702236463302356, 63.8])
+    t = Trajectory("edge", times, np.zeros((3, 1), int))
+    (got,), (want,) = quantize_gaps([t], 0.1), quantize_by_trajectory([t], 0.1)
+    assert np.array_equal(got.times, want.times)
 
 
 class TestMixedFeatureCounts:
