@@ -58,7 +58,6 @@ from .evaluation import (
     split_cohort,
 )
 from .inference import (
-    CohortPosteriors,
     PosteriorSummary,
     ProgressionStage,
     SubtypeModel,

@@ -12,21 +12,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emissions import MISSING, stacked_columns
+from .emissions import MISSING
 from .errors import (
     EmptyCohort,
     ImpossibleTrajectory,
     InvariantViolation,
     NoHeldOutObservations,
 )
-from .inference import Trajectory, propagate_filter
+from .inference import Trajectory, _Cohort, propagate_filter
 from .learning import EmConfig
 from .mixture import MixtureModel, assign_subtypes, fit_mixture
 
 
-def _ceil_share(fraction: float, count: int) -> int:
+def _ceil_share(fraction: float, count: int | np.ndarray, name: str):
+    """ceil(fraction * count) and at least one, elementwise over an array
+    ``count``; the fraction, called ``name``, must lie in (0, 1)."""
+    if not 0 < fraction < 1:
+        raise InvariantViolation(f"{name} must lie strictly between 0 and 1")
     # Tiny backoff so 0.7 * 10 style float noise cannot bump the ceiling.
-    return math.ceil(fraction * count - 1e-9)
+    return np.maximum(np.ceil(fraction * count - 1e-9), 1).astype(int)
 
 
 def split_cohort(
@@ -34,14 +38,13 @@ def split_cohort(
 ) -> tuple[list[Trajectory], list[Trajectory]]:
     """Disjoint, exhaustive train/test split by seeded shuffle.
 
-    The first ceil(fraction * N) shuffled patients form the training set.
+    The first ceil(fraction * N) shuffled patients, and at least one, form
+    the training set.
     """
     if not cohort:
         raise EmptyCohort("cannot split an empty cohort")
-    if not 0 < train_fraction < 1:
-        raise InvariantViolation("train_fraction must lie strictly between 0 and 1")
+    n_train = _ceil_share(train_fraction, len(cohort), "train_fraction")
     order = np.random.default_rng(seed).permutation(len(cohort))
-    n_train = _ceil_share(train_fraction, len(cohort))
     train = [cohort[i] for i in order[:n_train]]
     test = [cohort[i] for i in order[n_train:]]
     return train, test
@@ -50,14 +53,12 @@ def split_cohort(
 def prefix_split(
     trajectory: Trajectory, prefix_fraction: float
 ) -> tuple[Trajectory, np.ndarray, np.ndarray]:
-    """Keep the first ceil(fraction * n) timepoints, hold out the rest.
+    """Keep the first ceil(fraction * n) timepoints, and at least one, hold out the rest.
 
     Returns the prefix trajectory together with the held-out timestamps
     and observations (both possibly empty).
     """
-    if not 0 < prefix_fraction < 1:
-        raise InvariantViolation("prefix_fraction must lie strictly between 0 and 1")
-    n_prefix = _ceil_share(prefix_fraction, trajectory.length)
+    n_prefix = _ceil_share(prefix_fraction, trajectory.length, "prefix_fraction")
     prefix = Trajectory(
         patient_id=trajectory.patient_id,
         times=trajectory.times[:n_prefix],
@@ -66,31 +67,50 @@ def prefix_split(
     return prefix, trajectory.times[n_prefix:], trajectory.observations[n_prefix:]
 
 
-def _held_out_loss(
-    mixture: MixtureModel, trajectory: Trajectory, prefix_fraction: float
-) -> tuple[float, int]:
-    """Summed negative log-probability of the held-out observed bins, and
-    how many bins were scored; see :func:`forecast_cross_entropy`."""
-    prefix, held_times, held_obs = prefix_split(trajectory, prefix_fraction)
-    observed = held_obs != MISSING
-    if not observed.any():
-        raise NoHeldOutObservations(
-            f"patient {trajectory.patient_id!r} has no scorable held-out observations"
-        )
-    (subtype,), _, (filtered,) = assign_subtypes(mixture, [prefix])
-    model = mixture.models[subtype]
-    predicted = propagate_filter(model, filtered, held_times - prefix.times[-1])
-    columns = stacked_columns(held_obs, model.emissions.bin_counts)
+def _held_out_losses(
+    mixture: MixtureModel, trajectories: list[Trajectory], prefix_fraction: float
+) -> tuple[list[float], list[int]]:
+    """Each patient's summed negative log-probability of its held-out observed
+    bins, and how many bins were scored (0 for a patient with none).
+
+    Every prefix is cut as :func:`prefix_split` cuts it and scored in one
+    forward pass; each chosen subtype then propagates its patients'
+    filtered laws over all their held-out gaps in one kernel stack.
+    """
+    cohort = _Cohort.of(trajectories, mixture.models[0].n_features)
+    n_prefix = _ceil_share(prefix_fraction, cohort.lengths, "prefix_fraction")
+    cut = np.repeat(cohort.starts + n_prefix, cohort.lengths)  # each row's first held-out row
+    held = np.arange(cut.size) >= cut
+    observed = (cohort.observations != MISSING) & held[:, None]
+    rows = np.nonzero(observed.any(axis=1))[0]
+    observed = observed[rows]
+    owner = np.searchsorted(cohort.starts, rows, "right") - 1
+    entries = owner[np.nonzero(observed)[0]]  # the patient of each scored bin
+    scored = np.bincount(entries, minlength=len(cohort))
+    if not rows.size:
+        return [0.0] * len(cohort), scored.tolist()
+
+    columns = cohort.columns(mixture.models[0].emissions.bin_counts)
+    best, _, filtered = assign_subtypes(mixture, cohort.heads(~held, n_prefix))
+    gaps = cohort.times[rows] - cohort.times[cut[rows] - 1]
+    chosen = best[owner]
+    p = np.empty(observed.shape)
+    for m in set(chosen.tolist()):
+        here = np.nonzero(chosen == m)[0]
+        predicted = propagate_filter(mixture.models[m], filtered[owner[here]], gaps[here])
+        p[here] = predicted[np.arange(here.size)[:, None], columns[rows[here]]]
     # Mixing weights can overshoot one by a few ulps; keep scores >= 0.
-    p = np.minimum(np.take_along_axis(predicted, columns, axis=1), 1.0)
-    impossible = np.argwhere(observed & ~(p > 0))
-    if impossible.size:
-        i, d = impossible[0]
+    np.minimum(p, 1.0, out=p)
+    impossible = observed & ~(p > 0)
+    if impossible.any():
+        i, d = np.argwhere(impossible)[0]
         raise ImpossibleTrajectory(
-            f"patient {trajectory.patient_id!r}: held-out bin {held_obs[i, d]} of feature {d} "
-            f"has no probability under subtype {subtype}"
+            f"patient {cohort.patient_ids[owner[i]]!r}: held-out bin "
+            f"{cohort.observations[rows[i], d]} of feature {d} "
+            f"has no probability under subtype {chosen[i]}"
         )
-    return float(-np.log(p[observed]).sum()), int(observed.sum())
+    totals = np.bincount(entries, -np.log(p[observed]), minlength=len(cohort))
+    return totals.tolist(), scored.tolist()
 
 
 def forecast_cross_entropy(
@@ -103,7 +123,11 @@ def forecast_cross_entropy(
     remains to score, :class:`ImpossibleTrajectory` for a bin of zero
     predicted probability.
     """
-    total, scored = _held_out_loss(mixture, trajectory, prefix_fraction)
+    (total,), (scored,) = _held_out_losses(mixture, [trajectory], prefix_fraction)
+    if not scored:
+        raise NoHeldOutObservations(
+            f"patient {trajectory.patient_id!r} has no scorable held-out observations"
+        )
     return total / scored
 
 
@@ -162,20 +186,17 @@ def forecast_report(
     excluded from the average and counted as skipped; when that leaves no
     patient to score, raises :class:`NoHeldOutObservations`.
     """
+    totals, counts = _held_out_losses(mixture, cohort, prefix_fraction)
     report = ForecastReport(
         subtypes=mixture.n_subtypes,
         states=mixture.n_states,
         prefix_fraction=prefix_fraction,
         seed=seed,
+        per_patient=[(t.patient_id, total / scored)
+                     for t, total, scored in zip(cohort, totals, counts) if scored],
+        n_scored_observations=sum(counts),
+        n_skipped_patients=counts.count(0),
     )
-    for trajectory in cohort:
-        try:
-            total, scored = _held_out_loss(mixture, trajectory, prefix_fraction)
-        except NoHeldOutObservations:
-            report.n_skipped_patients += 1
-            continue
-        report.per_patient.append((trajectory.patient_id, total / scored))
-        report.n_scored_observations += scored
     if not report.per_patient:
         raise NoHeldOutObservations(
             f"none of {len(cohort)} patients has held-out observations "

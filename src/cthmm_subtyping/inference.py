@@ -106,8 +106,7 @@ class _Cohort:
 
     Trajectory b is rows ``starts[b]`` to ``starts[b] + lengths[b]`` of
     ``times`` (N,) and ``observations`` (N, D); its gaps start at
-    ``gaps[starts[b] - b]``.  ``gaps`` (N - B,) is one ``np.diff`` over all
-    times without the entries that cross into the next trajectory.
+    ``gaps[starts[b] - b]``.
     """
 
     patient_ids: tuple[str, ...]
@@ -115,30 +114,47 @@ class _Cohort:
     observations: np.ndarray  # (N, D)
     lengths: np.ndarray  # (B,)
     starts: np.ndarray = field(init=False)  # (B,)
-    gaps: np.ndarray = field(init=False)  # (N - B,)
     _columns: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        starts = np.cumsum(self.lengths) - self.lengths
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "gaps", np.delete(np.diff(self.times), starts[1:] - 1))
+        object.__setattr__(self, "starts", np.cumsum(self.lengths) - self.lengths)
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """(N - B,): one ``np.diff`` over all times without the entries that
+        cross into the next trajectory, built on first use."""
+        return np.delete(np.diff(self.times), self.starts[1:] - 1)
 
     @classmethod
-    def of(cls, trajectories: list[Trajectory] | _Cohort) -> _Cohort:
-        """``trajectories`` in columnar form; a cohort is returned as it is."""
+    def of(cls, trajectories: list[Trajectory] | _Cohort, n_features: int | None = None) -> _Cohort:
+        """``trajectories`` in columnar form; a cohort is returned as it is.
+
+        The first trajectory whose feature count is not ``n_features``, that
+        of the models that will read the cohort, or else the first
+        trajectory's, raises :class:`DimensionMismatch`.
+        """
         if isinstance(trajectories, _Cohort):
             return trajectories
         if not trajectories:
             return cls((), np.empty(0), np.empty((0, 0), dtype=int), np.empty(0, dtype=int))
-        try:
-            observations = np.concatenate([t.observations for t in trajectories])
-        except ValueError:  # feature counts differ
-            odd = next(t for t in trajectories if t.n_features != trajectories[0].n_features)
-            raise DimensionMismatch(f"patient {odd.patient_id!r} has {odd.n_features} features, "
-                                    f"not {trajectories[0].n_features}") from None
+        expected = trajectories[0].n_features if n_features is None else n_features
+        odd = next((t for t in trajectories if t.n_features != expected), None)
+        if odd is not None:
+            detail = f"not {expected}" if n_features is None else f"model expects {expected}"
+            raise DimensionMismatch(
+                f"patient {odd.patient_id!r} has {odd.n_features} features, {detail}")
         return cls(tuple(t.patient_id for t in trajectories),
-                   np.concatenate([t.times for t in trajectories]), observations,
+                   np.concatenate([t.times for t in trajectories]),
+                   np.concatenate([t.observations for t in trajectories]),
                    np.array([t.length for t in trajectories]))
+
+    def heads(self, rows: np.ndarray, lengths: np.ndarray) -> _Cohort:
+        """The cohort of the rows marked in ``rows`` (N,), which must be the
+        first ``lengths[b]`` >= 1 rows of every trajectory b; the binned
+        columns built so far are cut the same way."""
+        heads = _Cohort(self.patient_ids, self.times[rows], self.observations[rows], lengths)
+        heads._columns.update((key, columns[rows]) for key, columns in self._columns.items())
+        return heads
 
     def __len__(self) -> int:
         return self.lengths.size
@@ -194,30 +210,6 @@ class PosteriorSummary:
     gamma: np.ndarray
     xi: np.ndarray
     log_scale: np.ndarray
-
-
-@dataclass(frozen=True)
-class CohortPosteriors:
-    """Forward-backward output for a batch of B (model, trajectory) pairs.
-
-    Rows follow the pairs in batch order, one per timestamp (N in all);
-    pair b's rows start at ``starts[b]``.  ``xi`` has one row per
-    consecutive pair of timestamps, in the same order.  Model m's sorted
-    distinct gaps are ``gaps[gap_starts[m]:gap_starts[m + 1]]``;
-    ``gap_index`` holds the index of each ``xi`` row's gap into ``gaps``
-    and ``kernels[g]`` the transition matrix for ``gaps[g]`` under the
-    model that owns it.
-    """
-
-    log_likelihood: np.ndarray  # (B,)
-    gamma: np.ndarray  # (N, K)
-    xi: np.ndarray  # (N - B, K, K)
-    log_scale: np.ndarray  # (N,)
-    starts: np.ndarray  # (B,)
-    gaps: np.ndarray  # (G,)
-    gap_starts: np.ndarray  # (M + 1,)
-    gap_index: np.ndarray  # (N - B,)
-    kernels: np.ndarray  # (G, K, K)
 
 
 @dataclass(frozen=True)
@@ -325,18 +317,6 @@ def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
     )
 
 
-def _check_features(models: list[SubtypeModel], packing: _Packing) -> None:
-    """Raise :class:`DimensionMismatch` for a pair whose model expects other features."""
-    features = packing.cohort.observations.shape[1]
-    if any(model.n_features != features for model in models):
-        expected = np.array([model.n_features for model in models])
-        b = np.nonzero(expected[packing.pair_model] != features)[0][0]
-        raise DimensionMismatch(
-            f"patient {packing.cohort.patient_ids[packing.pair_member[b]]!r} has "
-            f"{features} features, model expects {expected[packing.pair_model[b]]}"
-        )
-
-
 def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
     """Each model's kernels for its own distinct gaps, in the order of ``packing.gaps``.
 
@@ -384,7 +364,6 @@ def _forward(
     step) makes alpha NaN from there on, and the pair's log-likelihood
     -inf.
     """
-    _check_features(models, packing)
     kernels = _pair_kernels(models, packing)
     b, shift = _emission_weights(models, packing)
     n_first = packing.sizes[0]
@@ -419,9 +398,9 @@ def forward_filter(
     the log-likelihoods (M, B), -inf for an impossible trajectory, and
     the filtered state laws at each trajectory's last timestamp (M, B, K).
     """
-    if len({model.n_states for model in models}) != 1:
-        raise InvariantViolation("models disagree on state count")
-    cohort = _Cohort.of(trajectories)
+    if len({(model.n_states, model.n_features) for model in models}) != 1:
+        raise InvariantViolation("models disagree on state or feature count")
+    cohort = _Cohort.of(trajectories, models[0].n_features)
     packing = _pack(cohort, [np.arange(len(cohort))] * len(models))
     _, _, _, alpha, _, log_likelihood = _forward(models, packing)
     shape = (len(models), len(cohort))
@@ -430,12 +409,17 @@ def forward_filter(
     )
 
 
-def _forward_backward(models: list[SubtypeModel], packing: _Packing) -> CohortPosteriors:
+def _forward_backward(
+    models: list[SubtypeModel], packing: _Packing
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled forward-backward pass over a packed batch of pairs.
 
     The forward recursion of :func:`_forward`, then one backward loop over
     time steps; each row uses the kernels of its own model.  The pairwise
     posteriors need no loop and are built in place, in batch order.
+    Returns the log-likelihoods (B,), the state posteriors gamma (N, K)
+    with the pairwise ones xi (N - B, K, K) and the log scaling constants
+    (N,), all in batch order, and the kernels (G, K, K) of ``packing.gaps``.
     """
     kernels, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
     # Dividing by NaN where a scale is zero propagates the impossibility.
@@ -452,17 +436,7 @@ def _forward_backward(models: list[SubtypeModel], packing: _Packing) -> CohortPo
     xi *= alpha[packing.pair_before, :, None]
     xi *= (b[ends] * beta[ends])[:, None, :]
     xi /= live_scale[ends, None, None]
-    return CohortPosteriors(
-        log_likelihood=log_likelihood,
-        gamma=(alpha * beta)[packing.rows],
-        xi=xi,
-        log_scale=log_scale,
-        starts=packing.starts,
-        gaps=packing.gaps,
-        gap_starts=packing.gap_starts,
-        gap_index=packing.slot[ends],
-        kernels=kernels,
-    )
+    return log_likelihood, (alpha * beta)[packing.rows], xi, log_scale, kernels
 
 
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:
@@ -472,13 +446,9 @@ def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSu
     probability zero under the model the log-likelihood is -inf and the
     posteriors are NaN from the impossible step onward.
     """
-    posteriors = _forward_backward([model], _pack(_Cohort.of([trajectory]), [np.arange(1)]))
-    return PosteriorSummary(
-        log_likelihood=float(posteriors.log_likelihood[0]),
-        gamma=posteriors.gamma,
-        xi=posteriors.xi,
-        log_scale=posteriors.log_scale,
-    )
+    packing = _pack(_Cohort.of([trajectory], model.n_features), [np.arange(1)])
+    log_likelihood, gamma, xi, log_scale, _ = _forward_backward([model], packing)
+    return PosteriorSummary(float(log_likelihood[0]), gamma, xi, log_scale)
 
 
 def trajectory_log_likelihood(model: SubtypeModel, trajectory: Trajectory) -> float:
@@ -488,13 +458,14 @@ def trajectory_log_likelihood(model: SubtypeModel, trajectory: Trajectory) -> fl
 
 
 def propagate_filter(model: SubtypeModel, filtered: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Bin laws after a filtered state law evolves for each gap.
+    """Bin laws after a filtered state law, one (K,) or one per gap (gaps, K),
+    evolves for each gap.
 
     The gaps' kernels come from one stacked exponential; returns a (gaps,
     columns) array in the layout of :func:`~.emissions.stacked_columns`.
     """
-    states = filtered @ _generator_kernels([model.generator], gaps)[0]
-    return states @ model.emissions.stacked
+    states = filtered[..., None, :] @ _generator_kernels([model.generator], gaps)[0]
+    return states[:, 0] @ model.emissions.stacked
 
 
 def predictive_bin_distributions(

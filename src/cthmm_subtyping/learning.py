@@ -207,15 +207,15 @@ def _e_steps(
     :class:`ImpossibleTrajectory` in place of its statistics; the others
     are untouched.
     """
-    posteriors = _forward_backward(models, packing)
+    log_likelihoods, gammas, xis, _, all_kernels = _forward_backward(models, packing)
     cohort = packing.cohort
     pair_bounds = np.searchsorted(packing.pair_model, np.arange(len(models) + 1))
-    row_bounds = np.append(posteriors.starts, posteriors.gamma.shape[0])[pair_bounds]
+    row_bounds = np.append(packing.starts, gammas.shape[0])[pair_bounds]
     out: list[tuple[SufficientStats, float] | ImpossibleTrajectory] = []
     for m, model in enumerate(models):
         pairs = slice(pair_bounds[m], pair_bounds[m + 1])
         members = packing.pair_member[pairs]
-        log_likelihood = posteriors.log_likelihood[pairs]
+        log_likelihood = log_likelihoods[pairs]
         impossible = np.nonzero(~np.isfinite(log_likelihood))[0]
         if impossible.size:
             b = impossible[0]
@@ -227,19 +227,19 @@ def _e_steps(
         rows = slice(row_bounds[m], row_bounds[m + 1])
         # xi has one row fewer per pair than gamma.
         steps = slice(row_bounds[m] - pairs.start, row_bounds[m + 1] - pairs.stop)
-        own = slice(posteriors.gap_starts[m], posteriors.gap_starts[m + 1])
-        gamma = posteriors.gamma[rows]
+        own = slice(packing.gap_starts[m], packing.gap_starts[m + 1])
+        gamma = gammas[rows]
         bin_counts = model.emissions.bin_counts
         columns = cohort.columns(bin_counts)[packing.source[packing.rows[rows]]]
         counts = _scatter_rows(columns, gamma[:, None, :], sum(bin_counts) + 1)
-        kernels = posteriors.kernels[own]
-        pair_counts = _scatter_rows(posteriors.gap_index[steps] - own.start,
-                                    posteriors.xi[steps].reshape(-1, model.n_states**2),
+        kernels = all_kernels[own]
+        pair_counts = _scatter_rows(packing.slot[packing.pair_rows[steps]] - own.start,
+                                    xis[steps].reshape(-1, model.n_states**2),
                                     len(kernels))
         stats = SufficientStats(
-            gaps=posteriors.gaps[own],
+            gaps=packing.gaps[own],
             pair_counts=pair_counts.reshape(kernels.shape),
-            gamma_initial=gamma[posteriors.starts[pairs] - rows.start].sum(axis=0),
+            gamma_initial=gamma[packing.starts[pairs] - rows.start].sum(axis=0),
             emission_counts=np.ascontiguousarray(counts[:-1].T),
             bin_counts=bin_counts,
             generator=model.generator,
@@ -260,7 +260,7 @@ def e_step(
     update.  Raises :class:`ImpossibleTrajectory` for a trajectory with
     probability zero under ``model``, whose posteriors are undefined.
     """
-    cohort = _Cohort.of(trajectories)
+    cohort = _Cohort.of(trajectories, model.n_features)
     (result,) = _e_steps(_pack(cohort, [np.arange(len(cohort))]), [model])
     if isinstance(result, ImpossibleTrajectory):
         raise result
@@ -381,10 +381,11 @@ def _random_start(
     config: EmConfig,
     rng: np.random.Generator,
     base_freqs: np.ndarray,
+    rate_scale: float,
 ) -> SubtypeModel:
     pi = rng.dirichlet(np.ones(n_states))
     mask = structure_mask(config.structure, n_states)
-    raw = rng.uniform(0.01, 1.0, size=(n_states, n_states)) * mask
+    raw = rng.uniform(0.01, 1.0, size=(n_states, n_states)) * rate_scale * mask
     generator = validate_generator(raw, mask)
     # One draw per feature, in feature order, keeps the seeded stream.
     noise = np.hstack([rng.uniform(-1.0, 1.0, size=(n_states, j)) for j in bin_counts])
@@ -504,14 +505,18 @@ def _restarts(
     bin_counts: tuple[int, ...],
     config: EmConfig,
 ) -> list[tuple[np.ndarray, SubtypeModel]]:
-    """The seeded restart fits of one model on trajectories ``members`` of ``cohort``."""
+    """The seeded restart fits of one model on trajectories ``members`` of ``cohort``.
+
+    Start rates are per the cohort's mean gap rounded to a power of two, so
+    rescaling every time by 2^k rescales the fits exactly."""
     if n_states < 1:
         raise InvariantViolation("need at least one state")
     base_freqs = _empirical_bin_frequencies(cohort, members, bin_counts, config.smoothing)
+    rate_scale = np.exp2(-np.rint(np.log2(cohort.gaps.mean()))) if cohort.gaps.size else 1.0
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     return [
         (members, _random_start(n_states, bin_counts, config, np.random.default_rng(seq),
-                                base_freqs))
+                                base_freqs, rate_scale))
         for seq in seeds
     ]
 

@@ -7,7 +7,9 @@ path simulation for end-conditioned expectations, and cell-by-cell CSV
 ingest.  None of it calls back into the package code paths it verifies,
 save the serial EM loops: they run the package's own E- and M-steps one
 fit at a time, as the fits ran before they were batched, and so pin the
-lockstep scheduler that replaced them, not the steps.  The packing,
+lockstep scheduler that replaced them, not the steps; likewise the
+per-patient forecast score runs the package's own forward pass on one
+prefix at a time and pins the cohort scorer that replaced it.  The packing,
 quantization and bin counts that build the cohort layout one trajectory
 at a time pin the concatenated cohort that replaced them.  The samplers and
 the CSV writer at the end draw with one ``Generator.choice`` or
@@ -21,6 +23,7 @@ import csv
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -33,7 +36,9 @@ from cthmm_subtyping import (
     DuplicateTimestamp,
     EmptyCohort,
     HiddenPath,
+    ImpossibleTrajectory,
     MixtureModel,
+    NoHeldOutObservations,
     ParseError,
     SubtypeModel,
     SubtypingError,
@@ -41,6 +46,7 @@ from cthmm_subtyping import (
     Trajectory,
     UnknownColumn,
     ctmc,
+    evaluation,
     inference,
     learning,
     mixture,
@@ -446,10 +452,23 @@ def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return ctmc._kernels(rates, ctmc._eigensystem(rates), gaps)
 
 
+def packed_posteriors(models, packing):
+    """The pair-packed pass's outputs by name, with the packing layout beside
+    them: pair b's rows start at ``starts[b]``, model m's sorted distinct
+    gaps are ``gaps[gap_starts[m]:gap_starts[m + 1]]``, ``gap_index`` holds
+    each ``xi`` row's gap index into ``gaps`` and ``kernels[g]`` is the
+    kernel of ``gaps[g]``."""
+    log_likelihood, gamma, xi, log_scale, kernels = inference._forward_backward(models, packing)
+    return SimpleNamespace(log_likelihood=log_likelihood, gamma=gamma, xi=xi, log_scale=log_scale,
+                           kernels=kernels, starts=packing.starts, gaps=packing.gaps,
+                           gap_starts=packing.gap_starts,
+                           gap_index=packing.slot[packing.pair_rows])
+
+
 def forward_backward_batch(model, trajectories):
     """The one-model pair-packed pass over a batch of trajectories."""
     cohort = inference._Cohort.of(trajectories)
-    return inference._forward_backward([model], inference._pack(cohort, [np.arange(len(cohort))]))
+    return packed_posteriors([model], inference._pack(cohort, [np.arange(len(cohort))]))
 
 
 def pack_by_trajectory(trajectories, members, bin_counts):
@@ -530,6 +549,36 @@ def bin_histograms_by_trajectory(trajectories, bin_counts):
 
 
 # --------------------------------------------------------------------------
+# Forecast scoring one patient at a time: a prefix trajectory, a forward
+# pass and a kernel stack per patient, as the package scored before every
+# prefix of a cohort went through one pass.
+
+
+def held_out_loss(fitted, trajectory, prefix_fraction):
+    """Summed negative log-probability of the held-out observed bins, and how
+    many bins were scored; raises what ``forecast_cross_entropy`` raises."""
+    prefix, held_times, held_obs = evaluation.prefix_split(trajectory, prefix_fraction)
+    observed = held_obs != MISSING
+    if not observed.any():
+        raise NoHeldOutObservations(
+            f"patient {trajectory.patient_id!r} has no scorable held-out observations"
+        )
+    (subtype,), _, (filtered,) = mixture.assign_subtypes(fitted, [prefix])
+    model = fitted.models[subtype]
+    predicted = inference.propagate_filter(model, filtered, held_times - prefix.times[-1])
+    columns = stacked_columns(held_obs, model.emissions.bin_counts)
+    p = np.minimum(np.take_along_axis(predicted, columns, axis=1), 1.0)
+    impossible = np.argwhere(observed & ~(p > 0))
+    if impossible.size:
+        i, d = impossible[0]
+        raise ImpossibleTrajectory(
+            f"patient {trajectory.patient_id!r}: held-out bin {held_obs[i, d]} of feature {d} "
+            f"has no probability under subtype {subtype}"
+        )
+    return float(-np.log(p[observed]).sum()), int(observed.sum())
+
+
+# --------------------------------------------------------------------------
 # Serial EM: one fit at a time, one E-step call per iteration.
 
 
@@ -562,13 +611,25 @@ def serial_run_em(trajectories, model, config):
     return model, diag
 
 
-def serial_fit_prepared(trajectories, n_states, bin_counts, config):
-    """Seeded restarts run one after another; the best by final log-likelihood."""
+def start_rate_scale(trajectories):
+    """2^-round(log2(mean gap)) over every gap of every trajectory; 1 with no gaps."""
+    gaps = np.concatenate([np.diff(t.times) for t in trajectories])
+    return 2.0 ** -round(math.log2(gaps.mean())) if gaps.size else 1.0
+
+
+def serial_fit_prepared(trajectories, n_states, bin_counts, config, rate_scale=None):
+    """Seeded restarts run one after another; the best by final log-likelihood.
+
+    Start rates are scaled by ``rate_scale``, by default the
+    :func:`start_rate_scale` of ``trajectories``.
+    """
+    if rate_scale is None:
+        rate_scale = start_rate_scale(trajectories)
     base_freqs = bin_frequencies_by_trajectory(trajectories, bin_counts, config.smoothing)
     best, scores, failure = None, [], None
     for seq in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(seq)
-        start = learning._random_start(n_states, bin_counts, config, rng, base_freqs)
+        start = learning._random_start(n_states, bin_counts, config, rng, base_freqs, rate_scale)
         try:
             model, diag = serial_run_em(trajectories, start, config)
         except SubtypingError as err:
@@ -592,6 +653,7 @@ def serial_fit_mixture(trajectories, n_subtypes, n_states, config, scheme=None):
     )
     if config.delta_quantization is not None:
         trajectories = quantize_by_trajectory(trajectories, config.delta_quantization)
+    rate_scale = start_rate_scale(trajectories)
     rng = np.random.default_rng(config.seed)
     assignments = mixture._initial_partition(cohort, n_subtypes, rng, bin_counts)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
@@ -603,7 +665,8 @@ def serial_fit_mixture(trajectories, n_subtypes, n_states, config, scheme=None):
             members = [trajectories[i] for i in np.nonzero(assignments == m)[0]]
             if models[m] is None:
                 models[m], diagnostics[m] = serial_fit_prepared(
-                    members, n_states, bin_counts, replace(config, seed=config.seed + m)
+                    members, n_states, bin_counts, replace(config, seed=config.seed + m),
+                    rate_scale,
                 )
             else:
                 models[m], diagnostics[m] = serial_run_em(members, models[m], config)

@@ -23,6 +23,7 @@ from cthmm_subtyping import (
     ObservationTimeConfig,
     SubtypeModel,
     assign_subtype,
+    forecast_report,
     load_cohort,
     load_model,
     sample_cohort,
@@ -336,6 +337,18 @@ class TestAssignAndForecastSurface:
             assert int(row["subtype"]) == subtype
             # repr round-trips, so equal floats mean bitwise-equal scores
             assert [float(row[f"score_{m}"]) for m in range(2)] == scores.tolist()
+
+    def test_forecast_table_holds_the_report_scores(self, tmp_path):
+        mixture, model, _ = _model_and_cohort(tmp_path)
+        data = tmp_path / "cohort.csv"
+        out = tmp_path / "forecast.csv"
+        assert _run_cli(["forecast", "--model", str(model), "--data", str(data),
+                         "--prefix-fraction", "0.3", "--out", str(out)]) == (0, [])
+        report = forecast_report(mixture, load_cohort(data, mixture.scheme), 0.3)
+        assert report.n_patients > 1
+        # Each cell is a plain float repr, and repr round-trips bitwise.
+        assert [(row["patient_id"], float(row["mean_cross_entropy"]))
+                for row in _read_rows(out)] == report.per_patient
 
     def test_forecast_zero_probability_bin_gives_single_error_line(self, tmp_path):
         scheme = simple_scheme()

@@ -11,10 +11,14 @@ import pytest
 from cthmm_subtyping import (
     DimensionMismatch,
     EmConfig,
+    InvariantViolation,
+    MixtureModel,
     Trajectory,
+    assign_subtypes,
     e_step,
     fit_disease_model,
     fit_mixture,
+    forecast_report,
     forward_filter,
     quantize_gaps,
 )
@@ -136,6 +140,25 @@ class TestMixedFeatureCounts:
         for call in calls:
             with pytest.raises(DimensionMismatch):
                 call()
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_scoring_names_the_patient_the_models_do_not_fit(self, bad_first):
+        model = random_model(np.random.default_rng(0), 2, (2,))
+        mixture = MixtureModel((model,), np.ones(1), np.empty(0, int), [])
+        bad = Trajectory("bad", np.arange(4.0), np.zeros((4, 2), int))
+        ok = Trajectory("ok", np.arange(4.0), np.zeros((4, 1), int))
+        cohort = [bad, ok] if bad_first else [ok, bad]
+        for call in (lambda: assign_subtypes(mixture, cohort),
+                     lambda: forecast_report(mixture, cohort, 0.7)):
+            with pytest.raises(DimensionMismatch,
+                               match=r"^patient 'bad' has 2 features, model expects 1$"):
+                call()
+
+    def test_models_that_disagree_on_features_are_rejected(self):
+        rng = np.random.default_rng(0)
+        models = [random_model(rng, 2, (2,)), random_model(rng, 2, (2, 2))]
+        with pytest.raises(InvariantViolation, match="disagree on state or feature count"):
+            forward_filter(models, [self.one])
 
     def test_a_model_mismatch_names_the_patient(self):
         model = random_model(np.random.default_rng(0), 2, (2, 2))

@@ -1,13 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from cthmm_subtyping import (
+    MISSING,
     EmConfig,
     EmissionTable,
     EmptyCohort,
     ImpossibleTrajectory,
+    InvariantViolation,
     MixtureModel,
     NoHeldOutObservations,
     ObservationTimeConfig,
@@ -19,14 +22,16 @@ from cthmm_subtyping import (
     forecast_report,
     full_mask,
     grid_evaluate,
+    inference,
+    mixture as mixture_module,
     prefix_split,
     sample_cohort,
     split_cohort,
     validate_generator,
 )
 
-from conftest import random_observations, random_times, separated_mixture
-from oracles import enumerate_predictive
+from conftest import random_model, random_observations, random_times, separated_mixture
+from oracles import enumerate_predictive, held_out_loss
 
 
 def _flat_mixture(n_bins=5, table_rows=None):
@@ -89,6 +94,11 @@ class TestSplitCohort:
         with pytest.raises(EmptyCohort):
             split_cohort([], 0.8, seed=0)
 
+    def test_tiny_fraction_keeps_one_training_patient(self):
+        (t,) = _simple_cohort(np.random.default_rng(13), 1)
+        train, test = split_cohort([t, t], 1e-12, seed=0)
+        assert len(train) == 1 and len(test) == 1
+
 
 class TestPrefixSplit:
     def test_seventy_percent_of_ten(self):
@@ -110,6 +120,15 @@ class TestPrefixSplit:
         prefix, held_times, _ = prefix_split(t, 0.7)
         assert prefix.length == 3
         assert held_times.size == 0
+
+    def test_tiny_fraction_keeps_one_point(self):
+        t = Trajectory("p", np.arange(5.0), np.array([[0], [1], [0], [1], [1]]))
+        prefix, held_times, held_obs = prefix_split(t, 1e-10)
+        assert prefix.length == 1
+        assert np.array_equal(held_times, t.times[1:])
+        mixture = _flat_mixture(table_rows=np.array([[0.5, 0.5]]))
+        assert forecast_cross_entropy(mixture, t, 1e-10) == pytest.approx(math.log(2.0))
+        assert forecast_report(mixture, [t], 1e-10).n_scored_observations == 4
 
     def test_prefix_preserves_content(self):
         rng = np.random.default_rng(4)
@@ -300,6 +319,170 @@ class TestForecastReport:
         assert [s for _, s in padded.per_patient] == pytest.approx(
             [s for _, s in base.per_patient], abs=1e-12
         )
+
+
+def _random_scoring_case(seed, n_subtypes, whole_gaps):
+    """A random mixture and a cohort it can score: ragged lengths, missing
+    cells, one one-point patient and one whose held-out rows are all missing."""
+    rng = np.random.default_rng(seed)
+    bins = (3, 4)
+    models = tuple(random_model(rng, 3, bins) for _ in range(n_subtypes))
+    mixture = MixtureModel(models, rng.dirichlet(np.ones(n_subtypes)), np.empty(0, int), [])
+    cohort = []
+    for i in range(40):
+        n = int(rng.integers(1, 16))
+        if whole_gaps:  # gaps repeat within and across patients
+            times = np.cumsum(rng.integers(1, 4, size=n)).astype(float)
+        else:
+            times = random_times(rng, n)
+        cohort.append(Trajectory(f"p{i}", times, random_observations(rng, n, bins, 0.3)))
+    blank_tail = random_observations(rng, 10, bins, 0.0)
+    blank_tail[7:] = MISSING  # a 0.7 prefix keeps seven points
+    cohort.insert(5, Trajectory("blank-tail", np.arange(10.0), blank_tail))
+    cohort.insert(9, Trajectory("single", np.array([3.0]), np.array([[1, 2]])))
+    return mixture, cohort
+
+
+# The cohort scorer sums each patient's losses in row order, the oracle
+# pairwise, and numpy rounds a one-row matrix product differently from a
+# product of several rows: scores agree to a few ulps, far inside this.
+SCORE_TOLERANCE = dict(rel=1e-13, abs=1e-14)
+
+
+def _assert_report_matches_oracle(mixture, cohort, fraction=0.7):
+    """Per patient, the report and the one-patient case both score what the
+    per-patient oracle scores."""
+    expected = {}
+    for t in cohort:
+        try:
+            expected[t.patient_id] = held_out_loss(mixture, t, fraction)
+        except NoHeldOutObservations:
+            pass
+    report = forecast_report(mixture, cohort, fraction)
+    assert [pid for pid, _ in report.per_patient] == list(expected)
+    assert report.n_skipped_patients == len(cohort) - len(expected)
+    assert report.n_scored_observations == sum(k for _, k in expected.values())
+    by_id = {t.patient_id: t for t in cohort}
+    for pid, score in report.per_patient:
+        total, k = expected[pid]
+        assert type(score) is float
+        assert score == pytest.approx(total / k, **SCORE_TOLERANCE)
+        alone = forecast_cross_entropy(mixture, by_id[pid], fraction)
+        assert alone == pytest.approx(total / k, **SCORE_TOLERANCE)
+    return report
+
+
+class TestCohortScorer:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_subtypes", [1, 3])
+    @pytest.mark.parametrize("whole_gaps", [False, True])
+    def test_report_matches_the_per_patient_oracle(self, seed, n_subtypes, whole_gaps):
+        mixture, cohort = _random_scoring_case(seed, n_subtypes, whole_gaps)
+        report = _assert_report_matches_oracle(mixture, cohort)
+        assert report.n_skipped_patients >= 2  # the one-point and blank-tail patients
+        chosen = {assign_subtype(mixture, prefix_split(t, 0.7)[0])[0] for t in cohort}
+        assert len(chosen) > 1 or n_subtypes == 1
+
+    @pytest.mark.parametrize("fraction", [1e-10, 0.3, 0.7, 0.85])
+    def test_fractions_match_the_oracle(self, fraction):
+        mixture, cohort = _random_scoring_case(7, 2, False)
+        _assert_report_matches_oracle(mixture, cohort, fraction)
+
+    def test_translated_and_padded_cohorts_match_the_oracle(self):
+        mixture, cohort = _random_scoring_case(8, 2, True)
+        shifted = [Trajectory(t.patient_id, t.times - 700.25, t.observations) for t in cohort]
+        base = _assert_report_matches_oracle(mixture, cohort)
+        moved = _assert_report_matches_oracle(mixture, shifted)
+        assert [s for _, s in moved.per_patient] == pytest.approx(
+            [s for _, s in base.per_patient], **SCORE_TOLERANCE)
+        padded_mixture = MixtureModel(
+            tuple(
+                SubtypeModel(model.initial, model.generator, EmissionTable(
+                    tables=(*model.emissions.tables, np.full((3, 2), 0.5))))
+                for model in mixture.models
+            ),
+            mixture.prior, np.empty(0, int), [],
+        )
+        padded = [Trajectory(t.patient_id, t.times,
+                             np.column_stack([t.observations, np.full(t.length, MISSING)]))
+                  for t in cohort]
+        padded_report = _assert_report_matches_oracle(padded_mixture, padded)
+        assert [s for _, s in padded_report.per_patient] == pytest.approx(
+            [s for _, s in base.per_patient], **SCORE_TOLERANCE)
+
+    def test_the_first_impossible_patient_in_cohort_order_is_named(self):
+        # Subtype 1 alone can emit bin 2, so a prefix of 2s chooses it; it
+        # cannot emit bin 0.
+        tables = [np.array([[0.5, 0.5, 0.0]]), np.array([[0.0, 0.5, 0.5]])]
+        mixture = MixtureModel(
+            tuple(_flat_mixture(table_rows=table).models[0] for table in tables),
+            np.array([0.5, 0.5]), np.empty(0, int), [],
+        )
+        fine = Trajectory("fine", np.arange(6.0), np.full((6, 1), 1))
+        late = Trajectory("late", np.arange(6.0), np.array([[2], [2], [2], [2], [1], [0]]))
+        early = Trajectory("early", np.arange(6.0), np.array([[0], [0], [0], [0], [0], [2]]))
+        nowhere = Trajectory("nowhere", np.arange(6.0), np.array([[0], [2], [1], [1], [1], [1]]))
+        for cohort, named in (([fine, late, early], late), ([fine, early, late], early),
+                              ([fine, nowhere, late], nowhere)):
+            with pytest.raises(ImpossibleTrajectory) as got:
+                forecast_report(mixture, cohort, 0.7)
+            with pytest.raises(ImpossibleTrajectory) as want:
+                held_out_loss(mixture, named, 0.7)
+            assert str(got.value) == str(want.value)
+
+    def test_an_empty_cohort_has_nothing_to_score(self):
+        with pytest.raises(NoHeldOutObservations, match="none of 0 patients"):
+            forecast_report(_flat_mixture(), [], 0.7)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, math.nan])
+    def test_a_fraction_outside_the_unit_interval_is_rejected(self, fraction):
+        (t,) = _simple_cohort(np.random.default_rng(14), 1)
+        for call in (lambda: forecast_report(_flat_mixture(), [t], fraction),
+                     lambda: forecast_cross_entropy(_flat_mixture(), t, fraction)):
+            with pytest.raises(InvariantViolation, match="prefix_fraction must lie strictly"):
+                call()
+
+
+@pytest.fixture
+def scoring_counts(monkeypatch):
+    """Forward-filter passes, and the kernel stacks built for propagation and
+    for the forward pass."""
+    counts = {"passes": 0, "kernels": {}}
+    forward_filter, kernels = mixture_module.forward_filter, inference._generator_kernels
+
+    def counted_filter(*args):
+        counts["passes"] += 1
+        return forward_filter(*args)
+
+    def counted_kernels(*args):
+        caller = sys._getframe(1).f_code.co_name
+        use = "propagate" if caller == "propagate_filter" else "forward"
+        counts["kernels"][use] = counts["kernels"].get(use, 0) + 1
+        return kernels(*args)
+
+    monkeypatch.setattr(mixture_module, "forward_filter", counted_filter)
+    monkeypatch.setattr(inference, "_generator_kernels", counted_kernels)
+    return counts
+
+
+def test_a_report_makes_one_pass_and_one_kernel_stack_per_chosen_subtype(scoring_counts):
+    mixture = separated_mixture(
+        [np.array([[0], [3], [1]]), np.array([[4], [1], [2]]), np.array([[2], [0], [4]])],
+        [[0.6, 0.3], [1.1, 0.4], [0.2, 0.9]],
+    )
+    cohort = _simple_cohort(np.random.default_rng(15), 30, lengths=(1, 14), missing=0.3)
+    chosen = {assign_subtype(mixture, prefix_split(t, 0.7)[0])[0]
+              for t in cohort if np.any(prefix_split(t, 0.7)[2] != MISSING)}
+    assert len(chosen) > 1
+    scoring_counts["passes"], scoring_counts["kernels"] = 0, {}
+    forecast_report(mixture, cohort, 0.7)
+    assert scoring_counts["passes"] == 1
+    assert scoring_counts["kernels"] == {"forward": 1, "propagate": len(chosen)}
+
+    scoring_counts["passes"], scoring_counts["kernels"] = 0, {}
+    forecast_cross_entropy(mixture, max(cohort, key=lambda t: t.length), 0.7)
+    assert scoring_counts["passes"] == 1
+    assert scoring_counts["kernels"] == {"forward": 1, "propagate": 1}
 
 
 class TestGridEvaluate:

@@ -400,7 +400,8 @@ class TestStackedLayoutOracle:
         _, bin_counts, cohort = self._case(n_states)
         base = oracles.bin_frequencies_by_feature(cohort, bin_counts, 1e-3)
         model = _random_start(
-            n_states, bin_counts, EmConfig(), np.random.default_rng(n_states), np.concatenate(base)
+            n_states, bin_counts, EmConfig(), np.random.default_rng(n_states), np.concatenate(base),
+            1.0,
         )
         rng = np.random.default_rng(n_states)
         rng.dirichlet(np.ones(n_states))  # the initial law and the generator come first

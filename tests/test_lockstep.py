@@ -28,7 +28,7 @@ from cthmm_subtyping import (
     sample_cohort,
 )
 from cthmm_subtyping.emissions import stacked_columns
-from cthmm_subtyping.inference import _Cohort, _forward_backward, _pack
+from cthmm_subtyping.inference import _Cohort, _pack
 from cthmm_subtyping.learning import (
     _best_restart,
     _e_steps,
@@ -41,6 +41,7 @@ from cthmm_subtyping.learning import (
 from conftest import random_model, random_observations, random_times, separated_mixture
 from oracles import (
     forward_backward_batch,
+    packed_posteriors,
     quantize_by_trajectory,
     scatter_counts,
     serial_fit_mixture,
@@ -144,7 +145,7 @@ class TestPairPackedPass:
         cohort = _cohort(4, MIXED_LENGTHS)
         models = [random_model(rng, 3, BINS) for _ in range(4)]
         members = [np.arange(14), np.array([0, 5, 6]), np.array([1, 2, 3, 4]), np.arange(7, 14)]
-        together = _forward_backward(models, _pack(_Cohort.of(cohort), members))
+        together = packed_posteriors(models, _pack(_Cohort.of(cohort), members))
         pair, row, step = 0, 0, 0
         for m, (model, group) in enumerate(zip(models, members)):
             alone = forward_backward_batch(model, [cohort[i] for i in group])
@@ -203,7 +204,7 @@ class TestAccumulationOracle:
         members = [everyone, everyone, everyone[:split], everyone[split:]]
         models = [random_model(rng, n_states, bins) for _ in members]
         packing = _pack(_Cohort.of(cohort), members)
-        posteriors = _forward_backward(models, packing)
+        posteriors = packed_posteriors(models, packing)
         row, step = 0, 0
         for m, (group, result) in enumerate(zip(members, _e_steps(packing, models), strict=True)):
             stats, _ = result

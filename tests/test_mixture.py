@@ -63,6 +63,24 @@ def _fit_config(**overrides):
 
 
 class TestFitMixture:
+    def test_rescaling_time_by_a_power_of_two_rescales_the_fit_exactly(self):
+        _, cohort = _training_cohort(n=120)
+        fits = {}
+        for k in (-10, -3, 0, 3, 10):
+            scaled = [Trajectory(t.patient_id, t.times * 2.0**k, t.observations)
+                      for t in cohort.trajectories]
+            fits[k] = fit_mixture(scaled, 2, 3, _fit_config(delta_quantization=0.05 * 2.0**k))
+        reference = fits[0]
+        for k, fitted in fits.items():
+            assert fitted.objective_trace == reference.objective_trace, k
+            assert np.array_equal(fitted.assignments, reference.assignments)
+            for model, expected in zip(fitted.models, reference.models, strict=True):
+                assert np.array_equal(model.generator.rates * 2.0**k, expected.generator.rates)
+                assert np.array_equal(model.initial, expected.initial)
+                for table, expected_table in zip(model.emissions.tables,
+                                                 expected.emissions.tables, strict=True):
+                    assert np.array_equal(table, expected_table)
+
     def test_single_subtype_reduces_to_plain_fit(self):
         rng = np.random.default_rng(0)
         trajectories = []
