@@ -32,7 +32,7 @@ from .errors import (
     VersionMismatch,
 )
 from .inference import SubtypeModel, Trajectory
-from .learning import EmConfig
+from .learning import EmConfig, _checked_seed
 from .mixture import MixtureModel
 from .synthesis import ObservationTimeConfig
 
@@ -69,8 +69,7 @@ class RunConfig:
         for flag, counts in (("subtypes", self.subtypes), ("states", self.states)):
             if not counts or min(counts) < 1:
                 raise InvariantViolation(f"need {flag} counts, each >= 1, got {counts}")
-        if self.seed < 0:
-            raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
+        _checked_seed(self.seed)
         if self.sim_patients < 1:
             raise InvariantViolation(f"simulate.patients must be >= 1, got {self.sim_patients}")
         if not 0 <= self.sim_missing_rate <= 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class FeatureBinning:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
+        if isinstance(self.bins, bool) or not isinstance(self.bins, Integral):
+            raise InvariantViolation(f"feature {self.name!r}: bins {self.bins!r} is not an integer")
         object.__setattr__(self, "bins", int(self.bins))
         # A finite width also rules out infinite bounds and overflow.
         if not (self.lower < self.upper and math.isfinite(self.upper - self.lower)):

@@ -20,7 +20,7 @@ from .errors import (
     NoHeldOutObservations,
 )
 from .inference import Trajectory, _Cohort, propagate_filter
-from .learning import EmConfig
+from .learning import EmConfig, _checked_seed
 from .mixture import MixtureModel, assign_subtypes, fit_mixture
 
 
@@ -44,7 +44,7 @@ def split_cohort(
     if not cohort:
         raise EmptyCohort("cannot split an empty cohort")
     n_train = _ceil_share(train_fraction, len(cohort), "train_fraction")
-    order = np.random.default_rng(seed).permutation(len(cohort))
+    order = np.random.default_rng(_checked_seed(seed)).permutation(len(cohort))
     train = [cohort[i] for i in order[:n_train]]
     test = [cohort[i] for i in order[n_train:]]
     return train, test

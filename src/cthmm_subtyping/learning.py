@@ -89,14 +89,13 @@ class EmConfig:
     mixture_iterations: int = 50
 
     def __post_init__(self) -> None:
-        integers = ["max_iterations", "seed", "restarts", "mixture_iterations"]
+        integers = ["max_iterations", "restarts", "mixture_iterations"]
         if self.terminal_intervention_feature is not None:
             integers.append("terminal_intervention_feature")
         for name in integers:
             if not isinstance(getattr(self, name), Integral):
                 raise InvariantViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
+        _checked_seed(self.seed)
         if not self.tolerance > 0:
             raise InvariantViolation("tolerance must be positive")
         if self.max_iterations < 1:
@@ -128,6 +127,15 @@ class FitDiagnostics:
     trace: list[float] = field(default_factory=list)
     restart_scores: list[float] = field(default_factory=list)
     degenerate_events: int = 0
+
+
+def _checked_seed(seed: int) -> int:
+    """``seed``, if it is an integer >= 0; otherwise :class:`InvariantViolation`."""
+    if not isinstance(seed, Integral):
+        raise InvariantViolation(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InvariantViolation(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def structure_mask(kind: str, n_states: int) -> np.ndarray:
@@ -332,16 +340,11 @@ def m_step_generator(stats: SufficientStats) -> tuple[GeneratorMatrix, tuple[int
     numer, denom = generator_update_terms(stats)
     previous = stats.generator
     mask = previous.mask
-    has_exit = mask.any(axis=1)
-    degenerate = tuple(int(a) for a in np.nonzero(has_exit & (denom < _OCCUPANCY_FLOOR))[0])
-    rates = np.zeros_like(numer)
-    for a in range(previous.size):
-        if not has_exit[a]:
-            continue
-        if a in degenerate:
-            rates[a] = np.abs(previous.rates[a]) * mask[a]
-            continue
-        rates[a] = np.clip(numer[a] / denom[a], RATE_MIN, RATE_MAX) * mask[a]
+    stuck = denom < _OCCUPANCY_FLOOR
+    degenerate = tuple(int(a) for a in np.nonzero(mask.any(axis=1) & stuck)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # stuck rows take no ratio
+        ratio = np.clip(numer / denom[:, None], RATE_MIN, RATE_MAX)
+    rates = np.where(stuck[:, None], np.abs(previous.rates), ratio) * mask
     return validate_generator(rates, mask), degenerate
 
 
@@ -363,9 +366,11 @@ def _empirical_bin_frequencies(
 
 
 def _apply_terminal_intervention(
-    table: EmissionTable, feature: int, epsilon: float
+    table: EmissionTable, feature: int | None, epsilon: float
 ) -> EmissionTable:
-    """Pin the intervention indicator: certain in the last state, absent before."""
+    """Pin the intervention indicator, if any: certain in the last state, absent before."""
+    if feature is None:
+        return table
     if not (0 <= feature < table.n_features and table.tables[feature].shape[1] == 2):
         raise InvariantViolation(f"terminal intervention feature {feature} is not a binary feature")
     pinned = np.tile([1.0 - epsilon, epsilon], (table.n_states, 1))
@@ -391,21 +396,19 @@ def _random_start(
     noise = np.hstack([rng.uniform(-1.0, 1.0, size=(n_states, j)) for j in bin_counts])
     table = base_freqs * (1.0 + 0.2 * noise)
     table = table / feature_totals(table, bin_counts)
-    emissions = EmissionTable(tables=tuple(split_features(table, bin_counts)))
-    if config.terminal_intervention_feature is not None:
-        emissions = _apply_terminal_intervention(
-            emissions, config.terminal_intervention_feature, config.smoothing
-        )
+    emissions = _apply_terminal_intervention(
+        EmissionTable(tables=tuple(split_features(table, bin_counts))),
+        config.terminal_intervention_feature, config.smoothing,
+    )
     return SubtypeModel(initial=pi, generator=generator, emissions=emissions)
 
 
 def _m_step(stats: SufficientStats, config: EmConfig) -> tuple[SubtypeModel, tuple[int, ...]]:
     """All three closed-form updates; also returns the degenerate states."""
-    emissions = m_step_emissions(stats, config.smoothing)
-    if config.terminal_intervention_feature is not None:
-        emissions = _apply_terminal_intervention(
-            emissions, config.terminal_intervention_feature, config.smoothing
-        )
+    emissions = _apply_terminal_intervention(
+        m_step_emissions(stats, config.smoothing),
+        config.terminal_intervention_feature, config.smoothing,
+    )
     pi = m_step_initial(stats)
     generator, degenerate = m_step_generator(stats)
     return SubtypeModel(initial=pi, generator=generator, emissions=emissions), degenerate
@@ -540,15 +543,15 @@ def _best_restart(
     return best
 
 
-def _fit_prepared(
+def _fit_sets(
     cohort: _Cohort,
-    n_states: int,
-    bin_counts: tuple[int, ...],
+    start_sets: list[list[tuple[np.ndarray, SubtypeModel]]],
     config: EmConfig,
-) -> tuple[SubtypeModel, FitDiagnostics]:
-    """EM with seeded restarts on a prepared cohort, all restarts in lockstep."""
-    fits = _restarts(cohort, np.arange(len(cohort)), n_states, bin_counts, config)
-    return _best_restart(_run_em(cohort, fits, config))
+) -> list[tuple[SubtypeModel, FitDiagnostics]]:
+    """Each set's :func:`_best_restart`, in set order (the first set of failed fits raises),
+    from one lockstep :func:`_run_em` over every (members, start model) fit of every set."""
+    outcomes = iter(_run_em(cohort, [fit for fits in start_sets for fit in fits], config))
+    return [_best_restart([next(outcomes) for _ in fits]) for fits in start_sets]
 
 
 def fit_disease_model(
@@ -582,4 +585,5 @@ def fit_disease_model(
         Best model over restarts by final log-likelihood, plus the trace.
     """
     cohort, bin_counts = _prepare_cohort(trajectories, config, bin_counts)
-    return _fit_prepared(cohort, n_states, bin_counts, config)
+    fits = _restarts(cohort, np.arange(len(cohort)), n_states, bin_counts, config)
+    return _fit_sets(cohort, [fits], config)[0]

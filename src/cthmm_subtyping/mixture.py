@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .emissions import BinningScheme, feature_totals
-from .errors import InvariantViolation, SubtypingError, TooFewPatients
+from .errors import InvariantViolation, TooFewPatients
 from .inference import SubtypeModel, Trajectory, _Cohort, forward_filter
-from .learning import EmConfig, _best_restart, _bin_counts, _prepare_cohort, _restarts, _run_em
+from .learning import EmConfig, _bin_counts, _fit_sets, _prepare_cohort, _restarts
 
 
 @dataclass
@@ -209,22 +209,13 @@ def fit_mixture(
         # every restart of every subtype in the first round, then one warm
         # refit per subtype.
         groups = [np.nonzero(assignments == m)[0] for m in range(n_subtypes)]
-        if not models:
-            fits = [
-                fit
-                for m, members in enumerate(groups)
-                for fit in _restarts(cohort, members, n_states, bin_counts,
-                                     replace(config, seed=config.seed + m))
-            ]
-            outcomes = _run_em(cohort, fits, config)
-            per_subtype = config.restarts
-            fitted = [_best_restart(outcomes[m * per_subtype : (m + 1) * per_subtype])
-                      for m in range(n_subtypes)]
+        if models:
+            start_sets = [[(members, model)] for members, model in zip(groups, models)]
         else:
-            fitted = _run_em(cohort, list(zip(groups, models)), config)
-            for outcome in fitted:
-                if isinstance(outcome, SubtypingError):
-                    raise outcome  # the lowest failing subtype, as one at a time
+            start_sets = [_restarts(cohort, members, n_states, bin_counts,
+                                    replace(config, seed=config.seed + m))
+                          for m, members in enumerate(groups)]
+        fitted = _fit_sets(cohort, start_sets, config)
         models = [model for model, _ in fitted]
         with np.errstate(divide="ignore"):
             log_prior = float(np.log(prior)[assignments].sum())

@@ -25,7 +25,7 @@ from .ctmc import GeneratorMatrix, validate_generator
 from .emissions import MISSING, BinningScheme, EmissionTable
 from .errors import InvariantViolation, NonPositiveInterval
 from .inference import SubtypeModel, Trajectory
-from .learning import _apply_terminal_intervention, structure_mask
+from .learning import _apply_terminal_intervention, _checked_seed, structure_mask
 from .mixture import MixtureModel
 
 
@@ -36,15 +36,12 @@ class ObservationTimeConfig:
     min_observations: int = 5
     max_observations: int = 40
     mean_gap: float = 1.0
-    start: float = 0.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.min_observations <= self.max_observations:
             raise InvariantViolation("observation count range is empty")
         if not 0 < self.mean_gap < math.inf:  # also rejects NaN
             raise InvariantViolation(f"mean gap must be finite and > 0, got {self.mean_gap}")
-        if not math.isfinite(self.start):
-            raise InvariantViolation(f"start time must be finite, got {self.start}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +121,8 @@ def sample_hidden_path(
     if not 0 < horizon < math.inf:  # also rejects NaN
         raise NonPositiveInterval(f"horizon must be finite and > 0, got {horizon}")
     p = _initial_law(initial, generator.size)
+    if not isinstance(seed, np.random.Generator):
+        _checked_seed(seed)
     rng = np.random.default_rng(seed)
     uniform, exponential = rng.random, rng.standard_exponential
     rates = generator.rates
@@ -166,6 +165,8 @@ def sample_trajectory(
     if not 0 <= missing_rate <= 1:
         raise InvariantViolation("missing rate must lie in [0, 1]")
 
+    if not isinstance(seed, np.random.Generator):
+        _checked_seed(seed)
     rng = np.random.default_rng(seed)
     horizon = float(obs_times[-1] - obs_times[0])
     if horizon > 0:
@@ -200,7 +201,7 @@ def sample_cohort(
     if n_patients < 1:
         raise InvariantViolation("need at least one patient")
     time_config = time_config or ObservationTimeConfig()
-    streams = np.random.SeedSequence(seed).spawn(n_patients)
+    streams = np.random.SeedSequence(_checked_seed(seed)).spawn(n_patients)
     prior = _cdf(mixture.prior).tolist()
 
     trajectories = []
@@ -213,7 +214,7 @@ def sample_cohort(
             rng.integers(time_config.min_observations, time_config.max_observations + 1)
         )
         gaps = rng.exponential(time_config.mean_gap, size=n_obs - 1)
-        times = time_config.start + np.concatenate([[0.0], np.cumsum(gaps)])
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
         trajectory, hidden = sample_trajectory(
             mixture.models[label], times, missing_rate, rng, patient_id=f"p{i:05d}"
         )
@@ -245,7 +246,7 @@ def random_mixture(
     direction, so both the static bin distributions and their progression
     distinguish the subtypes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     models = []
     for m in range(n_subtypes):
         mask = structure_mask(structure, n_states)
@@ -262,11 +263,9 @@ def random_mixture(
                 peak = (peak + m) % bins
                 table[k, peak] = 0.8
             tables.append(table / table.sum(axis=1, keepdims=True))
-        emissions = EmissionTable(tables=tuple(tables))
-        if terminal_intervention_feature is not None:
-            emissions = _apply_terminal_intervention(
-                emissions, terminal_intervention_feature, smoothing
-            )
+        emissions = _apply_terminal_intervention(
+            EmissionTable(tables=tuple(tables)), terminal_intervention_feature, smoothing
+        )
 
         initial = np.full(n_states, 0.1 / max(n_states - 1, 1))
         initial[0] = 0.9

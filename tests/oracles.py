@@ -740,7 +740,7 @@ def choice_cohort(mixture_model, n_patients, time_config, missing_rate=0.0, seed
             rng.integers(time_config.min_observations, time_config.max_observations + 1)
         )
         gaps = rng.exponential(time_config.mean_gap, size=n_obs - 1)
-        times = time_config.start + np.concatenate([[0.0], np.cumsum(gaps)])
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
         trajectory, hidden = choice_trajectory(
             mixture_model.models[label], times, missing_rate, rng, patient_id=f"p{i:05d}"
         )

@@ -662,6 +662,27 @@ class TestRunSettings:
         ]
         assert not (tmp_path / "out.csv").exists()
 
+@pytest.mark.parametrize("source", ["config", "model"])
+def test_fractional_bins_fail_at_load(fuzz_dir, tmp_path, source):
+    name = "config.json" if source == "config" else "model.json"
+    payload = json.loads((fuzz_dir / name).read_text())
+    features = payload["features"] if source == "config" else payload["scheme"]
+    features[0]["bins"] = 3.9
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    if source == "config":
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["report", "--model", str(path), "--out", str(out)]
+    code, err = _run_cli(argv)
+    assert code == 1
+    # A model file's errors name the file first.
+    assert len(err) == 1 and err[0].startswith("error InvariantViolation: ")
+    assert err[0].endswith("feature 'heart_rate': bins 3.9 is not an integer")
+    assert not out.exists()
+
+
 def _assert_clean_exit(code, err):
     assert code in (0, 1)
     if code == 0:

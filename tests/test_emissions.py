@@ -118,6 +118,16 @@ class TestDiscretize:
             with pytest.raises(InvariantViolation):
                 FeatureBinning(name="x", lower=lower, upper=upper, bins=5)
 
+    @pytest.mark.parametrize("bins", [2.7, 3.0, "5", True, None])
+    def test_non_integer_bins_rejected(self, bins):
+        # 2.7 used to truncate to two bins.
+        with pytest.raises(InvariantViolation, match="feature 'x': bins .* is not an integer"):
+            FeatureBinning(name="x", lower=0.0, upper=1.0, bins=bins)
+
+    def test_numpy_integer_bins_become_ints(self):
+        binning = FeatureBinning(name="x", lower=0.0, upper=1.0, bins=np.int64(3))
+        assert type(binning.bins) is int and binning.bins == 3
+
 
 class TestEmissionTable:
     def test_rows_must_sum_to_one(self):

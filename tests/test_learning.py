@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -19,12 +20,17 @@ from cthmm_subtyping import (
     end_conditioned_stats,
     fit_disease_model,
     full_mask,
+    grid_evaluate,
     left_to_right_mask,
     m_step_emissions,
     m_step_generator,
     m_step_initial,
     quantize_gaps,
+    random_mixture,
     sample_cohort,
+    sample_hidden_path,
+    sample_trajectory,
+    split_cohort,
     transition_matrix,
     validate_generator,
 )
@@ -44,6 +50,7 @@ from conftest import (
     random_observations,
     random_times,
     separated_mixture,
+    simple_scheme,
 )
 import oracles
 from oracles import enumerate_posteriors, forward_backward_batch
@@ -284,6 +291,23 @@ class TestMStepGenerator:
         kept, degenerate = m_step_generator(stats)
         assert kept.rates[0, 1] == 0.7
         assert degenerate == (0,)
+
+    @pytest.mark.parametrize("structure", ["full", "left-to-right"])
+    def test_nan_statistics_rejected(self, structure):
+        mask = structure_mask(structure, 3)
+        previous = validate_generator(np.full((3, 3), 0.4) * mask, mask)
+        pair_counts = np.ones((1, 3, 3))
+        pair_counts[0, 0, 1] = np.nan
+        stats = SufficientStats(
+            gaps=np.array([1.0]),
+            pair_counts=pair_counts,
+            gamma_initial=np.ones(3),
+            emission_counts=np.zeros((3, 2)),
+            bin_counts=(2,),
+            generator=previous,
+        )
+        with pytest.raises(InvariantViolation, match="off-diagonal rates must be finite"):
+            m_step_generator(stats)
 
     def test_hand_built_statistics_build_their_kernels(self):
         rng = np.random.default_rng(12)
@@ -719,6 +743,44 @@ class TestEmConfig:
         config = EmConfig(max_iterations=2, restarts=1, terminal_intervention_feature=feature)
         with pytest.raises(InvariantViolation, match="is not a binary feature"):
             fit_disease_model(cohort, 2, config, bin_counts=(2, 2))
+
+
+def _seeded_entry_points():
+    """Each public function that takes a seed, as a function of that seed."""
+    rng = np.random.default_rng(3)
+    model = random_model(rng, 2, (3,))
+    mixture = MixtureModel((model,), np.ones(1), np.empty(0, dtype=int), [])
+    cohort = [Trajectory(f"p{i}", random_times(rng, 4), random_observations(rng, 4, (3,)))
+              for i in range(4)]
+    config = EmConfig(restarts=1, max_iterations=2)
+    return {
+        "split_cohort": lambda seed: split_cohort(cohort, 0.5, seed),
+        "grid_evaluate": lambda seed: grid_evaluate(cohort, [1], [1], config, 0.5, split_seed=seed),
+        "sample_cohort": lambda seed: sample_cohort(mixture, 3, seed=seed),
+        "random_mixture": lambda seed: random_mixture(1, 2, simple_scheme(), seed=seed),
+        "sample_hidden_path":
+            lambda seed: sample_hidden_path(model.generator, model.initial, 1.0, seed),
+        "sample_trajectory": lambda seed: sample_trajectory(model, np.arange(3.0), 0.0, seed),
+    }
+
+
+_SEEDED = _seeded_entry_points()
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("entry", sorted(_SEEDED))
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (2.5, "seed must be an integer, got 2.5"),
+        ("7", "seed must be an integer, got '7'"),
+    ], ids=["negative", "fractional", "string"])
+    def test_bad_seed_is_an_invariant_violation(self, entry, seed, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            _SEEDED[entry](seed)
+
+    @pytest.mark.parametrize("entry", sorted(_SEEDED))
+    def test_numpy_integer_seed_accepted(self, entry):
+        _SEEDED[entry](np.uint8(1))
 
 
 class TestStructureMask:

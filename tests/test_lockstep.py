@@ -21,6 +21,7 @@ from cthmm_subtyping import (
     Trajectory,
     e_step,
     emissions,
+    fit_disease_model,
     fit_mixture,
     inference,
     learning,
@@ -32,7 +33,7 @@ from cthmm_subtyping.inference import _Cohort, _pack
 from cthmm_subtyping.learning import (
     _best_restart,
     _e_steps,
-    _fit_prepared,
+    _fit_sets,
     _prepare_cohort,
     _restarts,
     _run_em,
@@ -101,7 +102,8 @@ class TestLockstepMatchesSerial:
         config = EmConfig(max_iterations=10, restarts=4, delta_quantization=quantization)
         trajectories = _cohort(8, MIXED_LENGTHS)
         cohort, bins = _prepare_cohort(trajectories, config, BINS)
-        best = _fit_prepared(cohort, 3, bins, config)
+        fits = _restarts(cohort, np.arange(len(cohort)), 3, bins, config)
+        (best,) = _fit_sets(cohort, [fits], config)
         if quantization is not None:
             trajectories = quantize_by_trajectory(trajectories, quantization)
         reference = serial_fit_prepared(trajectories, 3, bins, config)
@@ -231,6 +233,27 @@ def _impossible_model(rng):
     return SubtypeModel(initial=model.initial, generator=model.generator, emissions=emissions)
 
 
+def _rule_out_bins(monkeypatch, bin_of):
+    """Start models that give bin ``bin_of(config, rng)`` of feature 0 no mass.
+
+    ``rng`` has made the start's own draws; a None bin leaves the start as drawn.
+    """
+    random_start = learning._random_start
+
+    def ruling_out(n_states, bin_counts, config, rng, base_freqs, rate_scale):
+        model = random_start(n_states, bin_counts, config, rng, base_freqs, rate_scale)
+        ruled_out = bin_of(config, rng)
+        if ruled_out is None:
+            return model
+        table = model.emissions.tables[0].copy()
+        table[:, ruled_out] = 0.0
+        emissions = EmissionTable((table / table.sum(axis=1, keepdims=True),
+                                   *model.emissions.tables[1:]))
+        return SubtypeModel(initial=model.initial, generator=model.generator, emissions=emissions)
+
+    monkeypatch.setattr(learning, "_random_start", ruling_out)
+
+
 class TestFailureIsolation:
     def test_impossible_restart_scores_minus_infinity(self):
         rng = np.random.default_rng(21)
@@ -305,6 +328,44 @@ class TestFailureIsolation:
         assert type(lockstep.value) is type(serial.value)
         assert str(lockstep.value) == str(serial.value)
 
+    def test_every_restart_failing_raises_the_last_ones_error(self, monkeypatch):
+        # Patient q<r> alone shows bin r of feature 0, which restart r rules out.
+        rng = np.random.default_rng(23)
+        cohort = [Trajectory(f"q{r}", random_times(rng, 4),
+                             np.column_stack([np.full(4, r), rng.integers(0, 2, 4)]))
+                  for r in range(3)]
+        restart = iter(range(3))
+        _rule_out_bins(monkeypatch, lambda config, rng: next(restart))
+        with pytest.raises(ImpossibleTrajectory, match="patient 'q2'"):
+            fit_disease_model(cohort, 2, EmConfig(restarts=3, max_iterations=3), BINS)
+
+    def test_first_round_subtype_without_a_restart_raises_as_the_serial_loop(self, monkeypatch):
+        truth = separated_mixture(
+            [np.array([[0, 0], [1, 1]]), np.array([[2, 1], [1, 0]]), np.array([[1, 0], [2, 1]])],
+            [[0.5], [0.3], [0.4]],
+            n_bins=3,
+        )
+        cohort = sample_cohort(truth, 30, ObservationTimeConfig(min_observations=3,
+                                                                max_observations=9), seed=9).trajectories
+        config = EmConfig(max_iterations=4, restarts=3, mixture_iterations=3)
+        # Every restart of subtype 1 (seed 0 + 1) rules out a bin of its own draw.
+        ruled_out = []
+
+        def of_subtype_1(config, rng):
+            if config.seed != 1:
+                return None
+            ruled_out.append(int(rng.integers(3)))
+            return ruled_out[-1]
+
+        _rule_out_bins(monkeypatch, of_subtype_1)
+        with pytest.raises(ImpossibleTrajectory) as serial:
+            serial_fit_mixture(cohort, 3, 2, config)
+        with pytest.raises(ImpossibleTrajectory) as lockstep:
+            fit_mixture(cohort, 3, 2, config)
+        assert ruled_out == [2, 1, 0] * 2
+        assert type(lockstep.value) is type(serial.value)
+        assert str(lockstep.value) == str(serial.value)
+
 
 @pytest.fixture
 def pass_counts(monkeypatch):
@@ -347,14 +408,14 @@ def test_one_pack_per_active_set_and_one_pass_per_lockstep_iteration(pass_counts
                                                             max_observations=12), seed=3).trajectories
     config = EmConfig(max_iterations=15, tolerance=1e-5, restarts=2, delta_quantization=0.25)
     rounds = []
-    run_em = mixture._run_em
+    run_em = learning._run_em
 
     def recorded(trajectories, fits, config):
         outcomes = run_em(trajectories, fits, config)
         rounds.append([len(diag.trace) for _, diag in outcomes])
         return outcomes
 
-    monkeypatch.setattr(mixture, "_run_em", recorded)
+    monkeypatch.setattr(learning, "_run_em", recorded)
     fitted = fit_mixture(cohort, 2, 3, config)
     assert len(rounds[0]) == 4  # two subtypes x two restarts in one lockstep
     assert all(len(e_steps) == 2 for e_steps in rounds[1:])
