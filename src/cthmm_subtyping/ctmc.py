@@ -7,11 +7,12 @@ learner consumes.  Every result is a function of its inputs alone; the
 one thing kept between calls is a generator's eigensystem, built at
 first use and cached on its frozen :class:`GeneratorMatrix`.
 
-Both exponentials come in closed form from that one eigendecomposition
-per generator (Liu et al. 2015; Hobolth & Jensen 2011).  A generator whose
-eigenvector basis is singular or ill-conditioned, as a defective
-(Jordan-block) one is, goes through scipy's scaling-and-squaring Pade
-``expm`` instead.
+Kernels (a real product with the eigenprojectors) and interval integrals
+(summed over their gaps inside the eigenbasis) come in closed form from
+that one eigendecomposition per generator (Liu et al. 2015; Hobolth &
+Jensen 2011).  A generator whose eigenvector basis is singular or
+ill-conditioned, as a defective (Jordan-block) one is, goes through
+scipy's scaling-and-squaring Pade ``expm`` instead.
 """
 
 from __future__ import annotations
@@ -239,25 +240,15 @@ def _eigensystem(
     return values, vectors, inverse, usable
 
 
-def _matmul(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``stack @ matrix`` for complex arrays, as one real product.
-
-    A complex row read as (re_0, im_0, re_1, im_1, ...) times the real
-    form of ``matrix`` (each entry a + ib spread over the 2 x 2 block
-    [[a, b], [-b, a]]) is the complex product's row, read the same way;
-    numpy's own complex ``@`` is several times slower on these shapes.
-    One (K, K) ``matrix`` multiplies every row of the stack in a single
-    product; a stack of matrices pairs up with ``stack`` as ``@`` does.
-    """
-    real = np.empty(matrix.shape[:-2] + (2 * matrix.shape[-2], 2 * matrix.shape[-1]))
-    real[..., 0::2, 0::2] = real[..., 1::2, 1::2] = matrix.real
-    real[..., 0::2, 1::2] = matrix.imag
-    real[..., 1::2, 0::2] = -matrix.imag
-    rows = np.ascontiguousarray(stack, dtype=complex).view(float)
-    if matrix.ndim > 2:
-        return (rows @ real).view(complex)
-    product = rows.reshape(-1, rows.shape[-1]) @ real
-    return product.view(complex).reshape(stack.shape[:-1] + matrix.shape[-1:])
+def _reduce_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` one column at a time, which numpy does
+    about ten times faster on a short last axis.  A maximum is the same in
+    any order; a sum is bitwise numpy's (left to right) below 8 columns,
+    save that signed zeros sum to -0.0, while from 8 numpy sums pairwise."""
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) -> np.ndarray:
@@ -274,42 +265,46 @@ def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray
 
     ``rates`` holds M generator matrices, shape (M, K, K), ``spectrum``
     their :func:`_eigensystem`, and ``gaps`` G intervals; the result has
-    shape (M, G, K, K).  A generator with a usable eigensystem gets
-    V diag(exp(gap * values)) V^-1 for all gaps in one batched product;
-    the others share one stacked ``expm`` call.  A zero gap gives exactly
-    the identity.  Rows are renormalised when a row sum drifts from one
-    by more than 1e-12 but less than 1e-8; larger drift (or NaN) anywhere
-    in the stack raises :class:`ExpmInaccuracy` since it signals an
+    shape (M, G, K, K).  A generator with a usable eigensystem gets the
+    sum over j of exp(gap values_j) R_j, R_j = V[:, j] V^-1[j, :], as one
+    real product per gap, so no kernel depends on its stack; the others
+    share one stacked ``expm`` call.  A zero gap gives exactly the
+    identity.  Rows are renormalised when a row sum drifts from one by
+    more than 1e-12 but less than 1e-8; larger drift (or NaN) anywhere in
+    the stack raises :class:`ExpmInaccuracy` since it signals an
     ill-conditioned ``gap * Q`` product.
     """
     gaps = np.asarray(gaps, dtype=float)
     bad = ~((gaps >= 0) & (gaps < np.inf))
-    if np.any(bad):
+    if bad.any():
         raise NonPositiveInterval(f"interval must be finite and >= 0, got {gaps[bad][0]}")
     values, vectors, inverse, usable = spectrum
-    eigen = bool(np.all(usable))
+    eigen = bool(usable.all())
     if not eigen:
         values, vectors, inverse = values[usable], vectors[usable], inverse[usable]
+    n = rates.shape[-1]
+    # conj(R_j)[a, b] at [m, a, b, j]: as reals, rows Re R_j, -Im R_j.
+    projectors = np.multiply(vectors[:, :, None, :], inverse.swapaxes(1, 2)[:, None], order="C")
+    np.conjugate(projectors, out=projectors)
+    projectors = projectors.view(float).reshape(len(values), 1, n * n, 2 * n).swapaxes(2, 3)
     growth = np.exp(values[:, None, :] * gaps[:, None])
-    probs = _matmul(vectors[:, None] * growth[..., None, :], inverse[:, None]).real
+    probs = (growth.view(float)[:, :, None, :] @ projectors).reshape(growth.shape[:2] + (n, n))
     if not eigen:
         probs, closed = np.empty(rates.shape[:1] + gaps.shape + rates.shape[1:]), probs
         probs[usable] = closed
         probs[~usable] = expm(rates[~usable][:, None] * gaps[:, None, None])
-    zero = gaps == 0
-    if np.any(zero):
-        probs[:, zero] = np.eye(rates.shape[-1])
-    drift = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
-    broken = ~(drift <= _ROW_SUM_MAX) | (probs.min(axis=(-2, -1)) < -_ROW_SUM_MAX)
-    if np.any(broken):
+    probs[:, gaps == 0] = np.eye(n)
+    drift = _reduce_columns(np.maximum, np.abs(_reduce_columns(np.add, probs) - 1.0))
+    broken = ~(drift <= _ROW_SUM_MAX)
+    if not probs.min(initial=0.0) >= -_ROW_SUM_MAX:  # NaN lands here too
+        broken |= probs.min(axis=(-2, -1)) < -_ROW_SUM_MAX
+    if broken.any():
         m, g = np.argwhere(broken)[0]
-        raise ExpmInaccuracy(
-            f"matrix exponential row sums drifted by {drift[m, g]:.3e} "
-            f"for interval {gaps[g]}"
-        )
-    probs = np.clip(probs, 0.0, 1.0)
+        raise ExpmInaccuracy(f"matrix exponential row sums drifted by {drift[m, g]:.3e} "
+                             f"for interval {gaps[g]}")
+    np.clip(probs, 0.0, 1.0, out=probs)
     renormalise = drift > _ROW_SUM_TOL
-    if np.any(renormalise):
+    if renormalise.any():
         probs[renormalise] /= probs[renormalise].sum(axis=-1, keepdims=True)
     return probs
 
@@ -328,19 +323,20 @@ def transition_matrix(generator: GeneratorMatrix, interval: float) -> Transition
 def _interval_integral(
     rates: np.ndarray, spectrum: tuple, blocks: np.ndarray, intervals: np.ndarray
 ) -> np.ndarray:
-    """integral over s in (0, delta_i) of expm(s Q) B_i expm((delta_i - s) Q).
+    """(n, n) sum over i of the integral over (0, delta_i) of expm(s Q) B_i expm((delta_i - s) Q).
 
     ``rates`` is one generator Q, ``spectrum`` its ``_eigensystem(rates[None])``
     (a generator's cached :attr:`GeneratorMatrix.spectrum`), ``blocks``
-    has shape (B, n, n) and ``intervals`` shape (B,).  With a
-    usable eigensystem Q = V diag(values) V^-1 each integral is
-    V [(V^-1 B_i V) * Phi_i] V^-1, where Phi_i[j, k] integrates
+    has shape (B, n, n) and ``intervals`` shape (B,).  With a usable
+    eigensystem Q = V diag(values) V^-1 the sum is
+    V [sum_i (V^-1 B_i V) * Phi_i] V^-1, where Phi_i[j, k] integrates
     exp(s values_j + (delta_i - s) values_k) over (0, delta_i).  Otherwise
-    each is the upper-right block of the exponential of the augmented
-    matrix [[Q, B_i], [0, Q]] * delta_i, which needs no diagonalisability;
-    all B exponentials are then one stacked ``expm`` call.
+    it sums the upper-right blocks of the exponentials of the augmented
+    matrices [[Q, B_i], [0, Q]] * delta_i, which need no diagonalisability,
+    all B in one stacked ``expm`` call.
     """
     values, vectors, inverse, usable = spectrum
+    n = rates.shape[0]
     if usable[0]:
         values, vectors, inverse = values[0], vectors[0], inverse[0]
         # For j != k, Phi_jk is the divided difference (E_j - E_k) /
@@ -352,7 +348,6 @@ def _interval_integral(
         # complex exp and expm1 are scalar loops that run faster on real
         # arguments, so the fewer of them, the less a fit's cost depends on
         # its spectrum.  Phi is symmetric.
-        n = len(values)
         growth = np.exp(np.multiply.outer(intervals, values))
         j, k = np.triu_indices(n, 1)
         split = values[j] - values[k]
@@ -369,33 +364,30 @@ def _interval_integral(
         phi = np.empty((len(intervals), n, n), dtype=complex)
         phi[:, j, k] = phi[:, k, j] = pairs
         phi[:, range(n), range(n)] = intervals[:, None] * growth
-        # Left products go through transposes: U X = (X^T U^T)^T.
-        eigenbasis = _matmul(_matmul(blocks, vectors).swapaxes(1, 2), inverse.T).swapaxes(1, 2)
-        weighted = _matmul(eigenbasis * phi, inverse)
-        return _matmul(weighted.swapaxes(1, 2), vectors.T).swapaxes(1, 2).real
+        # C[a, b, j, k] = sum_i B_i[a, b] Phi_i[j, k], as one real product.
+        sums = (blocks.reshape(-1, n * n).T @ phi.reshape(-1, n * n).view(float)).view(complex)
+        summed = np.einsum("ja,bk,abjk->jk", inverse, vectors, sums.reshape((n,) * 4))
+        return (vectors @ summed @ inverse).real
     # The integral is linear in B_i.  Scaling each block to unit size keeps
     # a huge block from forcing extra squarings, which would cost the Q
     # blocks their relative accuracy.
     scale = np.abs(blocks).max(axis=(1, 2), initial=0.0)
     scale = np.where(scale > 0, scale, 1.0)[:, None, None]
-    n = rates.shape[0]
     aug = np.zeros((blocks.shape[0], 2 * n, 2 * n))
-    aug[:, :n, :n] = rates
-    aug[:, n:, n:] = rates
+    aug[:, :n, :n] = aug[:, n:, n:] = rates
     aug[:, :n, n:] = blocks / scale
-    return expm(aug * intervals[:, None, None])[:, :n, n:] * scale
+    return (expm(aug * intervals[:, None, None])[:, :n, n:] * scale).sum(axis=0)
 
 
 def end_conditioned_stats(generator: GeneratorMatrix, interval: float) -> EndConditionedStats:
     """Expected jump counts and sojourn times conditioned on both endpoints.
 
     For every endpoint pair (a, b) with P_ab(interval) >= P_FLOOR this
-    divides the joint expectations (one augmented-matrix exponential per
-    unit block, all in one stacked call) by the endpoint probability;
-    pairs below the floor are reported as zero rather than dividing by a
-    vanishing number.  This is the per-endpoint-pair reference; the EM
-    generator update aggregates the same quantities over all gaps without
-    forming these tensors.
+    divides the joint expectations (one :func:`_interval_integral` per
+    unit block) by the endpoint probability; pairs below the floor are
+    reported as zero rather than dividing by a vanishing number.  This is
+    the per-endpoint-pair reference; the EM generator update aggregates
+    the same quantities over all gaps without forming these tensors.
     """
     interval = float(interval)
     if not 0 < interval < np.inf:
@@ -409,8 +401,8 @@ def end_conditioned_stats(generator: GeneratorMatrix, interval: float) -> EndCon
     # block E_cd per (c, d).  Its c == d slices are the sojourn integrands,
     # and scaled by q_cd the others are the jump integrands.
     units = np.eye(n * n).reshape(n * n, n, n)
-    joint = _interval_integral(rates, generator.spectrum, units, np.full(n * n, interval))
-    joint = joint.reshape(n, n, n, n).transpose(2, 3, 0, 1)
+    joint = np.stack([_interval_integral(rates, generator.spectrum, unit, np.array([interval]))
+                      for unit in units[:, None]]).reshape(n, n, n, n).transpose(2, 3, 0, 1)
     joint_sojourn = np.einsum("abcc->abc", joint)
     joint_transitions = joint * np.where(np.eye(n, dtype=bool), 0.0, rates)
 

@@ -25,6 +25,7 @@ from .ctmc import (
     GeneratorMatrix,
     _generator_kernels,
     _read_only,
+    _reduce_columns,
     left_to_right_mask,
     sojourn_expectation,
 )
@@ -347,43 +348,42 @@ def _emission_weights(
     tables = [model.emissions for model in models]
     columns = packing.cohort.columns(tables[0].bin_counts)[packing.source]
     log_b = log_emission_matrix(tables, columns, packing.row_model)
-    shift = log_b.max(axis=-1)
+    shift = _reduce_columns(np.maximum, log_b)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     return np.exp(log_b - shift[:, None]), shift
 
 
-def _forward(
-    models: list[SubtypeModel], packing: _Packing
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _forward(models: list[SubtypeModel], packing: _Packing) -> tuple[np.ndarray, ...]:
     """The scaled forward recursion over a packed batch of pairs.
 
     All models must share the state count.  Returns the kernels (G, K, K),
-    the packed emission weights b (N, K), scaling constants (N) and
-    scaled alphas (N, K), and the log scaling constants (N,) in batch
-    order with their per-pair sums (B,).  A zero scale (an impossible
-    step) makes alpha NaN from there on, and the pair's log-likelihood
-    -inf.
+    those of packed rows ``sizes[0]`` on (N - B, K, K), the packed
+    emission weights b (N, K), scaling constants (N) and scaled alphas
+    (N, K), and the log scaling constants (N,) in batch order with their
+    per-pair sums (B,).  A zero scale (an impossible step) makes alpha NaN
+    from there on, and the pair's log-likelihood -inf.
     """
     kernels = _pair_kernels(models, packing)
     b, shift = _emission_weights(models, packing)
     n_first = packing.sizes[0]
+    steps = kernels[packing.slot[n_first:]]
     scale = np.empty(b.shape[0])
     alpha = np.empty(b.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         initial = np.stack([model.initial for model in models])[packing.row_model[:n_first]]
         forward = initial * b[:n_first]
-        scale[:n_first] = forward.sum(axis=-1)
+        scale[:n_first] = _reduce_columns(np.add, forward)
         alpha[:n_first] = forward / scale[:n_first, None]
         for before, start, size in packing.steps():
             here = slice(start, start + size)
-            step = kernels[packing.slot[here]]
+            step = steps[start - n_first : start - n_first + size]
             forward = (alpha[before : before + size, None, :] @ step)[:, 0, :] * b[here]
-            scale[here] = forward.sum(axis=-1)
+            scale[here] = _reduce_columns(np.add, forward)
             alpha[here] = forward / scale[here, None]
         log_scale = (np.log(scale) + shift)[packing.rows]
     possible = np.logical_and.reduceat(scale[packing.rows] > 0, packing.starts)
     total = np.add.reduceat(log_scale, packing.starts)
-    return kernels, b, scale, alpha, log_scale, np.where(possible, total, -np.inf)
+    return kernels, steps, b, scale, alpha, log_scale, np.where(possible, total, -np.inf)
 
 
 def forward_filter(
@@ -402,7 +402,7 @@ def forward_filter(
         raise InvariantViolation("models disagree on state or feature count")
     cohort = _Cohort.of(trajectories, models[0].n_features)
     packing = _pack(cohort, [np.arange(len(cohort))] * len(models))
-    _, _, _, alpha, _, log_likelihood = _forward(models, packing)
+    *_, alpha, _, log_likelihood = _forward(models, packing)
     shape = (len(models), len(cohort))
     return log_likelihood.reshape(shape), alpha[packing.rows[packing.ends - 1]].reshape(
         shape + alpha.shape[-1:]
@@ -421,18 +421,19 @@ def _forward_backward(
     with the pairwise ones xi (N - B, K, K) and the log scaling constants
     (N,), all in batch order, and the kernels (G, K, K) of ``packing.gaps``.
     """
-    kernels, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
+    kernels, steps, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
+    n_first = packing.sizes[0]
     # Dividing by NaN where a scale is zero propagates the impossibility.
     live_scale = np.where(scale > 0, scale, np.nan)
     beta = np.ones(b.shape)
     for before, start, size in reversed(packing.steps()):
         here = slice(start, start + size)
-        step = kernels[packing.slot[here]]
+        step = steps[start - n_first : start - n_first + size]
         behind = (step @ (b[here] * beta[here])[..., None])[..., 0]
         beta[before : before + size] = behind / live_scale[here, None]
 
     ends = packing.pair_rows
-    xi = kernels[packing.slot[ends]]
+    xi = steps[ends - n_first]
     xi *= alpha[packing.pair_before, :, None]
     xi *= (b[ends] * beta[ends])[:, None, :]
     xi /= live_scale[ends, None, None]

@@ -93,8 +93,7 @@ class EmConfig:
         if self.terminal_intervention_feature is not None:
             integers.append("terminal_intervention_feature")
         for name in integers:
-            if not isinstance(getattr(self, name), Integral):
-                raise InvariantViolation(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _checked_integer(name, getattr(self, name))
         _checked_seed(self.seed)
         if not self.tolerance > 0:
             raise InvariantViolation("tolerance must be positive")
@@ -129,11 +128,16 @@ class FitDiagnostics:
     degenerate_events: int = 0
 
 
+def _checked_integer(name: str, value: int) -> int:
+    """``value``, if it is an integer other than a bool; otherwise :class:`InvariantViolation`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _checked_seed(seed: int) -> int:
     """``seed``, if it is an integer >= 0; otherwise :class:`InvariantViolation`."""
-    if not isinstance(seed, Integral):
-        raise InvariantViolation(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
+    if _checked_integer("seed", seed) < 0:
         raise InvariantViolation(f"seed must be >= 0, got {seed}")
     return seed
 
@@ -308,9 +312,9 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
     ``a``, both end-conditioned under ``stats.generator`` and aggregated
     over the per-gap pair counts.  With A = counts / P(gap) (zero where P
     is below ``P_FLOOR``), the upper-right block D of
-    expm([[Q, A^T], [0, Q]] gap) gives the sojourn times on its diagonal
-    and the jumps as Q * D^T; one ``_interval_integral`` call covers every
-    distinct gap.  P(gap) is the E-step's kernel when ``stats`` carry one.
+    expm([[Q, A^T], [0, Q]] gap), summed over the gaps by one
+    ``_interval_integral`` call, gives the sojourn times on its diagonal
+    and the jumps as Q * D^T.  P(gap) is the E-step's kernel when ``stats`` carry one.
     """
     previous = stats.generator
     if previous is None:
@@ -322,7 +326,7 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
     weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
     integral = _interval_integral(
         previous.rates, previous.spectrum, weights.transpose(0, 2, 1), stats.gaps
-    ).sum(axis=0)
+    )
     numer = np.clip(previous.mask * previous.rates * integral.T, 0.0, None)
     denom = np.clip(np.diag(integral), 0.0, None)
     return numer, denom

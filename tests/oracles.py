@@ -11,7 +11,10 @@ lockstep scheduler that replaced them, not the steps; likewise the
 per-patient forecast score runs the package's own forward pass on one
 prefix at a time and pins the cohort scorer that replaced it.  The packing,
 quantization and bin counts that build the cohort layout one trajectory
-at a time pin the concatenated cohort that replaced them.  The samplers and
+at a time pin the concatenated cohort that replaced them.  The eigen closed
+forms built from complex basis products, one kernel and one integral per
+gap, pin the eigenprojector kernels and the summed interval integral that
+replaced them.  The samplers and
 the CSV writer at the end draw with one ``Generator.choice`` or
 ``Generator.exponential`` call per draw and write one row at a time, and
 so pin the random stream and the file bytes of the package's own.
@@ -34,6 +37,7 @@ from dataclasses import replace
 from cthmm_subtyping import (
     MISSING,
     DuplicateTimestamp,
+    ExpmInaccuracy,
     EmptyCohort,
     HiddenPath,
     ImpossibleTrajectory,
@@ -131,6 +135,98 @@ def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
         term = term @ matrix / n
         total = total + term
     return total
+
+
+# --------------------------------------------------------------------------
+# The eigen closed forms as the package built them before a kernel was a
+# product with the eigenprojectors and the interval integrals a sum taken in
+# the eigenbasis: complex (G, K, K) basis products, one per gap.
+
+
+def complex_matmul(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``stack @ matrix`` for complex arrays, as one real product.
+
+    A complex row read as (re_0, im_0, re_1, im_1, ...) times the real
+    form of ``matrix`` (each entry a + ib spread over the 2 x 2 block
+    [[a, b], [-b, a]]) is the complex product's row, read the same way.
+    One (K, K) ``matrix`` multiplies every row of the stack in a single
+    product; a stack of matrices pairs up with ``stack`` as ``@`` does.
+    """
+    real = np.empty(matrix.shape[:-2] + (2 * matrix.shape[-2], 2 * matrix.shape[-1]))
+    real[..., 0::2, 0::2] = real[..., 1::2, 1::2] = matrix.real
+    real[..., 0::2, 1::2] = matrix.imag
+    real[..., 1::2, 0::2] = -matrix.imag
+    rows = np.ascontiguousarray(stack, dtype=complex).view(float)
+    if matrix.ndim > 2:
+        return (rows @ real).view(complex)
+    product = rows.reshape(-1, rows.shape[-1]) @ real
+    return product.view(complex).reshape(stack.shape[:-1] + matrix.shape[-1:])
+
+
+def basis_product_kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray:
+    """``ctmc._kernels`` with V diag(exp(gap * values)) V^-1 as the closed
+    form: the same fallback, zero-gap identity, drift guard and
+    renormalisation, with numpy's own reductions."""
+    gaps = np.asarray(gaps, dtype=float)
+    values, vectors, inverse, usable = spectrum
+    eigen = bool(np.all(usable))
+    if not eigen:
+        values, vectors, inverse = values[usable], vectors[usable], inverse[usable]
+    growth = np.exp(values[:, None, :] * gaps[:, None])
+    probs = complex_matmul(vectors[:, None] * growth[..., None, :], inverse[:, None]).real
+    if not eigen:
+        probs, closed = np.empty(rates.shape[:1] + gaps.shape + rates.shape[1:]), probs
+        probs[usable] = closed
+        probs[~usable] = expm(rates[~usable][:, None] * gaps[:, None, None])
+    zero = gaps == 0
+    if np.any(zero):
+        probs[:, zero] = np.eye(rates.shape[-1])
+    drift = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
+    broken = ~(drift <= ctmc._ROW_SUM_MAX) | (probs.min(axis=(-2, -1)) < -ctmc._ROW_SUM_MAX)
+    if np.any(broken):
+        m, g = np.argwhere(broken)[0]
+        raise ExpmInaccuracy(
+            f"matrix exponential row sums drifted by {drift[m, g]:.3e} "
+            f"for interval {gaps[g]}"
+        )
+    probs = np.clip(probs, 0.0, 1.0)
+    renormalise = drift > ctmc._ROW_SUM_TOL
+    if np.any(renormalise):
+        probs[renormalise] /= probs[renormalise].sum(axis=-1, keepdims=True)
+    return probs
+
+
+def interval_integrals_by_block(spectrum: tuple, blocks: np.ndarray,
+                                intervals: np.ndarray) -> np.ndarray:
+    """The eigen route's integral of expm(s Q) B_i expm((delta_i - s) Q)
+    over (0, delta_i) for every block on its own (B, n, n): V [(V^-1 B_i V)
+    * Phi_i] V^-1 through :func:`complex_matmul`, with Phi as the package
+    builds it.  ``spectrum`` must be usable."""
+    values, vectors, inverse, usable = spectrum
+    assert usable[0]
+    values, vectors, inverse = values[0], vectors[0], inverse[0]
+    n = len(values)
+    growth = np.exp(np.multiply.outer(intervals, values))
+    j, k = np.triu_indices(n, 1)
+    split = values[j] - values[k]
+    z = np.multiply.outer(intervals, split)
+    near = np.abs(z) < 0.1
+    z = np.where(near, z, 0.0)
+    series = np.full_like(z, 1 / math.factorial(11))
+    for m in range(10, 0, -1):
+        series *= z
+        series += 1 / math.factorial(m)
+    reciprocal = np.divide(1.0, split, out=np.zeros_like(split), where=split != 0)
+    pairs = np.where(near, intervals[:, None] * growth[:, k] * series,
+                     (growth[:, j] - growth[:, k]) * reciprocal)
+    phi = np.empty((len(intervals), n, n), dtype=complex)
+    phi[:, j, k] = phi[:, k, j] = pairs
+    phi[:, range(n), range(n)] = intervals[:, None] * growth
+    # Left products go through transposes: U X = (X^T U^T)^T.
+    eigenbasis = complex_matmul(
+        complex_matmul(blocks, vectors).swapaxes(1, 2), inverse.T).swapaxes(1, 2)
+    weighted = complex_matmul(eigenbasis * phi, inverse)
+    return complex_matmul(weighted.swapaxes(1, 2), vectors.T).swapaxes(1, 2).real
 
 
 def mp_kernel_and_integral(

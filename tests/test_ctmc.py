@@ -24,7 +24,9 @@ from cthmm_subtyping import ctmc
 
 from conftest import random_generator
 from oracles import (
+    basis_product_kernels,
     conditioned_moments,
+    interval_integrals_by_block,
     mc_end_conditioned,
     mp_kernel_and_integral,
     taylor_expm,
@@ -385,7 +387,7 @@ def mpmath_errors():
         kernel, integral = mp_kernel_and_integral(q.rates, block, gap)
         ours = transition_kernels(q.rates[None], np.array([gap]))[0, 0]
         ours_integral = ctmc._interval_integral(
-            q.rates, q.spectrum, block[None], np.array([gap]))[0]
+            q.rates, q.spectrum, block[None], np.array([gap]))
         rows.append((
             np.abs(q.rates * gap).sum(axis=0).max(),
             ctmc._eigensystem(q.rates[None])[3][0],
@@ -435,6 +437,123 @@ class TestLongGaps:
                 kernel, _ = mp_kernel_and_integral(q.rates, np.zeros((k, k)), gap)
                 ours = ctmc._generator_kernels([q], np.array([gap]))[0, 0]
                 assert np.abs(ours - kernel).max() <= 1e-14, (i, gap)
+
+
+def _jordan(n_states=4):
+    """Equal rates make a Jordan block: the ``expm`` fallback."""
+    return validate_generator(np.diag(np.full(n_states - 1, 0.77), 1), left_to_right_mask(n_states))
+
+
+class TestReplacedClosedForms:
+    """The eigenprojector kernels and the interval integral summed in the
+    eigenbasis against the complex basis products they replaced, one per
+    gap, on seeded generators: K 2..8, full and left-to-right masks,
+    log-uniform rates in [1e-6, 1e3] and gaps in [1e-6, 1e4].  Kernels
+    differ by at most 4.8e-15 and summed integrals by 3.7e-14 of their
+    largest entry; the bounds leave about a factor of two."""
+
+    @staticmethod
+    def _cases(count=300, seed=2025):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            k = int(rng.integers(2, 9))
+            mask = full_mask(k) if i % 2 else left_to_right_mask(k)
+            q = validate_generator(10.0 ** rng.uniform(-6, 3, size=(k, k)) * mask, mask)
+            gaps = np.sort(10.0 ** rng.uniform(-6, 4, size=40))
+            yield q, gaps, rng.uniform(0.0, 1.0, size=(40, k, k))
+
+    def test_kernels_match_basis_products(self):
+        for q, gaps, _ in self._cases():
+            ours = ctmc._generator_kernels([q], gaps)
+            reference = basis_product_kernels(q.rates[None], q.spectrum, gaps)
+            assert np.abs(ours - reference).max() <= 1e-14
+
+    def test_summed_integrals_match_per_block_sums(self):
+        usable = 0
+        for q, gaps, blocks in self._cases():
+            if not q.spectrum[3][0]:
+                continue
+            usable += 1
+            ours = ctmc._interval_integral(q.rates, q.spectrum, blocks, gaps)
+            reference = interval_integrals_by_block(q.spectrum, blocks, gaps).sum(axis=0)
+            assert np.abs(ours - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert usable > 250
+
+    def test_kernels_are_independent_of_their_stack(self):
+        # Usable and fallback generators in one stack: every kernel is
+        # bitwise the one of its generator and gap alone.
+        rng = np.random.default_rng(26)
+        generators = [random_generator(rng, 4), _jordan(), random_generator(rng, 4)]
+        gaps = np.array([0.0, 1e-6, 0.3, 2.0, 50.0])
+        stacked = ctmc._generator_kernels(generators, gaps)
+        for m, g in np.ndindex(stacked.shape[:2]):
+            alone = ctmc._generator_kernels([generators[m]], gaps[g : g + 1])[0, 0]
+            assert np.array_equal(stacked[m, g], alone)
+
+
+class TestSummedIntegral:
+    """``_interval_integral`` returns the sum over its blocks, on both routes."""
+
+    def test_stack_is_the_sum_of_one_block_calls(self):
+        rng = np.random.default_rng(27)
+        blocks = rng.uniform(0.0, 1.0, size=(25, 4, 4))
+        intervals = 10.0 ** rng.uniform(-3, 2, size=25)
+        usable, jordan = random_generator(rng, 4), _jordan()
+        assert usable.spectrum[3][0] and not jordan.spectrum[3][0]
+        for q in (usable, jordan):
+            whole = ctmc._interval_integral(q.rates, q.spectrum, blocks, intervals)
+            parts = sum(ctmc._interval_integral(q.rates, q.spectrum, block[None], interval[None])
+                        for block, interval in zip(blocks, intervals))
+            assert whole.shape == (4, 4)
+            assert np.abs(whole - parts).max() <= 1e-13 * np.abs(parts).max()
+
+    def test_no_blocks_sum_to_zero(self):
+        rng = np.random.default_rng(28)
+        for q in (random_generator(rng, 3), _jordan(3)):
+            empty = ctmc._interval_integral(q.rates, q.spectrum, np.zeros((0, 3, 3)), np.zeros(0))
+            assert np.array_equal(empty, np.zeros((3, 3)))
+
+    def test_end_conditioned_stats_match_per_block_oracle(self):
+        rng = np.random.default_rng(29)
+        for k, interval in ((2, 0.4), (3, 1.3), (4, 7.0)):
+            q = random_generator(rng, k)
+            units = np.eye(k * k).reshape(k * k, k, k)
+            joint = interval_integrals_by_block(q.spectrum, units, np.full(k * k, interval))
+            joint = joint.reshape(k, k, k, k).transpose(2, 3, 0, 1)
+            probs = transition_matrix(q, interval).probs
+            assert probs.min() >= ctmc.P_FLOOR
+            sojourn = np.einsum("abcc->abc", joint) / probs[:, :, None]
+            jumps = joint * np.where(np.eye(k, dtype=bool), 0.0, q.rates) / probs[..., None, None]
+            stats = end_conditioned_stats(q, interval)
+            for ours, reference in ((stats.expected_sojourn, sojourn),
+                                    (stats.expected_transitions, jumps)):
+                reference = np.clip(reference, 0.0, None)
+                assert np.abs(ours - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class TestReduceColumns:
+    """The column-at-a-time reduction is numpy's ``reduce(axis=-1)``, bitwise."""
+
+    @staticmethod
+    def _rows(k, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((3, 40, k)) * 10.0 ** rng.uniform(-8, 8, size=(3, 40, k))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_maximum_at_any_width(self, k):
+        a = self._rows(k, 30 + k)
+        a[0, 0] = np.nan
+        a[0, 1, 0] = np.nan
+        a[1, 2] = -np.inf
+        a[2, 3, -1] = np.inf
+        assert np.array_equal(ctmc._reduce_columns(np.maximum, a),
+                              np.maximum.reduce(a, axis=-1), equal_nan=True)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_sum_below_eight_columns(self, k):
+        # From eight columns on numpy sums pairwise, so only these widths are pinned.
+        a = self._rows(k, 40 + k)
+        assert np.array_equal(ctmc._reduce_columns(np.add, a), np.add.reduce(a, axis=-1))
 
 
 class TestEndConditionedStats:

@@ -733,6 +733,16 @@ class TestEmConfig:
         )
         assert (config.max_iterations, config.restarts) == (3, 2)
 
+    @pytest.mark.parametrize("name", [
+        "max_iterations", "restarts", "mixture_iterations", "seed",
+        "terminal_intervention_feature",
+    ])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_are_not_integers(self, name, flag):
+        # A bool is an Integral: False used to pin intervention feature 0.
+        with pytest.raises(InvariantViolation, match=f"{name} must be an integer, got {flag}"):
+            EmConfig(**{name: flag})
+
     @pytest.mark.parametrize("feature", [2, -1])
     def test_intervention_index_outside_features_rejected(self, feature):
         rng = np.random.default_rng(4)
@@ -781,6 +791,11 @@ class TestSeedCheck:
     @pytest.mark.parametrize("entry", sorted(_SEEDED))
     def test_numpy_integer_seed_accepted(self, entry):
         _SEEDED[entry](np.uint8(1))
+
+    @pytest.mark.parametrize("entry", sorted(_SEEDED))
+    def test_bool_seed_is_an_invariant_violation(self, entry):
+        with pytest.raises(InvariantViolation, match="seed must be an integer, got True"):
+            _SEEDED[entry](True)
 
 
 class TestStructureMask:
