@@ -238,7 +238,8 @@ def load_cohort(path: str | Path, scheme: BinningScheme) -> list[Trajectory]:
     table = np.frombuffer(rows).reshape(-1, 2 + scheme.n_features)
     table = table[np.lexsort((table[:, 1], table[:, 0]))]
     patient, times = table[:, 0], table[:, 1]
-    repeated = (np.diff(times) <= 0) & (np.diff(patient) == 0)
+    # Compared, not subtracted: a difference of two huge times overflows.
+    repeated = (times[1:] <= times[:-1]) & (patient[1:] == patient[:-1])
     if np.any(repeated):
         pid = list(patients)[int(patient[np.argmax(repeated)])]
         raise DuplicateTimestamp(f"{path}: duplicate timestamp for patient {pid!r}")

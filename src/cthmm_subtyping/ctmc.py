@@ -251,7 +251,7 @@ def _reduce_columns(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) -> np.ndarray:
+def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) -> tuple:
     """:func:`_kernels` of M generator objects, from their cached spectra."""
     if len(generators) == 1:
         return _kernels(generators[0].rates[None], generators[0].spectrum, gaps)
@@ -260,7 +260,7 @@ def _generator_kernels(generators: Sequence[GeneratorMatrix], gaps: np.ndarray) 
                     tuple(np.concatenate(parts) for parts in spectra), gaps)
 
 
-def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray:
+def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> tuple:
     """Interval transition probabilities ``expm(gap * Q)`` for every pair.
 
     ``rates`` holds M generator matrices, shape (M, K, K), ``spectrum``
@@ -270,9 +270,11 @@ def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray
     real product per gap, so no kernel depends on its stack; the others
     share one stacked ``expm`` call.  A zero gap gives exactly the
     identity.  Rows are renormalised when a row sum drifts from one by
-    more than 1e-12 but less than 1e-8; larger drift (or NaN) anywhere in
-    the stack raises :class:`ExpmInaccuracy` since it signals an
-    ill-conditioned ``gap * Q`` product.
+    more than 1e-12 but less than 1e-8; larger drift (or NaN) signals an
+    ill-conditioned ``gap * Q`` product and breaks that generator alone:
+    its kernels are all NaN, and its entry of the returned list of
+    failures, None for a sound one, is an :class:`ExpmInaccuracy` naming
+    its first broken gap.
     """
     gaps = np.asarray(gaps, dtype=float)
     bad = ~((gaps >= 0) & (gaps < np.inf))
@@ -298,25 +300,35 @@ def _kernels(rates: np.ndarray, spectrum: tuple, gaps: np.ndarray) -> np.ndarray
     broken = ~(drift <= _ROW_SUM_MAX)
     if not probs.min(initial=0.0) >= -_ROW_SUM_MAX:  # NaN lands here too
         broken |= probs.min(axis=(-2, -1)) < -_ROW_SUM_MAX
+    failures = [None] * len(probs)
     if broken.any():
-        m, g = np.argwhere(broken)[0]
-        raise ExpmInaccuracy(f"matrix exponential row sums drifted by {drift[m, g]:.3e} "
-                             f"for interval {gaps[g]}")
+        for m in np.flatnonzero(broken.any(axis=1)):
+            g = broken[m].argmax()
+            failures[m] = ExpmInaccuracy(f"matrix exponential row sums drifted by "
+                                         f"{drift[m, g]:.3e} for interval {gaps[g]}")
+            probs[m] = np.nan
     np.clip(probs, 0.0, 1.0, out=probs)
     renormalise = drift > _ROW_SUM_TOL
     if renormalise.any():
         probs[renormalise] /= probs[renormalise].sum(axis=-1, keepdims=True)
-    return probs
+    return probs, failures
+
+
+def _checked(result, failures: list):
+    """``result``, unless its :func:`_kernels` ``failures`` hold one: the first is raised."""
+    if any(failures):
+        raise next(filter(None, failures))
+    return result
 
 
 def transition_matrix(generator: GeneratorMatrix, interval: float) -> TransitionMatrix:
     """Interval transition probabilities for one generator and one gap.
 
     The single-matrix case of :func:`_kernels`, with the same
-    renormalisation and drift guard.
+    renormalisation; past the drift guard it raises :class:`ExpmInaccuracy`.
     """
     interval = float(interval)
-    probs = _generator_kernels([generator], np.array([interval]))[0, 0]
+    probs = _checked(*_generator_kernels([generator], np.array([interval])))[0, 0]
     return TransitionMatrix(probs=probs, interval=interval)
 
 

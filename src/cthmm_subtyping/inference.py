@@ -23,6 +23,7 @@ import numpy as np
 
 from .ctmc import (
     GeneratorMatrix,
+    _checked,
     _generator_kernels,
     _read_only,
     _reduce_columns,
@@ -66,9 +67,14 @@ class Trajectory:
             raise InvariantViolation("trajectory needs at least one timestamp")
         if not np.all(np.isfinite(times)):
             raise InvariantViolation(f"patient {self.patient_id!r}: timestamps must be finite")
-        if not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise InvariantViolation(
                 f"patient {self.patient_id!r}: timestamps must be strictly increasing"
+            )
+        # The span bounds every gap; as Python floats it overflows to inf without a warning.
+        if not float(times[-1]) - float(times[0]) < np.inf:
+            raise InvariantViolation(
+                f"patient {self.patient_id!r}: timestamps must span a finite interval"
             )
         if obs.ndim != 2 or obs.shape[0] != times.size:
             raise InvariantViolation(
@@ -318,22 +324,24 @@ def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
     )
 
 
-def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> np.ndarray:
-    """Each model's kernels for its own distinct gaps, in the order of ``packing.gaps``.
+def _pair_kernels(models: list[SubtypeModel], packing: _Packing) -> tuple:
+    """Each model's kernels for its own distinct gaps, in the order of
+    ``packing.gaps``, and each model's :func:`~.ctmc._kernels` failure.
 
     A run of models with the same members (every model of a forward
     filter, the restarts on one cohort) shares one stacked exponential;
     no model is evaluated at a gap it does not own.
     """
     n_states = models[0].n_states
-    kernels = [
-        _generator_kernels(
+    kernels, failures = [], []
+    for first, stop in zip(packing.runs, packing.runs[1:]):
+        probs, broken = _generator_kernels(
             [model.generator for model in models[first:stop]],
             packing.gaps[packing.gap_starts[first] : packing.gap_starts[first + 1]],
-        ).reshape(-1, n_states, n_states)
-        for first, stop in zip(packing.runs, packing.runs[1:])
-    ]
-    return kernels[0] if len(kernels) == 1 else np.concatenate(kernels)
+        )
+        kernels.append(probs.reshape(-1, n_states, n_states))
+        failures += broken
+    return kernels[0] if len(kernels) == 1 else np.concatenate(kernels), failures
 
 
 def _emission_weights(
@@ -356,14 +364,16 @@ def _emission_weights(
 def _forward(models: list[SubtypeModel], packing: _Packing) -> tuple[np.ndarray, ...]:
     """The scaled forward recursion over a packed batch of pairs.
 
-    All models must share the state count.  Returns the kernels (G, K, K),
-    those of packed rows ``sizes[0]`` on (N - B, K, K), the packed
-    emission weights b (N, K), scaling constants (N) and scaled alphas
-    (N, K), and the log scaling constants (N,) in batch order with their
-    per-pair sums (B,).  A zero scale (an impossible step) makes alpha NaN
-    from there on, and the pair's log-likelihood -inf.
+    All models must share the state count.  Returns the kernels (G, K, K)
+    and each model's kernel failure, the kernels of packed rows
+    ``sizes[0]`` on (N - B, K, K), the packed emission weights b (N, K),
+    scaling constants (N) and scaled alphas (N, K), and the log scaling
+    constants (N,) in batch order with their per-pair sums (B,).  A zero
+    scale (an impossible step) makes alpha NaN from there on, and the
+    pair's log-likelihood -inf; so do a broken model's NaN kernels, which
+    no other model's rows read.
     """
-    kernels = _pair_kernels(models, packing)
+    kernels, failures = _pair_kernels(models, packing)
     b, shift = _emission_weights(models, packing)
     n_first = packing.sizes[0]
     steps = kernels[packing.slot[n_first:]]
@@ -383,7 +393,7 @@ def _forward(models: list[SubtypeModel], packing: _Packing) -> tuple[np.ndarray,
         log_scale = (np.log(scale) + shift)[packing.rows]
     possible = np.logical_and.reduceat(scale[packing.rows] > 0, packing.starts)
     total = np.add.reduceat(log_scale, packing.starts)
-    return kernels, steps, b, scale, alpha, log_scale, np.where(possible, total, -np.inf)
+    return kernels, failures, steps, b, scale, alpha, log_scale, np.where(possible, total, -np.inf)
 
 
 def forward_filter(
@@ -397,21 +407,21 @@ def forward_filter(
     time loop runs the scaled forward recursion for all pairs.  Returns
     the log-likelihoods (M, B), -inf for an impossible trajectory, and
     the filtered state laws at each trajectory's last timestamp (M, B, K).
+    A model past the drift guard raises its :class:`ExpmInaccuracy`.
     """
     if len({(model.n_states, model.n_features) for model in models}) != 1:
         raise InvariantViolation("models disagree on state or feature count")
     cohort = _Cohort.of(trajectories, models[0].n_features)
     packing = _pack(cohort, [np.arange(len(cohort))] * len(models))
-    *_, alpha, _, log_likelihood = _forward(models, packing)
+    _, failures, *_, alpha, _, log_likelihood = _forward(models, packing)
     shape = (len(models), len(cohort))
-    return log_likelihood.reshape(shape), alpha[packing.rows[packing.ends - 1]].reshape(
-        shape + alpha.shape[-1:]
-    )
+    log_likelihood = _checked(log_likelihood, failures).reshape(shape)
+    return log_likelihood, alpha[packing.rows[packing.ends - 1]].reshape(shape + alpha.shape[-1:])
 
 
 def _forward_backward(
     models: list[SubtypeModel], packing: _Packing
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
     """Scaled forward-backward pass over a packed batch of pairs.
 
     The forward recursion of :func:`_forward`, then one backward loop over
@@ -419,9 +429,10 @@ def _forward_backward(
     posteriors need no loop and are built in place, in batch order.
     Returns the log-likelihoods (B,), the state posteriors gamma (N, K)
     with the pairwise ones xi (N - B, K, K) and the log scaling constants
-    (N,), all in batch order, and the kernels (G, K, K) of ``packing.gaps``.
+    (N,), all in batch order, the kernels (G, K, K) of ``packing.gaps``
+    and each model's kernel failure.
     """
-    kernels, steps, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
+    kernels, failures, steps, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
     n_first = packing.sizes[0]
     # Dividing by NaN where a scale is zero propagates the impossibility.
     live_scale = np.where(scale > 0, scale, np.nan)
@@ -437,7 +448,7 @@ def _forward_backward(
     xi *= alpha[packing.pair_before, :, None]
     xi *= (b[ends] * beta[ends])[:, None, :]
     xi /= live_scale[ends, None, None]
-    return log_likelihood, (alpha * beta)[packing.rows], xi, log_scale, kernels
+    return log_likelihood, (alpha * beta)[packing.rows], xi, log_scale, kernels, failures
 
 
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:
@@ -445,11 +456,12 @@ def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSu
 
     The one-pair case of the pair-packed pass.  If the trajectory has
     probability zero under the model the log-likelihood is -inf and the
-    posteriors are NaN from the impossible step onward.
+    posteriors are NaN from the impossible step onward.  A kernel past the
+    drift guard raises :class:`ExpmInaccuracy`.
     """
     packing = _pack(_Cohort.of([trajectory], model.n_features), [np.arange(1)])
-    log_likelihood, gamma, xi, log_scale, _ = _forward_backward([model], packing)
-    return PosteriorSummary(float(log_likelihood[0]), gamma, xi, log_scale)
+    log_likelihood, gamma, xi, log_scale, _, failures = _forward_backward([model], packing)
+    return PosteriorSummary(float(_checked(log_likelihood, failures)[0]), gamma, xi, log_scale)
 
 
 def trajectory_log_likelihood(model: SubtypeModel, trajectory: Trajectory) -> float:
@@ -465,7 +477,7 @@ def propagate_filter(model: SubtypeModel, filtered: np.ndarray, gaps: np.ndarray
     The gaps' kernels come from one stacked exponential; returns a (gaps,
     columns) array in the layout of :func:`~.emissions.stacked_columns`.
     """
-    states = filtered[..., None, :] @ _generator_kernels([model.generator], gaps)[0]
+    states = filtered[..., None, :] @ _checked(*_generator_kernels([model.generator], gaps))[0]
     return states[:, 0] @ model.emissions.stacked
 
 
@@ -484,7 +496,7 @@ def predictive_bin_distributions(
     future_times = np.asarray(future_times, dtype=float)
     if future_times.ndim != 1 or future_times.size < 1:
         raise InvariantViolation("future_times must be a non-empty 1-d sequence")
-    if not np.all(np.diff(future_times) > 0):
+    if not np.all(future_times[1:] > future_times[:-1]):
         raise InvariantViolation("future_times must be strictly increasing")
     t_end = prefix.times[-1]
     if not future_times[0] > t_end:

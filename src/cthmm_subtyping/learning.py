@@ -26,6 +26,7 @@ from .ctmc import (
     RATE_MAX,
     RATE_MIN,
     GeneratorMatrix,
+    _checked,
     _generator_kernels,
     _interval_integral,
     full_mask,
@@ -210,21 +211,26 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, length: int) -> np.ndarra
 
 def _e_steps(
     packing: _Packing, models: list[SubtypeModel]
-) -> list[tuple[SufficientStats, float] | ImpossibleTrajectory]:
+) -> list[tuple[SufficientStats, float] | SubtypingError]:
     """One E-step per model from one pair-packed forward-backward pass.
 
     Model m's statistics cover only its own members and its own distinct
-    gaps, so they equal those of an E-step run on it alone.  A model under
-    which a member has probability zero gets an
-    :class:`ImpossibleTrajectory` in place of its statistics; the others
-    are untouched.
+    gaps, so they equal those of an E-step run on it alone.  A model whose
+    kernels failed the drift guard gets its :class:`ExpmInaccuracy` in
+    place of its statistics, and one under which a member has probability
+    zero an :class:`ImpossibleTrajectory`; the others are untouched.  The
+    kernel failure is looked for first, since NaN kernels also make a
+    member impossible.
     """
-    log_likelihoods, gammas, xis, _, all_kernels = _forward_backward(models, packing)
+    log_likelihoods, gammas, xis, _, all_kernels, failures = _forward_backward(models, packing)
     cohort = packing.cohort
     pair_bounds = np.searchsorted(packing.pair_model, np.arange(len(models) + 1))
     row_bounds = np.append(packing.starts, gammas.shape[0])[pair_bounds]
-    out: list[tuple[SufficientStats, float] | ImpossibleTrajectory] = []
+    out: list[tuple[SufficientStats, float] | SubtypingError] = []
     for m, model in enumerate(models):
+        if failures[m] is not None:
+            out.append(failures[m])
+            continue
         pairs = slice(pair_bounds[m], pair_bounds[m + 1])
         members = packing.pair_member[pairs]
         log_likelihood = log_likelihoods[pairs]
@@ -269,12 +275,13 @@ def e_step(
     One batched forward-backward pass covers the whole cohort; its
     distinct gaps index both the transition kernels and the pair-count
     slots, and the kernels ride along on the statistics for the generator
-    update.  Raises :class:`ImpossibleTrajectory` for a trajectory with
+    update.  Raises :class:`ExpmInaccuracy` for a kernel past the drift
+    guard, and :class:`ImpossibleTrajectory` for a trajectory with
     probability zero under ``model``, whose posteriors are undefined.
     """
     cohort = _Cohort.of(trajectories, model.n_features)
     (result,) = _e_steps(_pack(cohort, [np.arange(len(cohort))]), [model])
-    if isinstance(result, ImpossibleTrajectory):
+    if isinstance(result, SubtypingError):
         raise result
     return result
 
@@ -298,7 +305,7 @@ def m_step_emissions(stats: SufficientStats, smoothing: float) -> EmissionTable:
 def m_step_initial(stats: SufficientStats) -> np.ndarray:
     """Closed-form initial-distribution update: normalised first-step posteriors."""
     total = stats.gamma_initial.sum()
-    if total <= 0:
+    if not total > 0:  # also NaN
         raise InvariantViolation("no initial-state mass accumulated")
     pi = stats.gamma_initial / total
     return pi / pi.sum()
@@ -314,14 +321,15 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
     is below ``P_FLOOR``), the upper-right block D of
     expm([[Q, A^T], [0, Q]] gap), summed over the gaps by one
     ``_interval_integral`` call, gives the sojourn times on its diagonal
-    and the jumps as Q * D^T.  P(gap) is the E-step's kernel when ``stats`` carry one.
+    and the jumps as Q * D^T.  P(gap) is the E-step's kernel when ``stats`` carry one;
+    one built here past the drift guard raises :class:`ExpmInaccuracy`.
     """
     previous = stats.generator
     if previous is None:
         raise InvariantViolation("statistics carry no generator to update")
     probs = stats.transition_probs
     if probs is None:
-        probs = _generator_kernels([previous], stats.gaps)[0]
+        probs = _checked(*_generator_kernels([previous], stats.gaps))[0]
     reachable = probs >= P_FLOOR
     weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
     integral = _interval_integral(
@@ -430,7 +438,9 @@ def _run_em(
     M-steps, when one more E-step scores the final model so it matches
     the last trace entry; the batch is repacked only when a fit leaves it.
     Returns each fit's model and diagnostics, or the
-    :class:`SubtypingError` that ended it, which leaves the others alone.
+    :class:`SubtypingError` that ended it: :func:`_e_steps` reports a
+    broken kernel or an impossible member per fit, and an M-step error
+    stays with its fit, so one fit's error leaves the others alone.
     """
     models = [model for _, model in fits]
     diagnostics = [FitDiagnostics() for _ in fits]
@@ -440,19 +450,8 @@ def _run_em(
     while active:
         if packing is None:
             packing = _pack(cohort, [fits[f][0] for f in active])
-        try:
-            results = _e_steps(packing, [models[f] for f in active])
-        except SubtypingError:
-            # An error of the shared pass (a kernel past its drift guard)
-            # belongs to one fit: pass the fits alone so it stays there.
-            results = []
-            for f in active:
-                try:
-                    results += _e_steps(_pack(cohort, [fits[f][0]]), [models[f]])
-                except SubtypingError as err:
-                    results.append(err)
         running = []
-        for f, result in zip(active, results):
+        for f, result in zip(active, _e_steps(packing, [models[f] for f in active])):
             if isinstance(result, SubtypingError):
                 outcomes[f] = result
                 continue

@@ -25,7 +25,7 @@ from .ctmc import GeneratorMatrix, validate_generator
 from .emissions import MISSING, BinningScheme, EmissionTable
 from .errors import InvariantViolation, NonPositiveInterval
 from .inference import SubtypeModel, Trajectory
-from .learning import _apply_terminal_intervention, _checked_seed, structure_mask
+from .learning import _apply_terminal_intervention, _checked_integer, _checked_seed, structure_mask
 from .mixture import MixtureModel
 
 
@@ -38,6 +38,8 @@ class ObservationTimeConfig:
     mean_gap: float = 1.0
 
     def __post_init__(self) -> None:
+        _checked_integer("min_observations", self.min_observations)
+        _checked_integer("max_observations", self.max_observations)
         if not 1 <= self.min_observations <= self.max_observations:
             raise InvariantViolation("observation count range is empty")
         if not 0 < self.mean_gap < math.inf:  # also rejects NaN
@@ -155,13 +157,8 @@ def sample_trajectory(
     patient_id: str = "synthetic",
 ) -> tuple[Trajectory, np.ndarray]:
     """Sample one trajectory at the given times; also return the hidden states."""
-    obs_times = np.asarray(obs_times, dtype=float)
-    if obs_times.ndim != 1 or obs_times.size < 1:
-        raise InvariantViolation("need at least one observation time")
-    if not np.all(np.isfinite(obs_times)):
-        raise InvariantViolation("observation times must be finite")
-    if np.any(np.diff(obs_times) <= 0):
-        raise InvariantViolation("observation times must be strictly increasing")
+    # The times pass a trajectory's own checks before anything is drawn.
+    obs_times = Trajectory(patient_id, obs_times, np.zeros((np.size(obs_times), 0), int)).times
     if not 0 <= missing_rate <= 1:
         raise InvariantViolation("missing rate must lie in [0, 1]")
 
@@ -198,7 +195,7 @@ def sample_cohort(
     seed: int = 0,
 ) -> SyntheticCohort:
     """Sample a labelled cohort from a mixture model."""
-    if n_patients < 1:
+    if _checked_integer("n_patients", n_patients) < 1:
         raise InvariantViolation("need at least one patient")
     time_config = time_config or ObservationTimeConfig()
     streams = np.random.SeedSequence(_checked_seed(seed)).spawn(n_patients)
@@ -246,6 +243,9 @@ def random_mixture(
     direction, so both the static bin distributions and their progression
     distinguish the subtypes.
     """
+    if _checked_integer("n_subtypes", n_subtypes) < 1:
+        raise InvariantViolation("need at least one subtype")
+    _checked_integer("n_states", n_states)
     rng = np.random.default_rng(_checked_seed(seed))
     models = []
     for m in range(n_subtypes):

@@ -543,9 +543,10 @@ def conditioned_moments(sample: dict, end_state: int):
 
 
 def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """``expm(gap * Q)`` for M generators (M, K, K) and G gaps, shape (M, G, K, K)."""
+    """``expm(gap * Q)`` for M generators (M, K, K) and G gaps, shape (M, G, K, K);
+    the first generator past the drift guard raises its ``ExpmInaccuracy``."""
     rates = np.asarray(rates, dtype=float)
-    return ctmc._kernels(rates, ctmc._eigensystem(rates), gaps)
+    return ctmc._checked(*ctmc._kernels(rates, ctmc._eigensystem(rates), gaps))
 
 
 def packed_posteriors(models, packing):
@@ -554,7 +555,7 @@ def packed_posteriors(models, packing):
     gaps are ``gaps[gap_starts[m]:gap_starts[m + 1]]``, ``gap_index`` holds
     each ``xi`` row's gap index into ``gaps`` and ``kernels[g]`` is the
     kernel of ``gaps[g]``."""
-    log_likelihood, gamma, xi, log_scale, kernels = inference._forward_backward(models, packing)
+    log_likelihood, gamma, xi, log_scale, kernels, _ = inference._forward_backward(models, packing)
     return SimpleNamespace(log_likelihood=log_likelihood, gamma=gamma, xi=xi, log_scale=log_scale,
                            kernels=kernels, starts=packing.starts, gaps=packing.gaps,
                            gap_starts=packing.gap_starts,

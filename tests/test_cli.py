@@ -277,6 +277,23 @@ class TestErrorSurface:
         assert len(err) == 1
         assert err[0].startswith("error ParseError: ") and "rate_bounds" in err[0]
 
+    @pytest.mark.parametrize("quantization", [None, 0.5])
+    def test_infinite_span_gives_single_error_line(self, workdir, quantization):
+        tmp, config = workdir
+        payload = json.loads(Path(config).read_text())
+        payload["em"]["delta_quantization"] = quantization
+        settings_path = tmp / "settings.json"
+        settings_path.write_text(json.dumps(payload))
+        cohort, model = tmp / "cohort.csv", tmp / "m.json"
+        cohort.write_text("patient_id,time,heart_rate,systolic_bp\n"
+                          "a,0.0,70,100\na,1.0,80,110\nb,-1e308,70,100\nb,1e308,80,110\n")
+        code, err = _run_cli(["fit", "--config", str(settings_path), "--data", str(cohort),
+                              "--out", str(model)])
+        assert code == 1
+        assert err == ["error InvariantViolation: patient 'b': "
+                       "timestamps must span a finite interval"]
+        assert not model.exists()
+
 
 def _model_and_cohort(directory):
     """A saved two-subtype model and the rows of a small cohort CSV it scores."""

@@ -237,6 +237,25 @@ class TestTransitionMatrix:
             with pytest.raises(NonPositiveInterval):
                 transition_kernels(q.rates[None], np.array(gaps))
 
+    def test_drift_breaks_only_its_own_generator(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        generators = [random_generator(rng, 4), _jordan(), random_generator(rng, 4)]
+        gaps = np.array([0.0, 0.3, 2.0])
+        alone = [ctmc._generator_kernels([g], gaps)[0] for g in generators[::2]]
+        # Only the Jordan generator takes the fallback, whose rows now drift.
+        real_expm = ctmc.expm
+        monkeypatch.setattr(ctmc, "expm", lambda a: real_expm(a) * (1.0 + 1e-6))
+        probs, failures = ctmc._generator_kernels(generators, gaps)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], ExpmInaccuracy)
+        # The broken generator's kernels are all NaN, its zero gap too.
+        assert np.isnan(probs[1]).all()
+        assert np.array_equal(probs[::2], np.concatenate(alone))
+        with pytest.raises(ExpmInaccuracy) as single:
+            transition_matrix(generators[1], 0.3)
+        assert str(failures[1]) == str(single.value)
+        assert str(single.value).endswith("for interval 0.3")
+
 
 class TestExponentialPath:
     """Which route builds a kernel: the eigensystem or the ``expm`` fallback."""
@@ -332,7 +351,7 @@ class TestCachedSpectrum:
         gaps = np.array([0.0, 0.3, 1.0, 7.5])
         for generators in ([usable], [jordan], [usable, jordan]):
             raw = transition_kernels(np.stack([g.rates for g in generators]), gaps)
-            assert np.array_equal(ctmc._generator_kernels(generators, gaps), raw)
+            assert np.array_equal(ctmc._generator_kernels(generators, gaps)[0], raw)
         rng = np.random.default_rng(25)
         blocks, intervals = rng.uniform(size=(3, 4, 4)), np.array([0.2, 1.0, 4.0])
         for q in (usable, jordan):
@@ -435,7 +454,7 @@ class TestLongGaps:
             assert np.all(q.rates.sum(axis=1) == 0.0)
             for gap in (1e6, 1e8, 1e9):
                 kernel, _ = mp_kernel_and_integral(q.rates, np.zeros((k, k)), gap)
-                ours = ctmc._generator_kernels([q], np.array([gap]))[0, 0]
+                ours = ctmc._generator_kernels([q], np.array([gap]))[0][0, 0]
                 assert np.abs(ours - kernel).max() <= 1e-14, (i, gap)
 
 
@@ -464,7 +483,7 @@ class TestReplacedClosedForms:
 
     def test_kernels_match_basis_products(self):
         for q, gaps, _ in self._cases():
-            ours = ctmc._generator_kernels([q], gaps)
+            ours = ctmc._generator_kernels([q], gaps)[0]
             reference = basis_product_kernels(q.rates[None], q.spectrum, gaps)
             assert np.abs(ours - reference).max() <= 1e-14
 
@@ -485,9 +504,9 @@ class TestReplacedClosedForms:
         rng = np.random.default_rng(26)
         generators = [random_generator(rng, 4), _jordan(), random_generator(rng, 4)]
         gaps = np.array([0.0, 1e-6, 0.3, 2.0, 50.0])
-        stacked = ctmc._generator_kernels(generators, gaps)
+        stacked, _ = ctmc._generator_kernels(generators, gaps)
         for m, g in np.ndindex(stacked.shape[:2]):
-            alone = ctmc._generator_kernels([generators[m]], gaps[g : g + 1])[0, 0]
+            alone = ctmc._generator_kernels([generators[m]], gaps[g : g + 1])[0][0, 0]
             assert np.array_equal(stacked[m, g], alone)
 
 

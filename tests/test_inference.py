@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cthmm_subtyping import (
     BinningScheme,
     DimensionMismatch,
     EmissionTable,
+    ExpmInaccuracy,
     FeatureBinning,
     ImpossibleTrajectory,
     InvariantViolation,
@@ -30,7 +32,10 @@ from cthmm_subtyping import (
     transition_matrix,
     validate_generator,
 )
+from cthmm_subtyping import ctmc
 from cthmm_subtyping.ctmc import GeneratorMatrix, TransitionMatrix
+from cthmm_subtyping.inference import propagate_filter
+from cthmm_subtyping.learning import generator_update_terms
 
 from conftest import chain_model, random_model, random_observations, random_times
 from oracles import (
@@ -67,6 +72,14 @@ class TestTrajectory:
         for times in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan]):
             with pytest.raises(InvariantViolation):
                 Trajectory("x", np.array(times), np.zeros((len(times), 1), dtype=int))
+
+    def test_requires_a_finite_span(self):
+        # Each time is finite, but a gap would overflow to inf.
+        for times in ([-1e308, 1e308], [-1e308, 0.0, 1e308]):
+            with pytest.raises(InvariantViolation, match="'x': timestamps must span a finite"):
+                Trajectory("x", np.array(times), np.zeros((len(times), 1), dtype=int))
+        wide = Trajectory("x", np.array([-8e307, 8e307]), np.zeros((2, 1), dtype=int))
+        assert np.diff(wide.times)[0] == 1.6e308
 
     def test_requires_integral_bins(self):
         too_big = np.array([[2**64 - 1]], dtype=np.uint64)  # would wrap to MISSING
@@ -471,6 +484,8 @@ class TestPredictive:
             predictive_bin_distributions(model, prefix, np.array([1.5]))
         with pytest.raises(InvariantViolation):
             predictive_bin_distributions(model, prefix, np.array([3.0, 2.5]))
+        with pytest.raises(InvariantViolation, match="strictly increasing"):
+            predictive_bin_distributions(model, prefix, np.array([1e308, -1e308]))
 
 
 class TestProgression:
@@ -507,3 +522,28 @@ class TestProgression:
         expected = sojourn_expectation(model.generator)
         assert durations[:3] == pytest.approx(list(expected[:3]))
         assert durations == pytest.approx([1.25, 4.0, 2.5, np.inf])
+
+
+class TestBrokenKernel:
+    def test_public_callers_raise_it(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        # Equal chain rates make a Jordan block, whose kernels come from
+        # the ``expm`` fallback; that fallback then drifts past the guard.
+        generator = validate_generator(np.diag([0.77, 0.77], 1), left_to_right_mask(3))
+        model = replace(random_model(rng, 3, (3, 2)), generator=generator)
+        trajectory = Trajectory("p", np.array([0.0, 0.5, 1.25]), random_observations(rng, 3, (3, 2)))
+        bare = replace(e_step(model, [trajectory])[0], transition_probs=None)
+        real_expm = ctmc.expm
+        monkeypatch.setattr(ctmc, "expm", lambda a: real_expm(a) * (1.0 + 1e-6))
+        calls = [
+            lambda: transition_matrix(generator, 0.5),
+            lambda: forward_filter([model], [trajectory]),
+            lambda: forward_backward(model, trajectory),
+            lambda: trajectory_log_likelihood(model, trajectory),
+            lambda: propagate_filter(model, model.initial, np.array([0.5, 0.75])),
+            lambda: e_step(model, [trajectory]),
+            lambda: generator_update_terms(bare),
+        ]
+        for call in calls:
+            with pytest.raises(ExpmInaccuracy, match="drifted by 1.000e-06 for interval 0.5$"):
+                call()

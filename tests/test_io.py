@@ -205,6 +205,15 @@ class TestLoadCohort:
         with pytest.raises(ParseError, match=":3:"):
             load_cohort(path, simple_scheme())
 
+    def test_infinite_span_rejected_with_patient(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text(
+            "patient_id,time,heart_rate,systolic_bp\nq,0.0,70,100\n"
+            "p,-1e308,70,100\np,1e308,80,110\n"
+        )
+        with pytest.raises(InvariantViolation, match="patient 'p': timestamps must span"):
+            load_cohort(path, simple_scheme())
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "cohort.csv"
         path.write_text("patient_id,time,heart_rate,systolic_bp\n")

@@ -206,6 +206,11 @@ class TestMStepInitial:
     def test_point_mass(self):
         assert m_step_initial(self._stats([7.0, 0.0])) == pytest.approx([1.0, 0.0])
 
+    def test_no_mass_is_rejected(self):
+        for gamma_initial in ([0.0, 0.0], [np.nan, 1.0]):
+            with pytest.raises(InvariantViolation, match="no initial-state mass"):
+                m_step_initial(self._stats(gamma_initial))
+
     def test_single_patient_returns_its_posterior(self):
         rng = np.random.default_rng(6)
         model, trajectories = _cohort(rng, 1, 3, (2,))

@@ -19,14 +19,17 @@ from cthmm_subtyping import (
     ObservationTimeConfig,
     SubtypeModel,
     Trajectory,
+    ctmc,
     e_step,
     emissions,
     fit_disease_model,
     fit_mixture,
     inference,
     learning,
+    left_to_right_mask,
     mixture,
     sample_cohort,
+    validate_generator,
 )
 from cthmm_subtyping.emissions import stacked_columns
 from cthmm_subtyping.inference import _Cohort, _pack
@@ -60,6 +63,28 @@ def _cohort(seed, lengths):
         Trajectory(f"p{i}", random_times(rng, n), random_observations(rng, n, BINS))
         for i, n in enumerate(lengths)
     ]
+
+
+def _jordan_start(rng):
+    """A 3-state start whose equal chain rates make a Jordan block, so that
+    its kernels come from the ``expm`` fallback."""
+    model = random_model(rng, 3, BINS)
+    generator = validate_generator(np.diag([0.77, 0.77], 1), left_to_right_mask(3))
+    return SubtypeModel(initial=model.initial, generator=generator, emissions=model.emissions)
+
+
+def _drifting_expm(monkeypatch):
+    """Fallback exponentials whose row sums drift by 1e-6, past the 1e-8 guard."""
+    real_expm = ctmc.expm
+    monkeypatch.setattr(ctmc, "expm", lambda a: real_expm(a) * (1.0 + 1e-6))
+
+
+def _restarts_with_a_broken_kernel():
+    """A raw-gap cohort and three restarts on it, the middle one a Jordan start."""
+    rng = np.random.default_rng(22)
+    cohort = _cohort(7, MIXED_LENGTHS)
+    starts = [random_model(rng, 3, BINS), _jordan_start(rng), random_model(rng, 3, BINS)]
+    return cohort, starts
 
 
 def _assert_same_model(model, reference):
@@ -164,6 +189,23 @@ class TestPairPackedPass:
                 together.gap_index[step : step + n_rows - n_pairs] - own.start, alone.gap_index
             )
             pair, row, step = pair + n_pairs, row + n_rows, step + n_rows - n_pairs
+
+    def test_a_broken_model_leaves_the_others_bitwise_alone(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        cohort = _cohort(5, MIXED_LENGTHS)
+        # The broken model shares its run (one kernel stack) with model 0.
+        models = [random_model(rng, 3, BINS), _jordan_start(rng), random_model(rng, 3, BINS)]
+        members = [np.arange(9), np.arange(9), np.arange(9, 14)]
+        _drifting_expm(monkeypatch)
+        results = _e_steps(_pack(_Cohort.of(cohort), members), models)
+        assert isinstance(results[1], ExpmInaccuracy)
+        for m in (0, 2):
+            (stats, ll), (expected, expected_ll) = results[m], e_step(
+                models[m], [cohort[i] for i in members[m]])
+            assert ll == expected_ll
+            for name in ("gaps", "pair_counts", "gamma_initial", "emission_counts",
+                         "transition_probs"):
+                assert np.array_equal(getattr(stats, name), getattr(expected, name)), name
 
     def test_statistics_cover_only_their_own_gaps(self):
         rng = np.random.default_rng(12)
@@ -271,24 +313,22 @@ class TestFailureIsolation:
         assert np.isfinite(diag.restart_scores[0]) and np.isfinite(diag.restart_scores[2])
 
     def test_kernel_error_of_one_restart_stays_with_it(self, monkeypatch):
-        rng = np.random.default_rng(22)
-        cohort = _cohort(7, MIXED_LENGTHS)
+        cohort, starts = _restarts_with_a_broken_kernel()
         everyone = np.arange(len(cohort))
-        starts = [random_model(rng, 2, BINS) for _ in range(3)]
         config = EmConfig(max_iterations=4)
         references = [serial_run_em(cohort, start, config) for start in starts[::2]]
         # The restarts share a cohort, so their kernels come from one
-        # stacked call; the middle one's generator fails the drift guard.
-        generator_kernels = inference._generator_kernels
-
-        def drifting(generators, gaps):
-            if any(g is starts[1].generator for g in generators):
-                raise ExpmInaccuracy("matrix exponential row sums drifted")
-            return generator_kernels(generators, gaps)
-
-        monkeypatch.setattr(inference, "_generator_kernels", drifting)
+        # stacked call; the middle one's fallback exponentials drift past
+        # the guard.
+        _drifting_expm(monkeypatch)
+        with pytest.raises(ExpmInaccuracy) as serial:
+            serial_run_em(cohort, starts[1], config)
         outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
         assert isinstance(outcomes[1], ExpmInaccuracy)
+        # Every gap drifts, so the message names the cohort's shortest one.
+        assert str(outcomes[1]) == str(serial.value)
+        shortest = min(np.diff(t.times).min() for t in cohort if t.length > 1)
+        assert str(outcomes[1]).endswith(f"for interval {shortest}")
         for outcome, reference in zip(outcomes[::2], references):
             _assert_same_fit(outcome, reference)
 
@@ -428,6 +468,19 @@ def test_one_pack_per_active_set_and_one_pass_per_lockstep_iteration(pass_counts
     # The cohort is binned once, however many packings, passes, start
     # histograms and restart sets read it.
     assert pass_counts["columns"] == {"columns": 1}
+
+
+def test_a_broken_kernel_ends_its_fit_within_the_shared_pass(pass_counts, monkeypatch):
+    cohort, starts = _restarts_with_a_broken_kernel()
+    everyone = np.arange(len(cohort))
+    config = EmConfig(max_iterations=4, tolerance=1e-12)
+    _drifting_expm(monkeypatch)
+    outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
+    assert isinstance(outcomes[1], ExpmInaccuracy)
+    assert not outcomes[0][1].converged and not outcomes[2][1].converged
+    # One pass over all three fits, then four over the two sound ones,
+    # which stop together: no fit is passed alone.
+    assert (pass_counts["pass"], pass_counts["pack"]) == (5, 2)
 
 
 def test_benchmark_mixture_job_bins_its_cohort_once(pass_counts, workloads, tmp_path):

@@ -13,13 +13,20 @@ from cthmm_subtyping import (
     SubtypeModel,
     full_mask,
     left_to_right_mask,
+    random_mixture,
     sample_cohort,
     sample_hidden_path,
     sample_trajectory,
     validate_generator,
 )
 
-from conftest import chain_model, random_emissions, random_generator, separated_mixture
+from conftest import (
+    chain_model,
+    random_emissions,
+    random_generator,
+    separated_mixture,
+    simple_scheme,
+)
 from oracles import choice_cohort, choice_hidden_path, choice_trajectory
 
 
@@ -282,6 +289,27 @@ class TestStreamOracle:
 
 
 class TestSamplerInputs:
+    @pytest.mark.parametrize("n_patients", [2.5, float("nan"), True])
+    def test_patient_count_must_be_an_integer(self, n_patients):
+        mixture = random_mixture(2, 2, simple_scheme())
+        with pytest.raises(InvariantViolation, match="n_patients must be an integer"):
+            sample_cohort(mixture, n_patients)
+
+    @pytest.mark.parametrize("counts, name", [((2.0, 2), "n_subtypes"), ((2, True), "n_states")])
+    def test_mixture_counts_must_be_integers(self, counts, name):
+        with pytest.raises(InvariantViolation, match=f"{name} must be an integer"):
+            random_mixture(*counts, simple_scheme())
+
+    def test_mixture_needs_a_subtype(self):
+        with pytest.raises(InvariantViolation, match="at least one subtype"):
+            random_mixture(0, 2, simple_scheme())
+
+    @pytest.mark.parametrize("counts, name", [((2.5, 4), "min_observations"),
+                                              ((2, 4.0), "max_observations")])
+    def test_observation_counts_must_be_integers(self, counts, name):
+        with pytest.raises(InvariantViolation, match=f"{name} must be an integer"):
+            ObservationTimeConfig(*counts)
+
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
     def test_non_finite_or_non_positive_horizon_rejected(self, horizon):
         q = _absorbing_two_state()
