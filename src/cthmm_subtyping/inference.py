@@ -128,9 +128,11 @@ class _Cohort:
 
     @cached_property
     def gaps(self) -> np.ndarray:
-        """(N - B,): one ``np.diff`` over all times without the entries that
-        cross into the next trajectory, built on first use."""
-        return np.delete(np.diff(self.times), self.starts[1:] - 1)
+        """(N - B,): every row but a trajectory's first minus the row before
+        it, built on first use; no entry subtracts across trajectories."""
+        later = np.ones(self.times.size, dtype=bool)
+        later[self.starts] = False
+        return self.times[later] - self.times[:-1][later[1:]]
 
     @classmethod
     def of(cls, trajectories: list[Trajectory] | _Cohort, n_features: int | None = None) -> _Cohort:
@@ -229,12 +231,13 @@ class _Packing:
     pairs first: step i holds the ``sizes[i]`` pairs longer than i, always
     in the same order, so those alive at a step are a prefix of those
     alive at the step before; packed row ``offsets[i] + r`` is step i of
-    the r-th of them.  ``rows[n]`` is the packed row of batch row n,
-    ``pair_rows[j]`` the packed row that ends batch pair j and
-    ``pair_before[j]`` the one that starts it.  Packed row p belongs to
-    model ``row_model[p]``, reads cohort observation row ``source[p]``,
-    and ends a pair with gap ``gaps[slot[p]]`` (rows of the first step end
-    no pair).
+    the r-th of them, and the row before it in its pair is
+    ``offsets[i - 1] + r``.  The order is a stable sort, longest first,
+    so one model's rows keep the relative order they have when that
+    model is packed alone.  ``rows[n]`` is the packed row of batch row n.
+    Packed row p belongs to model ``row_model[p]``, reads cohort
+    observation row ``source[p]``, and ends a pair with gap
+    ``gaps[slot[p]]`` (rows of the first step end no pair).
     Model m's sorted distinct gaps are
     ``gaps[gap_starts[m]:gap_starts[m + 1]]``; consecutive models with the
     same members form a run, from model ``runs[r]`` to ``runs[r + 1]``,
@@ -254,17 +257,11 @@ class _Packing:
     gaps: np.ndarray  # (G,)
     gap_starts: np.ndarray  # (M + 1,)
     runs: list[int]
-    pair_rows: np.ndarray  # (N - B,)
     slot: np.ndarray  # (N,)
 
     def steps(self) -> list[tuple[int, int, int]]:
         """(first row of the step before, first row, size) of steps 1 .. T-1."""
         return list(zip(self.offsets, self.offsets[1:], self.sizes[1:]))
-
-    @cached_property
-    def pair_before(self) -> np.ndarray:
-        """The packed row that starts each batch pair (N - B,); forward-backward only."""
-        return np.delete(self.rows, self.ends - 1)
 
 
 def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
@@ -299,9 +296,8 @@ def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
             blocks.append(gaps)
             gap_index.append(index + gap_starts[-1])
             gap_starts.append(gap_starts[-1] + gaps.size)
-    pair_rows = rows[paired]
     slot = np.zeros_like(rows)
-    slot[pair_rows] = np.concatenate(gap_index)
+    slot[rows[paired]] = np.concatenate(gap_index)
     row_model, source = np.empty_like(rows), np.empty_like(rows)
     row_model[rows] = batch_model
     source[rows] = batch_source
@@ -319,7 +315,6 @@ def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
         gaps=np.concatenate(blocks),
         gap_starts=np.array(gap_starts),
         runs=runs,
-        pair_rows=pair_rows,
         slot=slot,
     )
 
@@ -425,12 +420,13 @@ def _forward_backward(
     """Scaled forward-backward pass over a packed batch of pairs.
 
     The forward recursion of :func:`_forward`, then one backward loop over
-    time steps; each row uses the kernels of its own model.  The pairwise
-    posteriors need no loop and are built in place, in batch order.
-    Returns the log-likelihoods (B,), the state posteriors gamma (N, K)
-    with the pairwise ones xi (N - B, K, K) and the log scaling constants
-    (N,), all in batch order, the kernels (G, K, K) of ``packing.gaps``
-    and each model's kernel failure.
+    time steps; each row uses the kernels of its own model.  The loop
+    turns each step's kernels, once read, into that step's pairwise
+    posteriors in place.  Returns the log-likelihoods (B,), the state
+    posteriors gamma (N, K) and the pairwise ones xi (N - B, K, K) of
+    packed rows ``sizes[0]`` on, both in packed order, the log scaling
+    constants (N,) in batch order, the kernels (G, K, K) of
+    ``packing.gaps`` and each model's kernel failure.
     """
     kernels, failures, steps, b, scale, alpha, log_scale, log_likelihood = _forward(models, packing)
     n_first = packing.sizes[0]
@@ -440,15 +436,13 @@ def _forward_backward(
     for before, start, size in reversed(packing.steps()):
         here = slice(start, start + size)
         step = steps[start - n_first : start - n_first + size]
-        behind = (step @ (b[here] * beta[here])[..., None])[..., 0]
+        ahead = b[here] * beta[here]
+        behind = (step @ ahead[..., None])[..., 0]
         beta[before : before + size] = behind / live_scale[here, None]
-
-    ends = packing.pair_rows
-    xi = steps[ends - n_first]
-    xi *= alpha[packing.pair_before, :, None]
-    xi *= (b[ends] * beta[ends])[:, None, :]
-    xi /= live_scale[ends, None, None]
-    return log_likelihood, (alpha * beta)[packing.rows], xi, log_scale, kernels, failures
+        step *= alpha[before : before + size, :, None]
+        step *= ahead[:, None, :]
+        step /= live_scale[here, None, None]
+    return log_likelihood, alpha * beta, steps, log_scale, kernels, failures
 
 
 def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSummary:

@@ -26,8 +26,6 @@ from .ctmc import (
     RATE_MAX,
     RATE_MIN,
     GeneratorMatrix,
-    _checked,
-    _generator_kernels,
     _interval_integral,
     full_mask,
     left_to_right_mask,
@@ -56,8 +54,7 @@ class SufficientStats:
     pair (K x C) in the stacked layout of ``bin_counts``, C being their sum.
     ``generator`` is the generator the statistics were accumulated under,
     the one the generator update revises, and ``transition_probs[g]`` its
-    P(``gaps[g]``) from the E-step.  Statistics built by hand may leave the
-    kernels out; the update then builds them from ``generator``.
+    P(``gaps[g]``) from the E-step.
     """
 
     gaps: np.ndarray
@@ -65,14 +62,12 @@ class SufficientStats:
     gamma_initial: np.ndarray
     emission_counts: np.ndarray
     bin_counts: tuple[int, ...]
-    generator: GeneratorMatrix | None = None
-    transition_probs: np.ndarray | None = None
+    generator: GeneratorMatrix
+    transition_probs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.emission_counts.shape[-1] != sum(self.bin_counts):
             raise InvariantViolation("emission counts do not match their bin counts")
-        if self.generator is None and self.transition_probs is not None:
-            raise InvariantViolation("transition kernels need the generator they came from")
 
 
 @dataclass(frozen=True)
@@ -197,16 +192,22 @@ def _quantized(cohort: _Cohort, step: float) -> _Cohort:
 
 
 def _scatter_rows(index: np.ndarray, rows: np.ndarray, length: int) -> np.ndarray:
-    """``out[index[i]] += rows[i]`` for every i, as one weighted ``np.bincount``.
+    """``out[index[i]] += rows[i]`` for every i, one weighted ``np.bincount``
+    per output column.
 
     ``rows`` broadcasts to ``index.shape + (w,)``; returns (length, w).
     Each cell adds its terms in the order of i, as an unbuffered
     scatter-add does, so the sums are bitwise those of ``np.add.at``.
+    Filling one column at a time never holds more than one column's
+    broadcast weights.
     """
     width = rows.shape[-1]
-    cells = (index[..., None] * width + np.arange(width)).ravel()
-    weights = np.broadcast_to(rows, index.shape + (width,)).ravel()
-    return np.bincount(cells, weights, minlength=length * width).reshape(length, width)
+    cells = index.ravel()
+    out = np.empty((length, width))
+    for w in range(width):
+        weights = np.broadcast_to(rows[..., w], index.shape).ravel()
+        out[:, w] = np.bincount(cells, weights, minlength=length)
+    return out
 
 
 def _e_steps(
@@ -214,18 +215,30 @@ def _e_steps(
 ) -> list[tuple[SufficientStats, float] | SubtypingError]:
     """One E-step per model from one pair-packed forward-backward pass.
 
-    Model m's statistics cover only its own members and its own distinct
-    gaps, so they equal those of an E-step run on it alone.  A model whose
-    kernels failed the drift guard gets its :class:`ExpmInaccuracy` in
-    place of its statistics, and one under which a member has probability
-    zero an :class:`ImpossibleTrajectory`; the others are untouched.  The
-    kernel failure is looked for first, since NaN kernels also make a
-    member impossible.
+    The pass's posteriors stay in packed order, and each statistic of
+    every model comes from one scatter over the whole pass: emission
+    counts into (model, column) cells, initial-state counts over the
+    first step's rows by model, and pair counts into the packing's gap
+    slots, whose ranges are disjoint between models.  A model's rows keep
+    the relative order they have when it is packed alone, and its cells
+    add only its own rows, so its statistics equal those of an E-step run
+    on it alone.  A model whose kernels failed the drift guard gets its
+    :class:`ExpmInaccuracy` in place of its statistics, and one under
+    which a member has probability zero an :class:`ImpossibleTrajectory`;
+    the others are untouched.  The kernel failure is looked for first,
+    since NaN kernels also make a member impossible.
     """
-    log_likelihoods, gammas, xis, _, all_kernels, failures = _forward_backward(models, packing)
+    log_likelihoods, gamma, xi, _, kernels, failures = _forward_backward(models, packing)
     cohort = packing.cohort
+    n_first = packing.sizes[0]
+    bin_counts = models[0].emissions.bin_counts
+    width = sum(bin_counts) + 1
+    cells = packing.row_model[:, None] * width + cohort.columns(bin_counts)[packing.source]
+    counts = _scatter_rows(cells, gamma[:, None, :], len(models) * width)
+    initial = _scatter_rows(packing.row_model[:n_first], gamma[:n_first], len(models))
+    pair_counts = _scatter_rows(packing.slot[n_first:], xi.reshape(-1, models[0].n_states**2),
+                                len(kernels)).reshape(kernels.shape)
     pair_bounds = np.searchsorted(packing.pair_model, np.arange(len(models) + 1))
-    row_bounds = np.append(packing.starts, gammas.shape[0])[pair_bounds]
     out: list[tuple[SufficientStats, float] | SubtypingError] = []
     for m, model in enumerate(models):
         if failures[m] is not None:
@@ -242,26 +255,15 @@ def _e_steps(
                 f"{log_likelihood[b]} under the current model"
             ))
             continue
-        rows = slice(row_bounds[m], row_bounds[m + 1])
-        # xi has one row fewer per pair than gamma.
-        steps = slice(row_bounds[m] - pairs.start, row_bounds[m + 1] - pairs.stop)
         own = slice(packing.gap_starts[m], packing.gap_starts[m + 1])
-        gamma = gammas[rows]
-        bin_counts = model.emissions.bin_counts
-        columns = cohort.columns(bin_counts)[packing.source[packing.rows[rows]]]
-        counts = _scatter_rows(columns, gamma[:, None, :], sum(bin_counts) + 1)
-        kernels = all_kernels[own]
-        pair_counts = _scatter_rows(packing.slot[packing.pair_rows[steps]] - own.start,
-                                    xis[steps].reshape(-1, model.n_states**2),
-                                    len(kernels))
         stats = SufficientStats(
             gaps=packing.gaps[own],
-            pair_counts=pair_counts.reshape(kernels.shape),
-            gamma_initial=gamma[packing.starts[pairs] - rows.start].sum(axis=0),
-            emission_counts=np.ascontiguousarray(counts[:-1].T),
+            pair_counts=pair_counts[own],
+            gamma_initial=initial[m],
+            emission_counts=np.ascontiguousarray(counts[m * width : (m + 1) * width - 1].T),
             bin_counts=bin_counts,
             generator=model.generator,
-            transition_probs=kernels,
+            transition_probs=kernels[own],
         )
         out.append((stats, float(log_likelihood.sum())))
     return out
@@ -321,15 +323,9 @@ def generator_update_terms(stats: SufficientStats) -> tuple[np.ndarray, np.ndarr
     is below ``P_FLOOR``), the upper-right block D of
     expm([[Q, A^T], [0, Q]] gap), summed over the gaps by one
     ``_interval_integral`` call, gives the sojourn times on its diagonal
-    and the jumps as Q * D^T.  P(gap) is the E-step's kernel when ``stats`` carry one;
-    one built here past the drift guard raises :class:`ExpmInaccuracy`.
+    and the jumps as Q * D^T.  P(gap) is the E-step's kernel.
     """
-    previous = stats.generator
-    if previous is None:
-        raise InvariantViolation("statistics carry no generator to update")
-    probs = stats.transition_probs
-    if probs is None:
-        probs = _checked(*_generator_kernels([previous], stats.gaps))[0]
+    previous, probs = stats.generator, stats.transition_probs
     reachable = probs >= P_FLOOR
     weights = np.where(reachable, stats.pair_counts / np.where(reachable, probs, 1.0), 0.0)
     integral = _interval_integral(
@@ -515,7 +511,7 @@ def _restarts(
 
     Start rates are per the cohort's mean gap rounded to a power of two, so
     rescaling every time by 2^k rescales the fits exactly."""
-    if n_states < 1:
+    if _checked_integer("n_states", n_states) < 1:
         raise InvariantViolation("need at least one state")
     base_freqs = _empirical_bin_frequencies(cohort, members, bin_counts, config.smoothing)
     rate_scale = np.exp2(-np.rint(np.log2(cohort.gaps.mean()))) if cohort.gaps.size else 1.0

@@ -17,7 +17,7 @@ import numpy as np
 from .emissions import BinningScheme, feature_totals
 from .errors import InvariantViolation, TooFewPatients
 from .inference import SubtypeModel, Trajectory, _Cohort, forward_filter
-from .learning import EmConfig, _bin_counts, _fit_sets, _prepare_cohort, _restarts
+from .learning import EmConfig, _bin_counts, _checked_integer, _fit_sets, _prepare_cohort, _restarts
 
 
 @dataclass
@@ -188,7 +188,7 @@ def fit_mixture(
     the log-objective trace (one entry after every assignment pass and
     every refit pass).
     """
-    if n_subtypes < 1:
+    if _checked_integer("n_subtypes", n_subtypes) < 1:
         raise InvariantViolation(f"need at least one subtype, got {n_subtypes}")
     n = len(trajectories)
     if n < n_subtypes:

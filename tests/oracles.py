@@ -313,9 +313,10 @@ def scatter_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """E-step counts by unbuffered scatter-add, one row at a time.
 
-    ``gamma`` (n, K) and ``columns`` (n, D) are one fit's rows in batch
-    order, ``xi`` (s, K, K) its pair posteriors and ``gap_index`` (s,) their
-    gaps.  Returns the emission counts (K, n_columns), the MISSING column
+    ``gamma`` (n, K) and ``columns`` (n, D) are one fit's rows in the
+    order they are summed (packed order for the E-step), ``xi`` (s, K, K)
+    its pair posteriors and ``gap_index`` (s,) their gaps, in that order.
+    Returns the emission counts (K, n_columns), the MISSING column
     dropped, and the pair counts (n_gaps, K, K).
     """
     counts = np.zeros((n_columns + 1, gamma.shape[1]))
@@ -550,16 +551,18 @@ def transition_kernels(rates: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 
 def packed_posteriors(models, packing):
-    """The pair-packed pass's outputs by name, with the packing layout beside
-    them: pair b's rows start at ``starts[b]``, model m's sorted distinct
-    gaps are ``gaps[gap_starts[m]:gap_starts[m + 1]]``, ``gap_index`` holds
-    each ``xi`` row's gap index into ``gaps`` and ``kernels[g]`` is the
-    kernel of ``gaps[g]``."""
+    """The pair-packed pass's outputs by name, gathered back to batch order,
+    with the packing layout beside them: pair b's rows start at
+    ``starts[b]``, model m's sorted distinct gaps are
+    ``gaps[gap_starts[m]:gap_starts[m + 1]]``, ``gap_index`` holds each
+    ``xi`` row's gap index into ``gaps`` and ``kernels[g]`` is the kernel
+    of ``gaps[g]``."""
     log_likelihood, gamma, xi, log_scale, kernels, _ = inference._forward_backward(models, packing)
-    return SimpleNamespace(log_likelihood=log_likelihood, gamma=gamma, xi=xi, log_scale=log_scale,
+    pair_rows = np.delete(packing.rows, packing.starts)  # the packed rows that end a pair
+    return SimpleNamespace(log_likelihood=log_likelihood, gamma=gamma[packing.rows],
+                           xi=xi[pair_rows - packing.sizes[0]], log_scale=log_scale,
                            kernels=kernels, starts=packing.starts, gaps=packing.gaps,
-                           gap_starts=packing.gap_starts,
-                           gap_index=packing.slot[packing.pair_rows])
+                           gap_starts=packing.gap_starts, gap_index=packing.slot[pair_rows])
 
 
 def forward_backward_batch(model, trajectories):
@@ -594,10 +597,8 @@ def pack_by_trajectory(trajectories, members, bin_counts):
             blocks.append(gaps)
             gap_index.append(index + gap_starts[-1])
             gap_starts.append(gap_starts[-1] + gaps.size)
-    paired = np.nonzero(step > 0)[0]
-    pair_rows = rows[paired]
     slot = np.zeros_like(rows)
-    slot[pair_rows] = np.concatenate(gap_index)
+    slot[rows[step > 0]] = np.concatenate(gap_index)
     row_model, source = np.empty_like(rows), np.empty_like(rows)
     row_model[rows] = np.repeat(pair_model, lengths)
     cohort_starts = np.cumsum(cohort_lengths) - cohort_lengths
@@ -607,8 +608,8 @@ def pack_by_trajectory(trajectories, members, bin_counts):
         "pair_model": pair_model, "pair_member": pair_member, "sizes": sizes,
         "offsets": offsets, "rows": rows, "starts": starts, "ends": ends,
         "row_model": row_model, "source": source, "gaps": np.concatenate(blocks),
-        "gap_starts": np.array(gap_starts), "runs": runs, "pair_rows": pair_rows,
-        "slot": slot, "columns": stacked_columns(observations[source], bin_counts),
+        "gap_starts": np.array(gap_starts), "runs": runs, "slot": slot,
+        "columns": stacked_columns(observations[source], bin_counts),
     }
 
 

@@ -93,6 +93,14 @@ def test_layout_equals_the_per_trajectory_oracles(seed, whole_gaps, step):
                               bin_frequencies_by_trajectory(own, bins, 1e-3))
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gaps_never_subtract_across_trajectories():
+    # From the end of a to the start of b is -2e308, which overflows.
+    a = Trajectory("a", np.array([0.0, 1e308]), np.zeros((2, 1), int))
+    b = Trajectory("b", np.array([-1e308, 0.0]), np.zeros((2, 1), int))
+    assert np.array_equal(_Cohort.of([a, b]).gaps, [1e308, 1e308])
+
 def test_wrapping_tick_sums_stay_exact():
     # Each trajectory's ticks sum to about 2**52 lattice units, so the
     # cohort-wide running sum passes 2**63.

@@ -1,6 +1,5 @@
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from cthmm_subtyping import (
     e_step,
     end_conditioned_stats,
     fit_disease_model,
+    fit_mixture,
     full_mask,
     grid_evaluate,
     left_to_right_mask,
@@ -69,6 +69,21 @@ def _cohort(rng, n_trajectories, n_states, bin_counts, n_points=(2, 6), missing=
             )
         )
     return model, out
+
+
+def _hand_built(generator, gaps, **fields):
+    """Statistics built by hand under ``generator``, carrying its kernels at
+    ``gaps`` from :func:`transition_matrix` as E-step statistics do."""
+    k = generator.size
+    probs = np.array([transition_matrix(generator, gap).probs for gap in gaps]).reshape(-1, k, k)
+    return SufficientStats(gaps=np.asarray(gaps, dtype=float), generator=generator,
+                           transition_probs=probs, **fields)
+
+
+def _no_gaps(k, **fields):
+    """Hand-built statistics with no pairs, under a zero generator of k states."""
+    return _hand_built(validate_generator(np.zeros((k, k)), full_mask(k)), [],
+                       pair_counts=np.empty((0, k, k)), **fields)
 
 
 class TestEStep:
@@ -163,13 +178,8 @@ class TestEStep:
 
 class TestMStepEmissions:
     def _stats(self, counts):
-        return SufficientStats(
-            gaps=np.empty(0),
-            pair_counts=np.empty((0, counts.shape[0], counts.shape[0])),
-            gamma_initial=np.ones(counts.shape[0]),
-            emission_counts=counts,
-            bin_counts=(counts.shape[1],),
-        )
+        return _no_gaps(counts.shape[0], gamma_initial=np.ones(counts.shape[0]),
+                        emission_counts=counts, bin_counts=(counts.shape[1],))
 
     def test_plain_ratio_without_smoothing(self):
         table = m_step_emissions(self._stats(np.array([[3.0, 1.0]])), 0.0)
@@ -192,13 +202,8 @@ class TestMStepEmissions:
 class TestMStepInitial:
     def _stats(self, gamma_initial):
         k = len(gamma_initial)
-        return SufficientStats(
-            gaps=np.empty(0),
-            pair_counts=np.empty((0, k, k)),
-            gamma_initial=np.asarray(gamma_initial, dtype=float),
-            emission_counts=np.zeros((k, 2)),
-            bin_counts=(2,),
-        )
+        return _no_gaps(k, gamma_initial=np.asarray(gamma_initial, dtype=float),
+                        emission_counts=np.zeros((k, 2)), bin_counts=(2,))
 
     def test_normalisation(self):
         assert m_step_initial(self._stats([2.0, 2.0])) == pytest.approx([0.5, 0.5])
@@ -257,26 +262,24 @@ class TestMStepGenerator:
         previous = validate_generator(
             np.array([[0.0, 0.7], [0.0, 0.0]]), left_to_right_mask(2)
         )
-        stats = SufficientStats(
-            gaps=np.array([1.0]),
+        stats = _hand_built(
+            previous, [1.0],
             pair_counts=np.array([[[1.0, 0.0], [0.0, 0.0]]]),
             gamma_initial=np.array([1.0, 0.0]),
             emission_counts=np.zeros((2, 2)),
             bin_counts=(2,),
-            generator=previous,
         )
         updated, _ = m_step_generator(stats)
         assert updated.rates[0, 1] == 1e-6
 
     def test_single_state_stays_zero(self):
         previous = validate_generator(np.zeros((1, 1)), full_mask(1))
-        stats = SufficientStats(
-            gaps=np.array([0.5]),
+        stats = _hand_built(
+            previous, [0.5],
             pair_counts=np.array([[[3.0]]]),
             gamma_initial=np.array([1.0]),
             emission_counts=np.zeros((1, 2)),
             bin_counts=(2,),
-            generator=previous,
         )
         updated, _ = m_step_generator(stats)
         assert updated.rates.tolist() == [[0.0]]
@@ -285,13 +288,12 @@ class TestMStepGenerator:
         previous = validate_generator(
             np.array([[0.0, 0.7], [0.0, 0.0]]), left_to_right_mask(2)
         )
-        stats = SufficientStats(
-            gaps=np.array([1.0]),
+        stats = _hand_built(
+            previous, [1.0],
             pair_counts=np.array([[[0.0, 0.0], [0.0, 1.0]]]),
             gamma_initial=np.array([0.0, 1.0]),
             emission_counts=np.zeros((2, 2)),
             bin_counts=(2,),
-            generator=previous,
         )
         kept, degenerate = m_step_generator(stats)
         assert kept.rates[0, 1] == 0.7
@@ -303,41 +305,15 @@ class TestMStepGenerator:
         previous = validate_generator(np.full((3, 3), 0.4) * mask, mask)
         pair_counts = np.ones((1, 3, 3))
         pair_counts[0, 0, 1] = np.nan
-        stats = SufficientStats(
-            gaps=np.array([1.0]),
+        stats = _hand_built(
+            previous, [1.0],
             pair_counts=pair_counts,
             gamma_initial=np.ones(3),
             emission_counts=np.zeros((3, 2)),
             bin_counts=(2,),
-            generator=previous,
         )
         with pytest.raises(InvariantViolation, match="off-diagonal rates must be finite"):
             m_step_generator(stats)
-
-    def test_hand_built_statistics_build_their_kernels(self):
-        rng = np.random.default_rng(12)
-        model, trajectories = _cohort(rng, 6, 3, (2,))
-        stats, _ = e_step(model, trajectories)
-        assert stats.generator is model.generator
-        expected, _ = m_step_generator(stats)
-        # Without the E-step kernels the update builds P(gap) from the
-        # statistics' own generator, and lands on the same rates.
-        bare = replace(stats, transition_probs=None)
-        updated, _ = m_step_generator(bare)
-        assert np.array_equal(updated.rates, expected.rates)
-        with pytest.raises(InvariantViolation, match="no generator"):
-            generator_update_terms(replace(bare, generator=None))
-
-    def test_kernels_need_their_generator(self):
-        with pytest.raises(InvariantViolation, match="generator they came from"):
-            SufficientStats(
-                gaps=np.array([1.0]),
-                pair_counts=np.ones((1, 2, 2)),
-                gamma_initial=np.ones(2),
-                emission_counts=np.zeros((2, 2)),
-                bin_counts=(2,),
-                transition_probs=np.full((1, 2, 2), 0.5),
-            )
 
     @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("structure", ["full", "left-to-right"])
@@ -346,13 +322,12 @@ class TestMStepGenerator:
         mask = structure_mask(structure, n_states)
         previous = validate_generator(rng.uniform(0.05, 2.0, (n_states, n_states)) * mask, mask)
         gaps = np.unique(np.geomspace(1e-3, 10.0, 40) * rng.uniform(0.9, 1.1, 40))
-        stats = SufficientStats(
-            gaps=gaps,
+        stats = _hand_built(
+            previous, gaps,
             pair_counts=rng.uniform(0.0, 5.0, (gaps.size, n_states, n_states)),
             gamma_initial=np.ones(n_states),
             emission_counts=np.zeros((n_states, 2)),
             bin_counts=(2,),
-            generator=previous,
         )
         numer = np.zeros((n_states, n_states))
         denom = np.zeros(n_states)
@@ -361,8 +336,7 @@ class TestMStepGenerator:
             numer += np.einsum("cdab,cd->ab", cond.expected_transitions, counts)
             denom += np.einsum("cda,cd->a", cond.expected_sojourn, counts)
         if structure == "left-to-right" and n_states > 1:
-            probs = np.array([transition_matrix(previous, gap).probs for gap in gaps])
-            assert np.any(probs < P_FLOOR)
+            assert np.any(stats.transition_probs < P_FLOOR)
 
         batched_numer, batched_denom = generator_update_terms(stats)
         scale = max(np.abs(numer).max(), np.abs(denom).max())
@@ -400,13 +374,8 @@ class TestStackedLayoutOracle:
         blocks = np.split(counts, np.cumsum(bin_counts)[:-1], axis=1)
         for block in blocks:
             block[rng.random(n_states) < 0.3] = 0.0  # views: zero rows in `counts` too
-        stats = SufficientStats(
-            gaps=np.empty(0),
-            pair_counts=np.empty((0, n_states, n_states)),
-            gamma_initial=np.ones(n_states),
-            emission_counts=counts,
-            bin_counts=bin_counts,
-        )
+        stats = _no_gaps(n_states, gamma_initial=np.ones(n_states), emission_counts=counts,
+                         bin_counts=bin_counts)
         table = m_step_emissions(stats, smoothing)
         expected = oracles.m_step_emissions_by_feature(blocks, smoothing)
         assert len(table.tables) == len(expected)
@@ -802,6 +771,40 @@ class TestSeedCheck:
         with pytest.raises(InvariantViolation, match="seed must be an integer, got True"):
             _SEEDED[entry](True)
 
+
+
+def _count_fits():
+    """Each fit entry point as a function of its (subtypes, states) counts."""
+    rng = np.random.default_rng(5)
+    cohort = [Trajectory(f"p{i}", random_times(rng, 4), random_observations(rng, 4, (3,)))
+              for i in range(4)]
+    config = EmConfig(restarts=1, max_iterations=2)
+    return {
+        "fit_disease_model": lambda m, k: fit_disease_model(cohort, k, config),
+        "fit_mixture": lambda m, k: fit_mixture(cohort, m, k, config),
+        "grid_evaluate": lambda m, k: grid_evaluate(cohort, [m], [k], config, 0.5),
+    }
+
+
+_COUNT_FITS = _count_fits()
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("entry, counts, message", [
+        ("fit_disease_model", (1, 2.0), "n_states must be an integer, got 2.0"),
+        ("fit_disease_model", (1, True), "n_states must be an integer, got True"),
+        ("fit_mixture", (2.0, 2), "n_subtypes must be an integer, got 2.0"),
+        ("fit_mixture", (2, 2.0), "n_states must be an integer, got 2.0"),
+        ("grid_evaluate", (1, 2.0), "n_states must be an integer, got 2.0"),
+    ], ids=["fit_disease_model-float", "fit_disease_model-bool", "fit_mixture-subtypes",
+            "fit_mixture-states", "grid_evaluate-states"])
+    def test_non_integer_count_is_an_invariant_violation(self, entry, counts, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            _COUNT_FITS[entry](*counts)
+
+    @pytest.mark.parametrize("entry", sorted(_COUNT_FITS))
+    def test_numpy_integer_counts_accepted(self, entry):
+        _COUNT_FITS[entry](np.int64(1), np.uint8(2))
 
 class TestStructureMask:
     def test_kinds(self):

@@ -248,23 +248,25 @@ class TestAccumulationOracle:
         members = [everyone, everyone, everyone[:split], everyone[split:]]
         models = [random_model(rng, n_states, bins) for _ in members]
         packing = _pack(_Cohort.of(cohort), members)
-        posteriors = packed_posteriors(models, packing)
-        row, step = 0, 0
-        for m, (group, result) in enumerate(zip(members, _e_steps(packing, models), strict=True)):
+        _, gamma, xi, _, _, _ = inference._forward_backward(models, packing)
+        columns = stacked_columns(_Cohort.of(cohort).observations[packing.source], bins)
+        n_first = packing.sizes[0]
+        for m, result in enumerate(_e_steps(packing, models)):
             stats, _ = result
-            observations = np.concatenate([cohort[i].observations for i in group])
-            n_rows = observations.shape[0]
-            n_steps = n_rows - len(group)
-            own = slice(posteriors.gap_starts[m], posteriors.gap_starts[m + 1])
+            # The fit's own rows and pair-ending rows, in packed order.
+            rows = np.nonzero(packing.row_model == m)[0]
+            ends = rows[rows >= n_first]
+            own = slice(packing.gap_starts[m], packing.gap_starts[m + 1])
             emission_counts, pair_counts = scatter_counts(
-                posteriors.gamma[row : row + n_rows], stacked_columns(observations, bins),
-                sum(bins), posteriors.xi[step : step + n_steps],
-                posteriors.gap_index[step : step + n_steps] - own.start, own.stop - own.start,
+                gamma[rows], columns[rows], sum(bins), xi[ends - n_first],
+                packing.slot[ends] - own.start, own.stop - own.start,
             )
             assert np.array_equal(stats.emission_counts, emission_counts)
             assert np.array_equal(stats.pair_counts, pair_counts)
-            row, step = row + n_rows, step + n_steps
-        assert row == posteriors.gamma.shape[0]
+            firsts = rows[rows < n_first]
+            initial = np.zeros((1, n_states))
+            np.add.at(initial, np.zeros(firsts.size, dtype=int), gamma[firsts])
+            assert np.array_equal(stats.gamma_initial, initial[0])
 
 
 def _impossible_model(rng):
