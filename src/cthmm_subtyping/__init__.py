@@ -77,7 +77,6 @@ from .learning import (
     m_step_emissions,
     m_step_generator,
     m_step_initial,
-    quantize_gaps,
 )
 from .mixture import (
     MixtureModel,

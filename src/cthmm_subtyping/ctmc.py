@@ -364,15 +364,15 @@ def _interval_integral(
         j, k = np.triu_indices(n, 1)
         split = values[j] - values[k]
         z = np.multiply.outer(intervals, split)
-        near = np.abs(z) < 0.1
-        z = np.where(near, z, 0.0)  # the series is kept only there
+        gap, pair = np.nonzero(np.abs(z) < 0.1)  # the series is needed only there
+        z = z[gap, pair]
         series = np.full_like(z, 1 / math.factorial(11))
         for m in range(10, 0, -1):
             series *= z
             series += 1 / math.factorial(m)
         reciprocal = np.divide(1.0, split, out=np.zeros_like(split), where=split != 0)
-        pairs = np.where(near, intervals[:, None] * growth[:, k] * series,
-                         (growth[:, j] - growth[:, k]) * reciprocal)
+        pairs = (growth[:, j] - growth[:, k]) * reciprocal
+        pairs[gap, pair] = intervals[gap] * growth[gap, k[pair]] * series
         phi = np.empty((len(intervals), n, n), dtype=complex)
         phi[:, j, k] = phi[:, k, j] = pairs
         phi[:, range(n), range(n)] = intervals[:, None] * growth

@@ -124,7 +124,8 @@ def stacked_columns(observations: np.ndarray, bin_counts: tuple[int, ...]) -> np
     bad = np.any((observations >= np.array(bin_counts)) | (observations < MISSING), axis=0)
     if np.any(bad):
         d = int(np.argmax(bad))
-        raise DimensionMismatch(f"feature {d}: bin index out of range for {bin_counts[d]} bins")
+        raise DimensionMismatch(
+            f"feature {d}: bin index out of range for {bin_counts[d]} bins of {tuple(bin_counts)}")
     offsets = _feature_starts(bin_counts)
     return np.where(observations == MISSING, sum(bin_counts), observations + offsets)
 

@@ -77,7 +77,7 @@ def _held_out_losses(
     forward pass; each chosen subtype then propagates its patients'
     filtered laws over all their held-out gaps in one kernel stack.
     """
-    cohort = _Cohort.of(trajectories, mixture.models[0].n_features)
+    cohort = _Cohort.of(trajectories, mixture.models[0].emissions.bin_counts)
     n_prefix = _ceil_share(prefix_fraction, cohort.lengths, "prefix_fraction")
     cut = np.repeat(cohort.starts + n_prefix, cohort.lengths)  # each row's first held-out row
     held = np.arange(cut.size) >= cut
@@ -90,7 +90,6 @@ def _held_out_losses(
     if not rows.size:
         return [0.0] * len(cohort), scored.tolist()
 
-    columns = cohort.columns(mixture.models[0].emissions.bin_counts)
     best, _, filtered = assign_subtypes(mixture, cohort.heads(~held, n_prefix))
     gaps = cohort.times[rows] - cohort.times[cut[rows] - 1]
     chosen = best[owner]
@@ -98,7 +97,7 @@ def _held_out_losses(
     for m in set(chosen.tolist()):
         here = np.nonzero(chosen == m)[0]
         predicted = propagate_filter(mixture.models[m], filtered[owner[here]], gaps[here])
-        p[here] = predicted[np.arange(here.size)[:, None], columns[rows[here]]]
+        p[here] = predicted[np.arange(here.size)[:, None], cohort.columns[rows[here]]]
     # Mixing weights can overshoot one by a few ulps; keep scores >= 0.
     np.minimum(p, 1.0, out=p)
     impossible = observed & ~(p > 0)

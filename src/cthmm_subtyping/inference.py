@@ -109,19 +109,22 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class _Cohort:
-    """A cohort in columnar form, the one place trajectories are concatenated.
+    """A cohort in columnar form, the one place trajectories are concatenated
+    and binned.
 
     Trajectory b is rows ``starts[b]`` to ``starts[b] + lengths[b]`` of
-    ``times`` (N,) and ``observations`` (N, D); its gaps start at
-    ``gaps[starts[b] - b]``.
+    ``times`` (N,), ``observations`` (N, D) and ``columns`` (N, D), the
+    :func:`~.emissions.stacked_columns` of every row under the cohort's
+    one layout ``bin_counts``; its gaps start at ``gaps[starts[b] - b]``.
     """
 
     patient_ids: tuple[str, ...]
     times: np.ndarray  # (N,)
     observations: np.ndarray  # (N, D)
     lengths: np.ndarray  # (B,)
+    bin_counts: tuple[int, ...]
+    columns: np.ndarray  # (N, D)
     starts: np.ndarray = field(init=False)  # (B,)
-    _columns: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "starts", np.cumsum(self.lengths) - self.lengths)
@@ -135,45 +138,45 @@ class _Cohort:
         return self.times[later] - self.times[:-1][later[1:]]
 
     @classmethod
-    def of(cls, trajectories: list[Trajectory] | _Cohort, n_features: int | None = None) -> _Cohort:
-        """``trajectories`` in columnar form; a cohort is returned as it is.
+    def of(cls, trajectories: list[Trajectory] | _Cohort,
+           bin_counts: tuple[int, ...] | None = None) -> _Cohort:
+        """``trajectories`` in columnar form, binned once under the layout
+        ``bin_counts`` of the models that will read it, by default each
+        feature's largest observed bin index plus one (and at least two);
+        a cohort is returned as it is.
 
-        The first trajectory whose feature count is not ``n_features``, that
-        of the models that will read the cohort, or else the first
-        trajectory's, raises :class:`DimensionMismatch`.
+        The first trajectory whose feature count is not the layout's, or
+        else the first trajectory's, and a bin outside the layout raise
+        :class:`DimensionMismatch`.
         """
         if isinstance(trajectories, _Cohort):
             return trajectories
         if not trajectories:
-            return cls((), np.empty(0), np.empty((0, 0), dtype=int), np.empty(0, dtype=int))
-        expected = trajectories[0].n_features if n_features is None else n_features
+            layout = tuple(bin_counts or ())
+            empty = np.empty((0, len(layout)), dtype=int)
+            return cls((), np.empty(0), empty, np.empty(0, dtype=int), layout, empty)
+        expected = trajectories[0].n_features if bin_counts is None else len(bin_counts)
         odd = next((t for t in trajectories if t.n_features != expected), None)
         if odd is not None:
-            detail = f"not {expected}" if n_features is None else f"model expects {expected}"
+            detail = f"not {expected}" if bin_counts is None else f"model expects {expected}"
             raise DimensionMismatch(
                 f"patient {odd.patient_id!r} has {odd.n_features} features, {detail}")
+        observations = np.concatenate([t.observations for t in trajectories])
+        if bin_counts is None:
+            bin_counts = tuple(int(m) + 1 for m in np.maximum(observations.max(axis=0), 1))
         return cls(tuple(t.patient_id for t in trajectories),
-                   np.concatenate([t.times for t in trajectories]),
-                   np.concatenate([t.observations for t in trajectories]),
-                   np.array([t.length for t in trajectories]))
+                   np.concatenate([t.times for t in trajectories]), observations,
+                   np.array([t.length for t in trajectories]), tuple(bin_counts),
+                   stacked_columns(observations, bin_counts))
 
     def heads(self, rows: np.ndarray, lengths: np.ndarray) -> _Cohort:
         """The cohort of the rows marked in ``rows`` (N,), which must be the
-        first ``lengths[b]`` >= 1 rows of every trajectory b; the binned
-        columns built so far are cut the same way."""
-        heads = _Cohort(self.patient_ids, self.times[rows], self.observations[rows], lengths)
-        heads._columns.update((key, columns[rows]) for key, columns in self._columns.items())
-        return heads
+        first ``lengths[b]`` >= 1 rows of every trajectory b."""
+        return _Cohort(self.patient_ids, self.times[rows], self.observations[rows], lengths,
+                       self.bin_counts, self.columns[rows])
 
     def __len__(self) -> int:
         return self.lengths.size
-
-    def columns(self, bin_counts: tuple[int, ...]) -> np.ndarray:
-        """:func:`~.emissions.stacked_columns` of every row (N, D), built on
-        first use for these bin counts and kept."""
-        if bin_counts not in self._columns:
-            self._columns[bin_counts] = stacked_columns(self.observations, bin_counts)
-        return self._columns[bin_counts]
 
 
 @dataclass(frozen=True)
@@ -235,9 +238,9 @@ class _Packing:
     ``offsets[i - 1] + r``.  The order is a stable sort, longest first,
     so one model's rows keep the relative order they have when that
     model is packed alone.  ``rows[n]`` is the packed row of batch row n.
-    Packed row p belongs to model ``row_model[p]``, reads cohort
-    observation row ``source[p]``, and ends a pair with gap
-    ``gaps[slot[p]]`` (rows of the first step end no pair).
+    Packed row p belongs to model ``row_model[p]``, has the binned
+    columns ``columns[p]``, gathered once from the cohort's, and ends a
+    pair with gap ``gaps[slot[p]]`` (rows of the first step end no pair).
     Model m's sorted distinct gaps are
     ``gaps[gap_starts[m]:gap_starts[m + 1]]``; consecutive models with the
     same members form a run, from model ``runs[r]`` to ``runs[r + 1]``,
@@ -253,7 +256,7 @@ class _Packing:
     starts: np.ndarray  # (B,)
     ends: np.ndarray  # (B,)
     row_model: np.ndarray  # (N,)
-    source: np.ndarray  # (N,)
+    columns: np.ndarray  # (N, D)
     gaps: np.ndarray  # (G,)
     gap_starts: np.ndarray  # (M + 1,)
     runs: list[int]
@@ -311,7 +314,7 @@ def _pack(cohort: _Cohort, members: list[np.ndarray]) -> _Packing:
         starts=starts,
         ends=ends,
         row_model=row_model,
-        source=source,
+        columns=cohort.columns[source],
         gaps=np.concatenate(blocks),
         gap_starts=np.array(gap_starts),
         runs=runs,
@@ -349,8 +352,7 @@ def _emission_weights(
     cannot underflow.
     """
     tables = [model.emissions for model in models]
-    columns = packing.cohort.columns(tables[0].bin_counts)[packing.source]
-    log_b = log_emission_matrix(tables, columns, packing.row_model)
+    log_b = log_emission_matrix(tables, packing.columns, packing.row_model)
     shift = _reduce_columns(np.maximum, log_b)
     shift = np.where(np.isfinite(shift), shift, 0.0)
     return np.exp(log_b - shift[:, None]), shift
@@ -359,15 +361,19 @@ def _emission_weights(
 def _forward(models: list[SubtypeModel], packing: _Packing) -> tuple[np.ndarray, ...]:
     """The scaled forward recursion over a packed batch of pairs.
 
-    All models must share the state count.  Returns the kernels (G, K, K)
-    and each model's kernel failure, the kernels of packed rows
-    ``sizes[0]`` on (N - B, K, K), the packed emission weights b (N, K),
-    scaling constants (N) and scaled alphas (N, K), and the log scaling
-    constants (N,) in batch order with their per-pair sums (B,).  A zero
-    scale (an impossible step) makes alpha NaN from there on, and the
-    pair's log-likelihood -inf; so do a broken model's NaN kernels, which
-    no other model's rows read.
+    All models must share the state count and the cohort's bin layout
+    (another layout raises :class:`DimensionMismatch`).  Returns the
+    kernels (G, K, K) and each model's kernel failure, the kernels of
+    packed rows ``sizes[0]`` on (N - B, K, K), the packed emission
+    weights b (N, K), scaling constants (N) and scaled alphas (N, K), and
+    the log scaling constants (N,) in batch order with their per-pair
+    sums (B,).  A zero scale (an impossible step) makes alpha NaN from
+    there on, and the pair's log-likelihood -inf; so do a broken model's
+    NaN kernels, which no other model's rows read.
     """
+    if models[0].emissions.bin_counts != packing.cohort.bin_counts:
+        raise DimensionMismatch(f"models read {models[0].emissions.bin_counts} bins, "
+                                f"the cohort is binned under {packing.cohort.bin_counts}")
     kernels, failures = _pair_kernels(models, packing)
     b, shift = _emission_weights(models, packing)
     n_first = packing.sizes[0]
@@ -406,7 +412,7 @@ def forward_filter(
     """
     if len({(model.n_states, model.n_features) for model in models}) != 1:
         raise InvariantViolation("models disagree on state or feature count")
-    cohort = _Cohort.of(trajectories, models[0].n_features)
+    cohort = _Cohort.of(trajectories, models[0].emissions.bin_counts)
     packing = _pack(cohort, [np.arange(len(cohort))] * len(models))
     _, failures, *_, alpha, _, log_likelihood = _forward(models, packing)
     shape = (len(models), len(cohort))
@@ -453,7 +459,7 @@ def forward_backward(model: SubtypeModel, trajectory: Trajectory) -> PosteriorSu
     posteriors are NaN from the impossible step onward.  A kernel past the
     drift guard raises :class:`ExpmInaccuracy`.
     """
-    packing = _pack(_Cohort.of([trajectory], model.n_features), [np.arange(1)])
+    packing = _pack(_Cohort.of([trajectory], model.emissions.bin_counts), [np.arange(1)])
     log_likelihood, gamma, xi, log_scale, _, failures = _forward_backward([model], packing)
     return PosteriorSummary(float(_checked(log_likelihood, failures)[0]), gamma, xi, log_scale)
 

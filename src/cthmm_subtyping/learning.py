@@ -33,7 +33,6 @@ from .ctmc import (
 )
 from .emissions import EmissionTable, feature_totals, split_features
 from .errors import (
-    DimensionMismatch,
     ImpossibleTrajectory,
     InvariantViolation,
     SubtypingError,
@@ -150,8 +149,8 @@ def _check_step(step: float) -> None:
         raise InvariantViolation(f"delta_quantization must be finite and > 0, got {step}")
 
 
-def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajectory]:
-    """Snap inter-observation gaps to a grid, keeping the first timestamps.
+def _quantized(cohort: _Cohort, step: float) -> _Cohort:
+    """The cohort with its gaps snapped to a grid, keeping the first timestamps.
 
     Gaps round to the nearest multiple of ``step`` but never below one
     step, so timestamps stay strictly increasing.  Every quantized time
@@ -162,21 +161,20 @@ def quantize_gaps(trajectories: list[Trajectory], step: float) -> list[Trajector
     equal gaps in every trajectory.  Applying this before training leaves
     one matrix exponential per grid value without touching the data
     files themselves.  First timestamps move to the lattice, by at most
-    half a unit.  ``step`` must be finite and positive.
+    half a unit.  A cohort whose times could reach half the largest float
+    has no such lattice and raises :class:`InvariantViolation`.
     """
-    _check_step(step)
-    cohort = _quantized(_Cohort.of(trajectories), step)
-    times = np.split(cohort.times, cohort.starts[1:])
-    return [Trajectory(t.patient_id, q, t.observations) for t, q in zip(trajectories, times)]
-
-
-def _quantized(cohort: _Cohort, step: float) -> _Cohort:
-    """:func:`quantize_gaps` of a cohort, as one cohort."""
     first = cohort.times[cohort.starts]
-    last = cohort.times[cohort.starts + cohort.lengths - 1]
-    # Bounds every quantized |time|; the doubling is the headroom bit.
-    reach = np.max(np.abs(first) + last - first + (cohort.lengths - 1) * step, initial=step)
-    unit = np.spacing(2.0 * reach)
+    half_first, half_last = first / 2, cohort.times[cohort.starts + cohort.lengths - 1] / 2
+    # Half the reach that bounds every quantized |time|, summed from exact
+    # halves so that it cannot overflow; the unit is the ulp of twice the
+    # reach, the doubling being the headroom bit.
+    half_reach = np.max(np.abs(half_first) + half_last - half_first
+                        + (cohort.lengths - 1) * (step / 2), initial=step / 2)
+    if not half_reach < np.finfo(float).max / 4:
+        raise InvariantViolation(
+            f"quantized times reach 2 * {half_reach:.6g}, past half the float range")
+    unit = np.spacing(4.0 * half_reach)
     step_units = max(np.rint(step / unit), 1.0)
     # Count ticks against the snapped step: below the time resolution
     # the requested one would inflate every gap.
@@ -233,7 +231,7 @@ def _e_steps(
     n_first = packing.sizes[0]
     bin_counts = models[0].emissions.bin_counts
     width = sum(bin_counts) + 1
-    cells = packing.row_model[:, None] * width + cohort.columns(bin_counts)[packing.source]
+    cells = packing.row_model[:, None] * width + packing.columns
     counts = _scatter_rows(cells, gamma[:, None, :], len(models) * width)
     initial = _scatter_rows(packing.row_model[:n_first], gamma[:n_first], len(models))
     pair_counts = _scatter_rows(packing.slot[n_first:], xi.reshape(-1, models[0].n_states**2),
@@ -281,7 +279,7 @@ def e_step(
     guard, and :class:`ImpossibleTrajectory` for a trajectory with
     probability zero under ``model``, whose posteriors are undefined.
     """
-    cohort = _Cohort.of(trajectories, model.n_features)
+    cohort = _Cohort.of(trajectories, model.emissions.bin_counts)
     (result,) = _e_steps(_pack(cohort, [np.arange(len(cohort))]), [model])
     if isinstance(result, SubtypingError):
         raise result
@@ -293,9 +291,12 @@ def m_step_emissions(stats: SufficientStats, smoothing: float) -> EmissionTable:
 
     With smoothing zero and a feature's counts all zero in a state the
     ratio is undefined; that feature falls back to uniform in that state
-    so the table stays a valid distribution.
+    so the table stays a valid distribution.  A negative or non-finite
+    count raises :class:`InvariantViolation`.
     """
     counts, bin_counts = stats.emission_counts, stats.bin_counts
+    if not np.all((counts >= 0) & (counts < np.inf)):  # also NaN
+        raise InvariantViolation("emission counts must be finite and >= 0")
     bins = np.repeat(bin_counts, bin_counts)  # bin count of each column's feature
     smoothed = counts + smoothing
     denom = feature_totals(counts, bin_counts) + bins * smoothing
@@ -356,21 +357,21 @@ def m_step_generator(stats: SufficientStats) -> tuple[GeneratorMatrix, tuple[int
     return validate_generator(rates, mask), degenerate
 
 
-def _bin_counts(cohort: _Cohort, bin_counts: tuple[int, ...]) -> np.ndarray:
+def _bin_counts(cohort: _Cohort) -> np.ndarray:
     """Observed count of every bin per trajectory (B, C)."""
-    width = sum(bin_counts) + 1
+    width = sum(cohort.bin_counts) + 1
     patient = np.repeat(np.arange(len(cohort)), cohort.lengths)
-    cells = (patient[:, None] * width + cohort.columns(bin_counts)).ravel()
+    cells = (patient[:, None] * width + cohort.columns).ravel()
     return np.bincount(cells, minlength=len(cohort) * width).reshape(-1, width)[:, :-1]
 
 
 def _empirical_bin_frequencies(
-    cohort: _Cohort, members: np.ndarray, bin_counts: tuple[int, ...], smoothing: float
+    cohort: _Cohort, members: np.ndarray, smoothing: float
 ) -> np.ndarray:
     """Smoothed observed frequency of every bin (C,) in trajectories
     ``members``, normalised per feature."""
-    smoothed = _bin_counts(cohort, bin_counts)[members].sum(axis=0) + max(smoothing, 1e-6)
-    return smoothed / feature_totals(smoothed, bin_counts)
+    smoothed = _bin_counts(cohort)[members].sum(axis=0) + max(smoothing, 1e-6)
+    return smoothed / feature_totals(smoothed, cohort.bin_counts)
 
 
 def _apply_terminal_intervention(
@@ -478,33 +479,25 @@ def _prepare_cohort(
     trajectories: list[Trajectory],
     config: EmConfig,
     bin_counts: tuple[int, ...] | None = None,
-) -> tuple[_Cohort, tuple[int, ...]]:
-    """Check a training cohort, fix its bin counts and, when
-    ``config.delta_quantization`` is set, snap its gaps to that grid.
-
-    Without given counts each feature gets its largest observed bin index
-    plus one, and at least two bins.
-    """
-    cohort = _Cohort.of(trajectories)
+) -> _Cohort:
+    """A training cohort binned once under ``bin_counts``, by default the
+    observed layout of :meth:`_Cohort.of`, with its gaps snapped to
+    ``config.delta_quantization`` when that is set."""
+    cohort = _Cohort.of(trajectories, bin_counts)
     if not len(cohort):
         raise InvariantViolation("cannot fit a model with no trajectories")
-    observed_max = cohort.observations.max(axis=0)
-    if bin_counts is None:
-        bin_counts = tuple(int(m) + 1 for m in np.maximum(observed_max, 1))
-    if len(bin_counts) != observed_max.size or np.any(observed_max >= bin_counts):
-        raise DimensionMismatch(f"bin counts {bin_counts} miss observed bin indices {observed_max}")
-    if not np.isfinite(config.smoothing * max(bin_counts, default=0)):
-        raise InvariantViolation(f"smoothing {config.smoothing} overflows over {bin_counts} bins")
+    if not np.isfinite(config.smoothing * max(cohort.bin_counts, default=0)):
+        raise InvariantViolation(
+            f"smoothing {config.smoothing} overflows over {cohort.bin_counts} bins")
     if config.delta_quantization is not None:
         cohort = _quantized(cohort, config.delta_quantization)
-    return cohort, tuple(bin_counts)
+    return cohort
 
 
 def _restarts(
     cohort: _Cohort,
     members: np.ndarray,
     n_states: int,
-    bin_counts: tuple[int, ...],
     config: EmConfig,
 ) -> list[tuple[np.ndarray, SubtypeModel]]:
     """The seeded restart fits of one model on trajectories ``members`` of ``cohort``.
@@ -513,12 +506,16 @@ def _restarts(
     rescaling every time by 2^k rescales the fits exactly."""
     if _checked_integer("n_states", n_states) < 1:
         raise InvariantViolation("need at least one state")
-    base_freqs = _empirical_bin_frequencies(cohort, members, bin_counts, config.smoothing)
-    rate_scale = np.exp2(-np.rint(np.log2(cohort.gaps.mean()))) if cohort.gaps.size else 1.0
+    base_freqs = _empirical_bin_frequencies(cohort, members, config.smoothing)
+    gaps, rate_scale = cohort.gaps, 1.0
+    if gaps.size:
+        # Scaled exactly by a power of two below 1 / size, the gaps sum without overflow.
+        scale = np.ldexp(1.0, -gaps.size.bit_length())
+        rate_scale = np.exp2(-np.rint(np.log2((gaps * scale).mean() / scale)))
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     return [
-        (members, _random_start(n_states, bin_counts, config, np.random.default_rng(seq),
-                                base_freqs, rate_scale))
+        (members, _random_start(n_states, cohort.bin_counts, config,
+                                np.random.default_rng(seq), base_freqs, rate_scale))
         for seq in seeds
     ]
 
@@ -583,6 +580,6 @@ def fit_disease_model(
     (model, diagnostics)
         Best model over restarts by final log-likelihood, plus the trace.
     """
-    cohort, bin_counts = _prepare_cohort(trajectories, config, bin_counts)
-    fits = _restarts(cohort, np.arange(len(cohort)), n_states, bin_counts, config)
+    cohort = _prepare_cohort(trajectories, config, bin_counts)
+    fits = _restarts(cohort, np.arange(len(cohort)), n_states, config)
     return _fit_sets(cohort, [fits], config)[0]

@@ -97,18 +97,13 @@ def assignment_posteriors(mixture: MixtureModel, trajectory: Trajectory) -> np.n
     return weights / weights.sum()
 
 
-def _bin_histograms(cohort: _Cohort, bin_counts: tuple[int, ...]) -> np.ndarray:
+def _bin_histograms(cohort: _Cohort) -> np.ndarray:
     """Per-patient observed-bin frequency vectors, features concatenated."""
-    counts = _bin_counts(cohort, bin_counts)
-    return counts / np.maximum(feature_totals(counts, bin_counts), 1)
+    counts = _bin_counts(cohort)
+    return counts / np.maximum(feature_totals(counts, cohort.bin_counts), 1)
 
 
-def _initial_partition(
-    cohort: _Cohort,
-    n_subtypes: int,
-    rng: np.random.Generator,
-    bin_counts: tuple[int, ...],
-) -> np.ndarray:
+def _initial_partition(cohort: _Cohort, n_subtypes: int, rng: np.random.Generator) -> np.ndarray:
     """Seed the alternation by clustering per-patient bin histograms.
 
     A short seeded Lloyd iteration over histogram vectors gives the first
@@ -119,7 +114,7 @@ def _initial_partition(
     n = len(cohort)
     if n_subtypes == 1:
         return np.zeros(n, dtype=int)
-    points = _bin_histograms(cohort, bin_counts)
+    points = _bin_histograms(cohort)
     centroids = points[rng.choice(n, size=n_subtypes, replace=False)]
     assignments = np.zeros(n, dtype=int)
     for _ in range(25):
@@ -193,12 +188,12 @@ def fit_mixture(
     n = len(trajectories)
     if n < n_subtypes:
         raise TooFewPatients(f"{n} patients cannot fill {n_subtypes} subtypes")
-    cohort, bin_counts = _prepare_cohort(
+    cohort = _prepare_cohort(
         trajectories, config, scheme.bin_counts if scheme is not None else None
     )
 
     rng = np.random.default_rng(config.seed)
-    assignments = _initial_partition(cohort, n_subtypes, rng, bin_counts)
+    assignments = _initial_partition(cohort, n_subtypes, rng)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
 
     models: list[SubtypeModel] = []
@@ -212,7 +207,7 @@ def fit_mixture(
         if models:
             start_sets = [[(members, model)] for members, model in zip(groups, models)]
         else:
-            start_sets = [_restarts(cohort, members, n_states, bin_counts,
+            start_sets = [_restarts(cohort, members, n_states,
                                     replace(config, seed=config.seed + m))
                           for m, members in enumerate(groups)]
         fitted = _fit_sets(cohort, start_sets, config)

@@ -14,7 +14,8 @@ quantization and bin counts that build the cohort layout one trajectory
 at a time pin the concatenated cohort that replaced them.  The eigen closed
 forms built from complex basis products, one kernel and one integral per
 gap, pin the eigenprojector kernels and the summed interval integral that
-replaced them.  The samplers and
+replaced them.  ``quantize_gaps`` is no reference: it hands a list of
+trajectories to the package's own cohort quantization.  The samplers and
 the CSV writer at the end draw with one ``Generator.choice`` or
 ``Generator.exponential`` call per draw and write one row at a time, and
 so pin the random stream and the file bytes of the package's own.
@@ -567,7 +568,7 @@ def packed_posteriors(models, packing):
 
 def forward_backward_batch(model, trajectories):
     """The one-model pair-packed pass over a batch of trajectories."""
-    cohort = inference._Cohort.of(trajectories)
+    cohort = inference._Cohort.of(trajectories, model.emissions.bin_counts)
     return packed_posteriors([model], inference._pack(cohort, [np.arange(len(cohort))]))
 
 
@@ -607,10 +608,18 @@ def pack_by_trajectory(trajectories, members, bin_counts):
     return {
         "pair_model": pair_model, "pair_member": pair_member, "sizes": sizes,
         "offsets": offsets, "rows": rows, "starts": starts, "ends": ends,
-        "row_model": row_model, "source": source, "gaps": np.concatenate(blocks),
+        "row_model": row_model, "gaps": np.concatenate(blocks),
         "gap_starts": np.array(gap_starts), "runs": runs, "slot": slot,
         "columns": stacked_columns(observations[source], bin_counts),
     }
+
+
+def quantize_gaps(trajectories, step):
+    """The trajectories of ``learning._quantized``'s cohort, after its step check."""
+    learning._check_step(step)
+    cohort = learning._quantized(inference._Cohort.of(trajectories), step)
+    times = np.split(cohort.times, cohort.starts[1:])
+    return [Trajectory(t.patient_id, q, t.observations) for t, q in zip(trajectories, times)]
 
 
 def quantize_by_trajectory(trajectories, step):
@@ -746,14 +755,15 @@ def serial_fit_prepared(trajectories, n_states, bin_counts, config, rate_scale=N
 def serial_fit_mixture(trajectories, n_subtypes, n_states, config, scheme=None):
     """Hard-EM subtyping that refits the subtypes one after another."""
     n = len(trajectories)
-    cohort, bin_counts = learning._prepare_cohort(
+    cohort = learning._prepare_cohort(
         trajectories, config, scheme.bin_counts if scheme is not None else None
     )
+    bin_counts = cohort.bin_counts
     if config.delta_quantization is not None:
         trajectories = quantize_by_trajectory(trajectories, config.delta_quantization)
     rate_scale = start_rate_scale(trajectories)
     rng = np.random.default_rng(config.seed)
-    assignments = mixture._initial_partition(cohort, n_subtypes, rng, bin_counts)
+    assignments = mixture._initial_partition(cohort, n_subtypes, rng)
     prior = np.full(n_subtypes, 1.0 / n_subtypes)
     models = [None] * n_subtypes
     diagnostics = [None] * n_subtypes

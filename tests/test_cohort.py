@@ -20,10 +20,15 @@ from cthmm_subtyping import (
     fit_mixture,
     forecast_report,
     forward_filter,
-    quantize_gaps,
 )
 from cthmm_subtyping.inference import _Cohort, _pack
-from cthmm_subtyping.learning import _empirical_bin_frequencies, _quantized
+from cthmm_subtyping.learning import (
+    _e_steps,
+    _empirical_bin_frequencies,
+    _prepare_cohort,
+    _quantized,
+    _restarts,
+)
 from cthmm_subtyping.mixture import _bin_histograms
 
 from conftest import random_model, random_observations
@@ -32,6 +37,7 @@ from oracles import (
     bin_histograms_by_trajectory,
     pack_by_trajectory,
     quantize_by_trajectory,
+    quantize_gaps,
 )
 
 
@@ -67,7 +73,7 @@ def test_layout_equals_the_per_trajectory_oracles(seed, whole_gaps, step):
     rng = np.random.default_rng(300 + seed)
     bins = tuple(int(j) for j in rng.integers(2, 5, size=rng.integers(1, 4)))
     raw = _random_cohort(rng, bins, whole_gaps)
-    trajectories, cohort = raw, _Cohort.of(raw)
+    trajectories, cohort = raw, _Cohort.of(raw, bins)
     if step is not None:
         trajectories, cohort = quantize_by_trajectory(raw, step), _quantized(cohort, step)
         for got, want in zip(quantize_gaps(raw, step), trajectories, strict=True):
@@ -81,25 +87,45 @@ def test_layout_equals_the_per_trajectory_oracles(seed, whole_gaps, step):
     packing = _pack(cohort, members)
     expected = pack_by_trajectory(trajectories, members, bins)
     for name, want in expected.items():
-        got = cohort.columns(bins)[packing.source] if name == "columns" else getattr(packing, name)
+        got = getattr(packing, name)
         assert np.array_equal(got, want), name
         assert np.asarray(got).dtype == np.asarray(want).dtype, name
 
-    assert np.array_equal(_bin_histograms(cohort, bins),
+    assert np.array_equal(_bin_histograms(cohort),
                           bin_histograms_by_trajectory(trajectories, bins))
     for group in members:
         own = [trajectories[i] for i in group]
-        assert np.array_equal(_empirical_bin_frequencies(cohort, group, bins, 1e-3),
+        assert np.array_equal(_empirical_bin_frequencies(cohort, group, 1e-3),
                               bin_frequencies_by_trajectory(own, bins, 1e-3))
 
+
+
+NEAR_MAX = [Trajectory("a", np.array([0.0, 1e308]), np.zeros((2, 1), int)),
+            Trajectory("b", np.array([-1e308, 0.0]), np.zeros((2, 1), int))]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gaps_never_subtract_across_trajectories():
     # From the end of a to the start of b is -2e308, which overflows.
-    a = Trajectory("a", np.array([0.0, 1e308]), np.zeros((2, 1), int))
-    b = Trajectory("b", np.array([-1e308, 0.0]), np.zeros((2, 1), int))
-    assert np.array_equal(_Cohort.of([a, b]).gaps, [1e308, 1e308])
+    assert np.array_equal(_Cohort.of(NEAR_MAX).gaps, [1e308, 1e308])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_max_gaps_take_their_mean_without_overflow():
+    # The gaps sum to 2e308; their mean sets the start rates.
+    config = EmConfig(restarts=2)
+    for _, start in _restarts(_prepare_cohort(NEAR_MAX, config), np.arange(2), 2, config):
+        assert np.all(np.isfinite(start.generator.rates))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cohort", [NEAR_MAX, NEAR_MAX[:1]])
+def test_times_past_half_the_float_range_have_no_lattice(cohort):
+    # |first time| + span is 2e308 for b, and 1e308 for a, whose lattice
+    # needs twice that.
+    with pytest.raises(InvariantViolation, match=r"quantized times reach 2 \* \d"):
+        fit_disease_model(cohort, 2, EmConfig(delta_quantization=0.5))
+
 
 def test_wrapping_tick_sums_stay_exact():
     # Each trajectory's ticks sum to about 2**52 lattice units, so the
@@ -118,13 +144,17 @@ def test_wrapping_tick_sums_stay_exact():
 
 
 def test_reach_on_a_binade_edge_keeps_the_oracle_lattice():
-    # Here |t0| + t_last - t0 + 2 step reaches 64 while |t0| + (t_last - t0)
-    # + 2 step stays below it, so the lattice unit depends on the order of
-    # that sum.
-    times = np.array([13.60447292660472, 38.702236463302356, 63.8])
-    t = Trajectory("edge", times, np.zeros((3, 1), int))
-    (got,), (want,) = quantize_gaps([t], 0.1), quantize_by_trajectory([t], 0.1)
-    assert np.array_equal(got.times, want.times)
+    for times in [
+        # |t0| + t_last - t0 + 2 step reaches 64 while |t0| + (t_last - t0)
+        # + 2 step stays below it, so the lattice unit depends on the order
+        # of that sum.
+        [13.60447292660472, 38.702236463302356, 63.8],
+        # A reach of 6e307, just below half the largest float.
+        [-2e307, 0.0, 2e307],
+    ]:
+        t = Trajectory("edge", np.array(times), np.zeros((3, 1), int))
+        (got,), (want,) = quantize_gaps([t], 0.1), quantize_by_trajectory([t], 0.1)
+        assert np.array_equal(got.times, want.times)
 
 
 class TestMixedFeatureCounts:
@@ -167,6 +197,15 @@ class TestMixedFeatureCounts:
         models = [random_model(rng, 2, (2,)), random_model(rng, 2, (2, 2))]
         with pytest.raises(InvariantViolation, match="disagree on state or feature count"):
             forward_filter(models, [self.one])
+
+    def test_a_pass_under_another_bin_layout_is_refused(self):
+        # The cohort's columns would be read as (3,)-bin ones, silently.
+        model = random_model(np.random.default_rng(0), 2, (3,))
+        cohort = _Cohort.of([self.one], (2,))
+        with pytest.raises(DimensionMismatch, match=r"\(3,\) bins, .* binned under \(2,\)"):
+            forward_filter([model], cohort)
+        with pytest.raises(DimensionMismatch, match="binned under"):
+            _e_steps(_pack(cohort, [np.arange(1)]), [model])
 
     def test_a_model_mismatch_names_the_patient(self):
         model = random_model(np.random.default_rng(0), 2, (2, 2))

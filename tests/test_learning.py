@@ -25,7 +25,6 @@ from cthmm_subtyping import (
     m_step_emissions,
     m_step_generator,
     m_step_initial,
-    quantize_gaps,
     random_mixture,
     sample_cohort,
     sample_hidden_path,
@@ -53,7 +52,7 @@ from conftest import (
     simple_scheme,
 )
 import oracles
-from oracles import enumerate_posteriors, forward_backward_batch
+from oracles import enumerate_posteriors, forward_backward_batch, quantize_gaps
 
 
 def _cohort(rng, n_trajectories, n_states, bin_counts, n_points=(2, 6), missing=0.2):
@@ -171,7 +170,8 @@ class TestEStep:
         impossible = Trajectory("ghost", np.array([0.0, 1.0]), np.array([[0], [1]]))
         with pytest.raises(ImpossibleTrajectory, match="ghost"):
             e_step(model, [impossible])
-        (outcome,) = _run_em(_Cohort.of([impossible]), [(np.arange(1), model)], EmConfig())
+        cohort = _Cohort.of([impossible], model.emissions.bin_counts)
+        (outcome,) = _run_em(cohort, [(np.arange(1), model)], EmConfig())
         assert isinstance(outcome, ImpossibleTrajectory)
         assert "ghost" in str(outcome)
 
@@ -197,6 +197,12 @@ class TestMStepEmissions:
     def test_zero_counts_without_smoothing_fall_back_to_uniform(self):
         table = m_step_emissions(self._stats(np.array([[0.0, 0.0]])), 0.0)
         assert table.tables[0][0] == pytest.approx([0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_counts_are_rejected(self, bad):
+        # A NaN count fails ``denom > 0`` and would leave its feature uniform.
+        with pytest.raises(InvariantViolation, match="emission counts must be finite and >= 0"):
+            m_step_emissions(self._stats(np.array([[bad, 1.0], [2.0, 1.0]])), 1e-3)
 
 
 class TestMStepInitial:
@@ -386,11 +392,11 @@ class TestStackedLayoutOracle:
     @pytest.mark.parametrize("smoothing", [0.0, 1e-3])
     def test_frequencies_and_histograms_match_per_feature_counts(self, n_states, smoothing):
         _, bin_counts, cohort = self._case(n_states)
-        frequencies = _empirical_bin_frequencies(_Cohort.of(cohort), np.arange(len(cohort)),
-                                                 bin_counts, smoothing)
+        frequencies = _empirical_bin_frequencies(_Cohort.of(cohort, bin_counts),
+                                                 np.arange(len(cohort)), smoothing)
         expected = np.concatenate(oracles.bin_frequencies_by_feature(cohort, bin_counts, smoothing))
         assert _within_ulps(frequencies, expected)
-        histograms = _bin_histograms(_Cohort.of(cohort), bin_counts)
+        histograms = _bin_histograms(_Cohort.of(cohort, bin_counts))
         assert np.array_equal(histograms, oracles.bin_histograms_by_feature(cohort, bin_counts))
 
     @pytest.mark.parametrize("n_states", range(1, 9))

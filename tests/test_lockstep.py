@@ -31,7 +31,6 @@ from cthmm_subtyping import (
     sample_cohort,
     validate_generator,
 )
-from cthmm_subtyping.emissions import stacked_columns
 from cthmm_subtyping.inference import _Cohort, _pack
 from cthmm_subtyping.learning import (
     _best_restart,
@@ -45,6 +44,7 @@ from cthmm_subtyping.learning import (
 from conftest import random_model, random_observations, random_times, separated_mixture
 from oracles import (
     forward_backward_batch,
+    pack_by_trajectory,
     packed_posteriors,
     quantize_by_trajectory,
     scatter_counts,
@@ -113,9 +113,9 @@ class TestLockstepMatchesSerial:
         everyone = np.arange(len(cohort))
         # Three restarts on the whole cohort, then two more models on
         # member sets of unequal size; with raw gaps those sets share no gap.
-        fits = _restarts(_Cohort.of(cohort), everyone, 3, BINS, config)
+        fits = _restarts(_Cohort.of(cohort, BINS), everyone, 3, config)
         fits += [(everyone[:4], fits[0][1]), (everyone[4:], fits[1][1])]
-        outcomes = _run_em(_Cohort.of(cohort), fits, config)
+        outcomes = _run_em(_Cohort.of(cohort, BINS), fits, config)
         for (members, start), outcome in zip(fits, outcomes, strict=True):
             reference = serial_run_em([cohort[i] for i in members], start, config)
             _assert_same_fit(outcome, reference)
@@ -126,12 +126,12 @@ class TestLockstepMatchesSerial:
     def test_restart_search(self, quantization):
         config = EmConfig(max_iterations=10, restarts=4, delta_quantization=quantization)
         trajectories = _cohort(8, MIXED_LENGTHS)
-        cohort, bins = _prepare_cohort(trajectories, config, BINS)
-        fits = _restarts(cohort, np.arange(len(cohort)), 3, bins, config)
+        cohort = _prepare_cohort(trajectories, config, BINS)
+        fits = _restarts(cohort, np.arange(len(cohort)), 3, config)
         (best,) = _fit_sets(cohort, [fits], config)
         if quantization is not None:
             trajectories = quantize_by_trajectory(trajectories, quantization)
-        reference = serial_fit_prepared(trajectories, 3, bins, config)
+        reference = serial_fit_prepared(trajectories, 3, BINS, config)
         _assert_same_fit(best, reference)
         assert len(best[1].restart_scores) == 4
 
@@ -172,7 +172,7 @@ class TestPairPackedPass:
         cohort = _cohort(4, MIXED_LENGTHS)
         models = [random_model(rng, 3, BINS) for _ in range(4)]
         members = [np.arange(14), np.array([0, 5, 6]), np.array([1, 2, 3, 4]), np.arange(7, 14)]
-        together = packed_posteriors(models, _pack(_Cohort.of(cohort), members))
+        together = packed_posteriors(models, _pack(_Cohort.of(cohort, BINS), members))
         pair, row, step = 0, 0, 0
         for m, (model, group) in enumerate(zip(models, members)):
             alone = forward_backward_batch(model, [cohort[i] for i in group])
@@ -197,7 +197,7 @@ class TestPairPackedPass:
         models = [random_model(rng, 3, BINS), _jordan_start(rng), random_model(rng, 3, BINS)]
         members = [np.arange(9), np.arange(9), np.arange(9, 14)]
         _drifting_expm(monkeypatch)
-        results = _e_steps(_pack(_Cohort.of(cohort), members), models)
+        results = _e_steps(_pack(_Cohort.of(cohort, BINS), members), models)
         assert isinstance(results[1], ExpmInaccuracy)
         for m in (0, 2):
             (stats, ll), (expected, expected_ll) = results[m], e_step(
@@ -212,7 +212,7 @@ class TestPairPackedPass:
         cohort = _cohort(5, MIXED_LENGTHS)
         models = [random_model(rng, 2, BINS) for _ in range(2)]
         members = [np.arange(6), np.arange(6, 14)]
-        results = _e_steps(_pack(_Cohort.of(cohort), members), models)
+        results = _e_steps(_pack(_Cohort.of(cohort, BINS), members), models)
         for model, group, (stats, ll) in zip(models, members, results, strict=True):
             own = [cohort[i] for i in group]
             expected, expected_ll = e_step(model, own)
@@ -247,9 +247,9 @@ class TestAccumulationOracle:
         split = int(rng.integers(1, len(cohort)))
         members = [everyone, everyone, everyone[:split], everyone[split:]]
         models = [random_model(rng, n_states, bins) for _ in members]
-        packing = _pack(_Cohort.of(cohort), members)
+        packing = _pack(_Cohort.of(cohort, bins), members)
         _, gamma, xi, _, _, _ = inference._forward_backward(models, packing)
-        columns = stacked_columns(_Cohort.of(cohort).observations[packing.source], bins)
+        columns = pack_by_trajectory(cohort, members, bins)["columns"]
         n_first = packing.sizes[0]
         for m, result in enumerate(_e_steps(packing, models)):
             stats, _ = result
@@ -306,7 +306,8 @@ class TestFailureIsolation:
         everyone = np.arange(len(cohort))
         starts = [random_model(rng, 2, BINS), _impossible_model(rng), random_model(rng, 2, BINS)]
         config = EmConfig(max_iterations=5)
-        outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
+        outcomes = _run_em(_Cohort.of(cohort, BINS), [(everyone, start) for start in starts],
+                           config)
         assert isinstance(outcomes[1], ImpossibleTrajectory)
         for start, outcome in zip(starts[::2], outcomes[::2]):
             _assert_same_fit(outcome, serial_run_em(cohort, start, config))
@@ -325,7 +326,8 @@ class TestFailureIsolation:
         _drifting_expm(monkeypatch)
         with pytest.raises(ExpmInaccuracy) as serial:
             serial_run_em(cohort, starts[1], config)
-        outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
+        outcomes = _run_em(_Cohort.of(cohort, BINS), [(everyone, start) for start in starts],
+                           config)
         assert isinstance(outcomes[1], ExpmInaccuracy)
         # Every gap drifts, so the message names the cohort's shortest one.
         assert str(outcomes[1]) == str(serial.value)
@@ -469,7 +471,7 @@ def test_one_pack_per_active_set_and_one_pass_per_lockstep_iteration(pass_counts
     assert pass_counts["pass"] < sum(sum(e) for e in rounds)
     # The cohort is binned once, however many packings, passes, start
     # histograms and restart sets read it.
-    assert pass_counts["columns"] == {"columns": 1}
+    assert pass_counts["columns"] == {"of": 1}
 
 
 def test_a_broken_kernel_ends_its_fit_within_the_shared_pass(pass_counts, monkeypatch):
@@ -477,7 +479,8 @@ def test_a_broken_kernel_ends_its_fit_within_the_shared_pass(pass_counts, monkey
     everyone = np.arange(len(cohort))
     config = EmConfig(max_iterations=4, tolerance=1e-12)
     _drifting_expm(monkeypatch)
-    outcomes = _run_em(_Cohort.of(cohort), [(everyone, start) for start in starts], config)
+    outcomes = _run_em(_Cohort.of(cohort, BINS), [(everyone, start) for start in starts],
+                       config)
     assert isinstance(outcomes[1], ExpmInaccuracy)
     assert not outcomes[0][1].converged and not outcomes[2][1].converged
     # One pass over all three fits, then four over the two sound ones,
@@ -492,4 +495,4 @@ def test_benchmark_mixture_job_bins_its_cohort_once(pass_counts, workloads, tmp_
     # Fifteen passes over five packings: three active sets of the lockstep
     # fits, two assignment passes; all of them read one binned cohort.
     assert (pass_counts["pass"], pass_counts["pack"]) == (15, 5)
-    assert pass_counts["columns"] == {"columns": 1}
+    assert pass_counts["columns"] == {"of": 1}

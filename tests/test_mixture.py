@@ -30,6 +30,7 @@ from conftest import (
     separated_mixture,
     simple_scheme,
 )
+from oracles import quantize_gaps
 
 TWO_SUBTYPE_PEAKS = [
     np.array([[0, 0], [1, 1], [2, 2]]),
@@ -126,8 +127,6 @@ class TestFitMixture:
     def test_fixed_point_of_assignment(self):
         _, cohort = _training_cohort(n=30, seed=31)
         mixture = fit_mixture(cohort.trajectories, 2, 3, _fit_config(max_iterations=25))
-        from cthmm_subtyping import quantize_gaps
-
         reassigned = np.array(
             [
                 assign_subtype(mixture, t)[0]
@@ -153,8 +152,8 @@ class TestFitMixture:
             Trajectory(f"p{i}", random_times(rng, 6), random_observations(rng, 6, (3, 2)))
             for i in range(5)
         ]
-        inferred = _bin_histograms(_Cohort.of(cohort), (3, 2))
-        widened = _bin_histograms(_Cohort.of(cohort), (5, 4))
+        inferred = _bin_histograms(_Cohort.of(cohort, (3, 2)))
+        widened = _bin_histograms(_Cohort.of(cohort, (5, 4)))
         assert inferred.shape == (5, 5)
         assert widened.shape == (5, 9)
         assert np.array_equal(widened[:, [0, 1, 2, 5, 6]], inferred)
